@@ -283,3 +283,15 @@ def test_module_entry_runs():
                     reason="percept console script not installed on PATH")
 def test_installed_console_script_runs():
     assert_entry_runs([shutil.which("percept")])
+
+
+# --- runtime dependencies ---------------------------------------------------------------
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter must not load it
+    code = ("import sys, percept; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,6 +13,8 @@ from percept import (CompositeMetric, DomainError, ExponentialGain,
                      ToleranceNotMet, ValueParams, WeightParams, as_reference,
                      outage_probability, pop, pu_composite, pu_rate, pu_snr,
                      rate_metric, snr_metric, value, weight)
+from percept.metrics import DEFAULT_BUDGET, _gain_at
+from percept.sweep import preset_scenario, run_scenario
 
 VP = ValueParams(0.5, 1.0, 2.0)
 WP = WeightParams(1.0, 0.8)
@@ -137,9 +139,24 @@ def test_tolerance_not_met_raises_with_diagnostics():
     with pytest.raises(ToleranceNotMet) as exc:
         pu_snr(link(10.0), 4.0, VP, WP, tol=1e-8, budget=100)
     err = exc.value
-    assert err.evaluations > 0
-    assert err.abs_error > 1e-8 or err.evaluations > 100
+    assert 0 < err.evaluations <= 100
+    assert err.abs_error > 1e-8
     assert math.isfinite(err.value)
+
+
+def test_tolerance_below_roundoff_raises_within_budget():
+    with pytest.raises(ToleranceNotMet) as exc:
+        pu_snr(link(10.0), 4.0, VP, WP, tol=1e-14, budget=DEFAULT_BUDGET)
+    err = exc.value
+    assert 0 < err.evaluations <= DEFAULT_BUDGET
+    assert err.abs_error > 1e-14
+    assert math.isfinite(err.value)
+
+
+def test_budget_below_one_pass_evaluates_nothing():
+    with pytest.raises(ToleranceNotMet) as exc:
+        pu_snr(link(10.0), 4.0, VP, WP, budget=10)
+    assert exc.value.evaluations == 0
 
 
 def test_generic_composite_constant_metric():
@@ -170,6 +187,113 @@ def test_pu_decreases_with_loss_aversion():
     vals = [pu_snr(link(10.0), 4.0, ValueParams(0.5, 1.0, lam), WP).value
             for lam in (1.5, 2.0, 3.0)]
     assert vals[0] > vals[1] > vals[2]
+
+
+# --- perceptual utility: small theta and accuracy against mpmath ------------
+
+# theta = 0.01 lies inside the strict box; z = (s/gamma)**(1/theta) and the
+# base survival probability 1 - exp(-z) underflow near s = 0 there.
+# mpmath (30 digits) at rho=10, ref=4, alpha=0.5, lambda_loss=2, gamma=1
+PU_THETA_001 = {"pu_snr": "18.8017112057649821399622745836",
+                "pu_rate": "-0.0000855286317198332193414057320862"}
+
+
+def test_gain_at_tiny_s_stays_finite():
+    base, wp = ExponentialGain(2.0), WeightParams(1.0, 0.01)
+    s = np.array([1e-3, 1e-300])
+    # z is 1e-300, then underflows to 0; log(1 - exp(-z)) = log z there
+    expect = -2.0 * np.log(s) / 0.01
+    assert np.allclose(_gain_at(base, wp, s), expect, rtol=1e-15)
+    # away from the tiny-z branch the quantile is the exponential law's
+    s = np.array([0.05, 1.0, 20.0])
+    wp = WeightParams(1.3, 0.6)
+    z = (s / 1.3) ** (1.0 / 0.6)
+    assert np.allclose(_gain_at(base, wp, s),
+                       base.inverse_survival(-np.expm1(-z)), rtol=1e-14)
+
+
+@pytest.mark.parametrize("fn", [pu_snr, pu_rate])
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_small_theta_in_strict_box(fn, tol):
+    # tol 1e-12 bisects deep into the logarithmic singularity at s = 0
+    res = fn(link(10.0), 4.0, VP, WeightParams(1.0, 0.01), tol=tol)
+    ref = float(PU_THETA_001[fn.__name__])
+    assert math.isfinite(res.value)
+    assert res.abs_error <= tol
+    assert abs(res.value - ref) <= res.abs_error
+
+
+# Points on which an earlier QUADPACK-based engine understated its error,
+# missed its tolerance, or raised a DomainError, with their 30-digit mpmath
+# references from bench/catalogue.json (lambda_gain = 1 throughout).
+# metric, rho, ref, alpha, lambda_loss, gamma, theta, mu, tol, reference
+HARD_POINTS = [
+    ("pu_snr", 2.09046, 5.34596, 0.347988, 1.79406, 1.41174, 0.599264, 1.62999,
+     1e-08, "-0.66949133462134574401690914309"),
+    ("pu_rate", 33.2338, 9.6157, 0.328617, 2.59231, 1.74583, 0.854009, 0.999204,
+     1e-08, "-4.1718764818445526901092439305"),
+    ("pu_rate", 95.1045, 12.2516, 0.373104, 2.89246, 0.645156, 0.832999,
+     1.86386, 1e-10, "-5.73893369295553164060215149196"),
+    ("pu_rate", 323.59, 13.1617, 0.7577, 1.93655, 1.09237, 0.907626, 1.42899,
+     1e-10, "-6.45528143136988173041539599386"),
+    ("pu_rate", 167.115, 11.4346, 0.219788, 1.84557, 0.82954, 0.847732,
+     0.743408, 1e-10, "-2.666058259664232328907395365"),
+    ("pu_rate", 1.06632, 5.37853, 0.861842, 3.24769, 1.1379, 0.910887, 1.71183,
+     1e-08, "-10.6894967927037752966346142636"),
+    ("pu_rate", 1.10274, 5.37853, 0.861842, 3.24769, 1.1379, 0.910887, 1.71183,
+     1e-08, "-10.6263062265974171669076513865"),
+    ("pu_rate", 1.45813, 5.26515, 0.758894, 2.96978, 1.04817, 0.891087, 1.05514,
+     1e-08, "-8.56947158863845764912341755571"),
+    ("pu_rate", 53.3554, 15.0525, 0.875957, 1.83049, 1.26532, 0.523052,
+     0.864163, 1e-10, "-13.3486154022271629636879067654"),
+    ("pu_rate", 39.1824, 7.08204, 0.305509, 3.49575, 0.71285, 0.918895,
+     1.11536, 1e-08, "-4.44177324109317863737866284194"),
+]
+
+# the fig5 and fig6 presets, point by point in grid order
+PRESET_REFS = {
+    "fig5": ["-3.59916697869680525814125538945",
+             "-2.77210665090274205333426574648",
+             "-1.27276775099435006046249963575",
+             "-0.31146924068000174697774582429",
+             "0.407505110478365564224195078565",
+             "1.08517451374604254979135720744",
+             "1.47526465162303417424924851438",
+             "1.81122345011839809497626088172",
+             "2.12273614437620668062790861004",
+             "2.52941306739791122373780581449"],
+    "fig6": ["-3.47886271596555643180137741073",
+             "-3.15023916219112304850310171807",
+             "-2.38496351431078780588126295231",
+             "-1.53625282338262830147387872399",
+             "-0.665124650464570243058476968282",
+             "0.293601211850572991214686295106",
+             "0.85365806095345078102928046629",
+             "1.30228856880518570929231770145",
+             "1.66945589590709180390702882746",
+             "2.06771305690274273952439274245"],
+}
+
+
+@pytest.mark.parametrize(
+    "metric, rho, ref, alpha, lambda_loss, gamma, theta, mu, tol, expect",
+    HARD_POINTS, ids=[f"{p[0]}-rho{p[1]}" for p in HARD_POINTS])
+def test_error_bound_holds_on_hard_points(metric, rho, ref, alpha,
+                                          lambda_loss, gamma, theta, mu, tol,
+                                          expect):
+    fn = pu_snr if metric == "pu_snr" else pu_rate
+    res = fn(link(rho, mu), ref, ValueParams(alpha, 1.0, lambda_loss),
+             WeightParams(gamma, theta), tol=tol)
+    assert res.abs_error <= tol
+    assert abs(res.value - float(expect)) <= res.abs_error
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_REFS))
+def test_error_bound_holds_on_pu_presets(name):
+    rows = run_scenario(preset_scenario(name))
+    assert len(rows) == len(PRESET_REFS[name])
+    for row, expect in zip(rows, PRESET_REFS[name]):
+        assert abs(row.value - float(expect)) <= row.err, row.axis
 
 
 # --- outage and its weighted counterpart ------------------------------------
