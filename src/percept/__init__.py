@@ -8,8 +8,7 @@ evaluation of perceptual utility, a perceptual outage probability, a
 multipath channel simulator, and a scenario sweep engine.
 """
 from .channel import MultipathConfig, draw_channel, gain_samples
-from .distributions import (ExponentialGain, PerceptualDistribution, pcdf,
-                            perceptual_sample, ppdf)
+from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import (ConstraintViolation, DomainError, PerceptError,
                      ToleranceNotMet)
 from .metrics import (CompositeMetric, LinkBudget, OutageSpec, PuResult,
@@ -30,8 +29,7 @@ __all__ = [
     "ValueParams", "WeightParams", "ReferencePoint", "as_reference",
     "validate_value_params", "value", "weight", "weight_inverse",
     "weight_derivative",
-    "ExponentialGain", "PerceptualDistribution", "pcdf", "ppdf",
-    "perceptual_sample",
+    "ExponentialGain", "PerceptualDistribution",
     "LinkBudget", "OutageSpec", "CompositeMetric", "PuResult",
     "pu_composite", "pu_snr", "pu_rate", "snr_metric", "rate_metric",
     "outage_probability", "pop",

@@ -30,6 +30,8 @@ class MultipathConfig:
                 and self.amplitude_scale > 0.0):
             raise DomainError("amplitude_scale must be positive and finite, "
                               f"got {self.amplitude_scale}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:

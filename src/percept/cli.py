@@ -15,16 +15,17 @@ from typing import Optional
 import numpy as np
 
 from .channel import MultipathConfig, gain_samples
-from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import ConstraintViolation, DomainError, ToleranceNotMet
-from .metrics import (DEFAULT_BUDGET, DEFAULT_TOL, LinkBudget, OutageSpec,
-                      pop, pu_rate, pu_snr)
-from .prospect import ValueParams, WeightParams, value, weight
-from .sweep import (PRESET_NOTES, PRESETS, SweepRow, cross_check,
+from .metrics import DEFAULT_BUDGET, DEFAULT_TOL
+from .prospect import ValueParams, WeightParams
+from .sweep import (PRESET_NOTES, PRESETS, Scenario, cross_check,
                     cross_check_csv, load_scenario, preset_scenario,
                     run_scenario, sweep_csv)
 
 _QUANTILE_STEP = 0.05
+# point-command flags that set a fixed scenario field, by argparse dest
+_SCENARIO_FLAGS = {"ref": "reference", "mu": "mu", "epsilon": "epsilon",
+                   "tol": "tolerance", "budget": "budget"}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -35,58 +36,24 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _value_params(args) -> ValueParams:
-    return ValueParams(args.alpha, args.lambda_gain, args.lambda_loss,
-                       mode=args.mode)
+def _cmd_point(args) -> int:
+    """A point command is a one-scenario sweep over its points.
 
-
-def _weight_params(args) -> WeightParams:
-    return WeightParams(args.gamma, args.theta, mode=args.mode)
-
-
-def _cmd_value(args) -> int:
-    params = _value_params(args)
-    rows = [SweepRow(x, float(value(x, args.ref, params)), 0.0, 1)
-            for x in args.points]
-    _emit(sweep_csv(rows), args.out)
-    return 0
-
-
-def _cmd_weight(args) -> int:
-    params = _weight_params(args)
-    rows = [SweepRow(p, float(weight(p, params)), 0.0, 1) for p in args.points]
-    _emit(sweep_csv(rows), args.out)
-    return 0
-
-
-def _cmd_pcdf(args) -> int:
-    pd = PerceptualDistribution(ExponentialGain(args.mu), _weight_params(args))
-    rows = [SweepRow(s, float(pd.pcdf(s)), 0.0, 1) for s in args.points]
-    _emit(sweep_csv(rows), args.out)
-    return 0
-
-
-def _cmd_ppdf(args) -> int:
-    pd = PerceptualDistribution(ExponentialGain(args.mu), _weight_params(args))
-    rows = [SweepRow(s, float(pd.ppdf(s)), 0.0, 1) for s in args.points]
-    _emit(sweep_csv(rows), args.out)
-    return 0
-
-
-def _cmd_pu(args) -> int:
-    link = LinkBudget(args.ptn0, ExponentialGain(args.mu))
-    fn = pu_snr if args.command == "pu-snr" else pu_rate
-    res = fn(link, args.ref, _value_params(args), _weight_params(args),
-             tol=args.tol, budget=args.budget)
-    rows = [SweepRow(args.ptn0, res.value, res.abs_error, res.evaluations)]
-    _emit(sweep_csv(rows), args.out)
-    return 0
-
-
-def _cmd_pop(args) -> int:
-    link = LinkBudget(args.ptn0, ExponentialGain(args.mu))
-    p = pop(link, OutageSpec(args.epsilon), _weight_params(args))
-    _emit(sweep_csv([SweepRow(args.ptn0, p, 0.0, 1)]), args.out)
+    The grid is the positional points, in the given order and with
+    repeats, or the single --ptn0 of pop and pu-*.
+    """
+    grid = tuple(args.points) if "points" in args else (args.ptn0,)
+    vp = wp = None
+    if "alpha" in args:
+        vp = ValueParams(args.alpha, args.lambda_gain, args.lambda_loss,
+                         mode=args.mode)
+    if "gamma" in args:
+        wp = WeightParams(args.gamma, args.theta, mode=args.mode)
+    fixed = {field: getattr(args, flag)
+             for flag, field in _SCENARIO_FLAGS.items() if flag in args}
+    scenario = Scenario(args.metric, args.axis, grid, value_params=vp,
+                        weight_params=wp, **fixed)
+    _emit(sweep_csv(run_scenario(scenario)), args.out)
     return 0
 
 
@@ -178,13 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", type=float, default=4.0,
                    help="reference point (default 4)")
     _add_common(p)
-    p.set_defaults(func=_cmd_value)
+    p.set_defaults(func=_cmd_point, metric="value_curve", axis="x")
 
     p = sub.add_parser("weight", help="probability weighting at given points")
     p.add_argument("points", type=float, nargs="+", metavar="P")
     _add_weight_flags(p)
     _add_common(p)
-    p.set_defaults(func=_cmd_weight)
+    p.set_defaults(func=_cmd_point, metric="weight_curve", axis="p")
 
     for name, helptext in (("pcdf", "perceived CDF of the channel gain"),
                            ("ppdf", "perceived density of the channel gain")):
@@ -194,11 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=float, default=1.0,
                        help="average channel gain (default 1)")
         _add_common(p)
-        p.set_defaults(func=_cmd_pcdf if name == "pcdf" else _cmd_ppdf)
+        p.set_defaults(func=_cmd_point, metric=name, axis="s")
 
-    for name, helptext in (
-            ("pu-snr", "perceptual utility of the instantaneous SNR"),
-            ("pu-rate", "perceptual utility of the transmission rate")):
+    for name, metric, helptext in (
+            ("pu-snr", "pu_snr",
+             "perceptual utility of the instantaneous SNR"),
+            ("pu-rate", "pu_rate",
+             "perceptual utility of the transmission rate")):
         p = sub.add_parser(name, help=helptext)
         _add_value_flags(p)
         _add_weight_flags(p)
@@ -213,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="integrand evaluation budget")
         _add_common(p)
-        p.set_defaults(func=_cmd_pu)
+        p.set_defaults(func=_cmd_point, metric=metric, axis="pt_over_n0")
 
     p = sub.add_parser("pop", help="perceptual outage probability")
     _add_weight_flags(p)
@@ -224,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0,
                    help="rate threshold in bits/s/Hz (default 1)")
     _add_common(p)
-    p.set_defaults(func=_cmd_pop)
+    p.set_defaults(func=_cmd_point, metric="pop", axis="pt_over_n0")
 
     p = sub.add_parser(
         "sweep", help="run a sweep scenario (preset name or JSON file)",

@@ -1,12 +1,11 @@
 """Channel-gain distributions and their perceived counterparts.
 
-A perceptual distribution composes any base law with the Prelec weighting:
-the perceived CDF is w(F(s)) and the perceived density is its derivative,
+The channel power gain of a Rayleigh-faded link follows the exponential
+law on [0, inf). A perceptual distribution composes it with the Prelec
+weighting: the perceived CDF is w(F(s)) and the perceived density is its
+derivative,
 
     ppdf(s) = gamma * theta * w(F(s)) * (-log F(s))**(theta-1) * f(s) / F(s).
-
-The base law only needs the minimal quantile interface below; the shipped
-implementation is the exponential power-gain law of a Rayleigh-faded link.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .prospect import WeightParams
+from .prospect import WeightParams, scalar_out
 
 _LOG_HALF = float(np.log(0.5))
 _LOG2 = float(np.log(2.0))
@@ -34,19 +33,15 @@ class ExponentialGain:
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise DomainError(f"mu must be positive and finite, got {self.mu}")
 
-    @property
-    def support(self) -> tuple:
-        return (0.0, np.inf)
-
     def cdf(self, g):
         g = np.asarray(g, dtype=float)
         out = np.where(g < 0.0, 0.0, -np.expm1(-np.maximum(g, 0.0) / self.mu))
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
     def pdf(self, g):
         g = np.asarray(g, dtype=float)
         out = np.where(g < 0.0, 0.0, np.exp(-np.maximum(g, 0.0) / self.mu) / self.mu)
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
     def log_cdf(self, g):
         """log F(g), accurate in both tails.
@@ -62,7 +57,7 @@ class ExponentialGain:
         with np.errstate(divide="ignore"):
             out = np.where(x > _LOG_HALF,
                            np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
     def inverse_cdf(self, u):
         """Quantile function, -mu * log1p(-u) for u in (0, 1)."""
@@ -70,7 +65,7 @@ class ExponentialGain:
         if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(np.isnan(u)):
             raise DomainError("quantile argument must lie in (0, 1)")
         out = -self.mu * np.log1p(-u)
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
     def inverse_survival(self, q):
         """Quantile at survival probability q in (0, 1]; exact for tiny q.
@@ -82,16 +77,12 @@ class ExponentialGain:
         if np.any(q <= 0.0) or np.any(q > 1.0) or np.any(np.isnan(q)):
             raise DomainError("survival argument must lie in (0, 1]")
         out = -self.mu * np.log(q)
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
 
 @dataclass(frozen=True)
 class PerceptualDistribution:
-    """A base gain law seen through Prelec-distorted probabilities.
-
-    ``base`` may be any object exposing cdf, pdf, log_cdf, inverse_cdf,
-    inverse_survival and support (see ExponentialGain).
-    """
+    """The exponential gain law on [0, inf) seen through Prelec weighting."""
 
     base: ExponentialGain
     weights: WeightParams
@@ -103,14 +94,13 @@ class PerceptualDistribution:
         after F itself rounds to 1.
         """
         s = np.asarray(s, dtype=float)
-        lo, _ = self.base.support
         out = np.zeros(s.shape)
-        inside = s > lo
+        inside = s > 0.0
         if np.any(inside):
             neg_log_f = -self.base.log_cdf(s[inside])
             out[inside] = np.exp(
                 -self.weights.gamma * neg_log_f ** self.weights.theta)
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
     def ppdf(self, s):
         """Perceived density, the derivative of :meth:`pcdf`.
@@ -123,8 +113,7 @@ class PerceptualDistribution:
         the far left tail.
         """
         s = np.asarray(s, dtype=float)
-        lo, hi = self.base.support
-        if np.any(s <= lo) or np.any(s >= hi):
+        if np.any(s <= 0.0) or np.any(s >= np.inf):
             raise DomainError("ppdf is defined strictly inside the support")
         f_base = self.base.cdf(s)
         neg_log_f = -self.base.log_cdf(s)
@@ -135,7 +124,7 @@ class PerceptualDistribution:
         out = (gp.gamma * gp.theta * np.exp(-gp.gamma * neg_log_f ** gp.theta)
                * neg_log_f ** (gp.theta - 1.0)
                * self.base.pdf(s) / f_base)
-        return float(out) if out.ndim == 0 else out
+        return scalar_out(out)
 
     def perceptual_sample(self, u):
         """Deterministic inverse-transform sample at uniform variate u.
@@ -156,19 +145,4 @@ class PerceptualDistribution:
         out = np.where(z > _LOG2,
                        self.base.inverse_cdf(prob),
                        self.base.inverse_survival(surv))
-        return float(out) if out.ndim == 0 else out
-
-
-def pcdf(pd: PerceptualDistribution, s):
-    """Module-level alias for :meth:`PerceptualDistribution.pcdf`."""
-    return pd.pcdf(s)
-
-
-def ppdf(pd: PerceptualDistribution, s):
-    """Module-level alias for :meth:`PerceptualDistribution.ppdf`."""
-    return pd.ppdf(s)
-
-
-def perceptual_sample(pd: PerceptualDistribution, u):
-    """Module-level alias for :meth:`PerceptualDistribution.perceptual_sample`."""
-    return pd.perceptual_sample(u)
+        return scalar_out(out)

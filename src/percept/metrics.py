@@ -1,7 +1,8 @@
 """Perceptual utility of link metrics and perceptual outage probability.
 
-The perceptual utility (PU) of a composite metric Omega over a random gain G
-is the expectation of the value function under the perceived gain law,
+The perceptual utility (PU) of a composite metric Omega over the exponential
+channel gain G is the expectation of the value function under the perceived
+gain law,
 
     PU = integral over g of  v(Omega(g), ref) * ppdf(g) dg.
 
@@ -13,8 +14,9 @@ turns the integral into
     PU = integral over s in (0, inf) of  h(s) * exp(-s) ds,
     h(s) = v(Omega(Finv(winv(exp(-s)))), ref),
 
-a smooth exponentially weighted integrand with a single kink at the image s*
-of the reference crossing. The two pieces [0, s*] and [s*, inf), the second
+with Finv the exponential quantile -mu * log(1 - u). That is a smooth
+exponentially weighted integrand with a single kink at the image s* of the
+reference crossing. The two pieces [0, s*] and [s*, inf), the second
 mapped onto t in [0, 1) by s = s* + t/(1-t), share one pool of intervals
 integrated by an adaptive 7-point Gauss / 15-point Kronrod rule (the qk15
 nodes of QUADPACK, Piessens et al. 1983). Each pass bisects the intervals
@@ -22,6 +24,12 @@ with the largest error estimates and evaluates the 15 nodes of every new
 interval in one numpy call. An interval reports its K15 value with the
 error estimate |K15 - G7|, which is pessimistic for the K15 value, floored
 at 50 machine epsilons of the integral of |f| over the interval for roundoff.
+A tolerance below the summed floors cannot be certified; the intervals not
+yet at their floor are still refined, and ToleranceNotMet carries the
+refined value.
+
+Rate thresholds (2**r - 1) / rho are formed in log space past the float
+range of 2**r, where they overflow to inf (an unreachable rate).
 """
 from __future__ import annotations
 
@@ -160,8 +168,7 @@ def _gain_at(base: ExponentialGain, wp: WeightParams, s):
 
 def _crossing_coordinate(base, wp: WeightParams, g_star: float) -> float:
     """Image s* of the reference crossing g* under the substitution."""
-    lo, _ = base.support
-    if g_star <= lo:
+    if g_star <= 0.0:
         return math.inf  # gain everywhere
     if math.isinf(g_star):
         return 0.0  # loss everywhere
@@ -186,10 +193,8 @@ def pu_composite(metric: CompositeMetric, pd: PerceptualDistribution,
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     base, wp = pd.base, pd.weights
-    if base.support[0] != 0.0:
-        raise DomainError("composite PU requires base support [0, inf)")
     ref = metric.ref
-    g_star = metric.crossing_point(base.support)
+    g_star = metric.crossing_point((0.0, math.inf))
     s_star = _crossing_coordinate(base, wp, g_star)
     # the semi-infinite piece starts at the kink, or at 0 without one
     s_inf = s_star if math.isfinite(s_star) else 0.0
@@ -227,18 +232,22 @@ def pu_composite(metric: CompositeMetric, pd: PerceptualDistribution,
             value=math.nan, abs_error=math.inf, evaluations=0)
     iv = rule(*np.array(pieces).T)
     target = 0.5 * tol
-    # stop when the target is met, when roundoff alone exceeds it, or
-    # when the next pass would overrun the budget
-    while target < iv[_ERR].sum() and iv[_FLOOR].sum() <= target:
+    # stop when the target is met, when roundoff alone exceeds it and the
+    # tolerance is met, when no interval can be split, or when the next
+    # pass would overrun the budget
+    while target < iv[_ERR].sum() and (iv[_FLOOR].sum() <= target
+                                       or tol < iv[_ERR].sum()):
         lo, hi, _, _, err, floor = iv
         # splitting cannot shrink an error at its roundoff floor, nor an
         # interval as narrow as the float spacing
         cand = np.flatnonzero((err > floor)
                               & (hi - lo > 8.0 * _EPS * hi + _TINY))
-        # largest errors first, as many as it takes to leave <= target
+        # largest errors first, as many as it takes to leave <= target,
+        # or <= the summed floors once those exceed it
         cand = cand[np.argsort(-err[cand], kind="stable")]
         left = err.sum() - np.cumsum(err[cand])
-        k = min(np.count_nonzero(left > target) + 1, cand.size,
+        goal = max(target, floor.sum())
+        k = min(np.count_nonzero(left > goal) + 1, cand.size,
                 (budget - evals) // (2 * _NODES))
         if k == 0:
             break
@@ -252,11 +261,26 @@ def pu_composite(metric: CompositeMetric, pd: PerceptualDistribution,
     total = float(iv[_VAL].sum())
     total_err = float(iv[_ERR].sum())
     if not total_err <= tol:
+        floor = float(iv[_FLOOR].sum())
+        why = (f"is below the roundoff floor {floor:g}" if floor > tol
+               else "not certified")
         raise ToleranceNotMet(
-            f"requested abs tolerance {tol:g} not certified: error estimate "
+            f"requested abs tolerance {tol:g} {why}: error estimate "
             f"{total_err:g} after {evals} evaluations (budget {budget})",
             value=total, abs_error=total_err, evaluations=evals)
     return PuResult(value=total, abs_error=total_err, evaluations=evals)
+
+
+def rate_gain(rate: float, rho: float) -> float:
+    """Gain (2**rate - 1) / rho at which log2(1 + rho*g) reaches ``rate``.
+
+    Past the float range of 2**rate it is exp(rate*ln2 - ln rho), which is
+    inf where that overflows too. ``rho`` must be positive.
+    """
+    if rate < 1024.0:
+        return (2.0 ** rate - 1.0) / rho
+    with np.errstate(over="ignore"):
+        return float(np.exp(rate * math.log(2.0) - math.log(rho)))
 
 
 def snr_metric(link: LinkBudget, ref) -> CompositeMetric:
@@ -274,7 +298,7 @@ def rate_metric(link: LinkBudget, ref) -> CompositeMetric:
     """
     rho = link.pt_over_n0
     ref = as_reference(ref)
-    crossing = math.inf if rho == 0.0 else (2.0 ** ref.x0 - 1.0) / rho
+    crossing = math.inf if rho == 0.0 else rate_gain(ref.x0, rho)
     return CompositeMetric(map=lambda g: np.log2(1.0 + rho * g), ref=ref,
                            crossing=crossing)
 
@@ -304,7 +328,7 @@ def outage_probability(link: LinkBudget, spec: OutageSpec) -> float:
     rho = link.pt_over_n0
     if rho == 0.0:
         return 1.0
-    g_th = (2.0 ** spec.epsilon - 1.0) / rho
+    g_th = rate_gain(spec.epsilon, rho)
     return float(-np.expm1(-g_th / link.channel.mu))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import PerceptualDistribution
 from .errors import DomainError
-from .metrics import CompositeMetric, LinkBudget, OutageSpec
+from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
 from .prospect import ValueParams, WeightParams, value, weight, weight_derivative
 
 RNG_ALGORITHM = "philox4x64"
@@ -39,6 +39,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
     if rho == 0.0:
         return McEstimate(mean=weight(1.0, weight_params), std_error=0.0,
                           samples=config.samples)
-    g_th = (2.0 ** spec.epsilon - 1.0) / rho
+    g_th = rate_gain(spec.epsilon, rho)
     outages = 0
     for rng, m in _batch_rngs(config.seed, config.samples):
         gains = rng.standard_exponential(m) * link.channel.mu

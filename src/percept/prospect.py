@@ -45,6 +45,20 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+def _check_exponent(constraint: str, name: str, x: float, mode: str) -> None:
+    """Require 0 < x < 1, or x = 1 as well in permissive mode."""
+    hi_open = mode == "strict"
+    if not (0.0 < x < 1.0 or (not hi_open and x == 1.0)):
+        raise ConstraintViolation(
+            constraint,
+            f"{name} must lie in (0, 1{')' if hi_open else ']'}, got {x}")
+
+
+def scalar_out(out: np.ndarray):
+    """A 0-d result as a Python float; arrays pass through unchanged."""
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class ValueParams:
     """Parameters of the gain/loss value function.
@@ -64,13 +78,7 @@ class ValueParams:
         _check_mode(self.mode)
         _require_finite("value parameters", self.alpha, self.lambda_gain,
                         self.lambda_loss)
-        alpha_hi_open = self.mode == "strict"
-        if not (0.0 < self.alpha < 1.0 or
-                (not alpha_hi_open and self.alpha == 1.0)):
-            raise ConstraintViolation(
-                "concavity",
-                f"alpha must lie in (0, 1{')' if alpha_hi_open else ']'}, "
-                f"got {self.alpha}")
+        _check_exponent("concavity", "alpha", self.alpha, self.mode)
         if self.lambda_gain <= 0.0 or self.lambda_loss <= 0.0:
             raise ConstraintViolation(
                 "loss_aversion",
@@ -107,13 +115,7 @@ class WeightParams:
         if self.gamma <= 0.0:
             raise ConstraintViolation(
                 "distortion", f"gamma must be positive, got {self.gamma}")
-        theta_hi_open = self.mode == "strict"
-        if not (0.0 < self.theta < 1.0 or
-                (not theta_hi_open and self.theta == 1.0)):
-            raise ConstraintViolation(
-                "inverse_s",
-                f"theta must lie in (0, 1{')' if theta_hi_open else ']'}, "
-                f"got {self.theta}")
+        _check_exponent("inverse_s", "theta", self.theta, self.mode)
 
     @classmethod
     def identity(cls) -> "WeightParams":
@@ -156,15 +158,8 @@ def validate_value_params(alpha1: float, alpha2: float, lambda1: float,
     """
     _check_mode(mode)
     _require_finite("value parameters", alpha1, alpha2, lambda1, lambda2)
-    alpha_hi_open = mode == "strict"
-    if not (0.0 < alpha1 < 1.0 or (not alpha_hi_open and alpha1 == 1.0)):
-        raise ConstraintViolation(
-            "concavity", f"gain exponent must lie in (0, 1"
-            f"{')' if alpha_hi_open else ']'}, got {alpha1}")
-    if not (0.0 < alpha2 < 1.0 or (not alpha_hi_open and alpha2 == 1.0)):
-        raise ConstraintViolation(
-            "convexity", f"loss exponent must lie in (0, 1"
-            f"{')' if alpha_hi_open else ']'}, got {alpha2}")
+    _check_exponent("concavity", "gain exponent", alpha1, mode)
+    _check_exponent("convexity", "loss exponent", alpha2, mode)
     if alpha1 != alpha2:
         raise ConstraintViolation(
             "loss_aversion",
@@ -189,7 +184,7 @@ def value(x, ref, params: ValueParams):
     mag = np.abs(d) ** params.alpha
     out = np.where(d >= 0.0, params.lambda_gain * mag,
                    -params.lambda_loss * mag)
-    return float(out) if out.ndim == 0 else out
+    return scalar_out(out)
 
 
 def weight(p, params: WeightParams):
@@ -204,7 +199,7 @@ def weight(p, params: WeightParams):
     with np.errstate(divide="ignore"):
         # -log(0) = inf makes the p=0 limit w=0 fall out of exp(-inf)
         out = np.exp(-params.gamma * (-np.log(p)) ** params.theta)
-    return float(out) if out.ndim == 0 else out
+    return scalar_out(out)
 
 
 def weight_inverse(q, params: WeightParams):
@@ -218,7 +213,7 @@ def weight_inverse(q, params: WeightParams):
         raise DomainError("perceived probability must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         out = np.exp(-((-np.log(q)) / params.gamma) ** (1.0 / params.theta))
-    return float(out) if out.ndim == 0 else out
+    return scalar_out(out)
 
 
 def weight_derivative(p, params: WeightParams):
@@ -232,4 +227,4 @@ def weight_derivative(p, params: WeightParams):
     neg_log = -np.log(p)
     out = (params.gamma * params.theta * weight(p, params)
            * neg_log ** (params.theta - 1.0) / p)
-    return float(out) if out.ndim == 0 else out
+    return scalar_out(out)

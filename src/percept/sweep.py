@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,9 +32,11 @@ _PU_AXES = ("pt_over_n0", "alpha", "lambda_gain", "lambda_loss",
             "gamma", "theta", "reference", "mu")
 _POP_AXES = ("pt_over_n0", "epsilon", "gamma", "theta", "mu")
 
+# top-level numeric keys, each with the type it is coerced to
+_NUMBER_KEYS = {"reference": float, "mu": float, "pt_over_n0": float,
+                "epsilon": float, "tolerance": float, "budget": int}
 _TOP_KEYS = {"schema", "metric", "axis", "value_params", "weight_params",
-             "reference", "mu", "pt_over_n0", "epsilon", "tolerance",
-             "budget", "mc"}
+             "mc"} | set(_NUMBER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,27 @@ class CrossCheckRow:
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
+    """Require ``d`` to be a JSON object holding only ``allowed`` keys."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise DomainError(
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _number(x, key: str, cast=float):
+    """A JSON number coerced by ``cast``; a DomainError naming ``key``.
+
+    Strings, null, lists and objects are rejected, and so are numbers the
+    cast cannot hold (an int of inf or nan).
+    """
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{key} must be a number, got {x!r}")
+    try:
+        return cast(x)
+    except (OverflowError, ValueError):
+        raise DomainError(f"{key} must be a finite number, got {x!r}") from None
 
 
 def _parse_params(d: dict, cls, keys: tuple, where: str):
@@ -81,7 +101,8 @@ def _parse_params(d: dict, cls, keys: tuple, where: str):
     missing = [k for k in keys if k not in d]
     if missing:
         raise DomainError(f"{where} missing key(s): {', '.join(missing)}")
-    return cls(**{k: d[k] for k in d})
+    return cls(**{k: v if k == "mode" else _number(v, f"{where}.{k}")
+                  for k, v in d.items()})
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -105,7 +126,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     grid = axis.get("grid")
     if not isinstance(grid, (list, tuple)) or len(grid) == 0:
         raise DomainError("axis grid must be a nonempty list")
-    grid = tuple(float(g) for g in grid)
+    grid = tuple(_number(g, f"axis.grid[{i}]") for i, g in enumerate(grid))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("axis grid must be strictly increasing")
 
@@ -135,19 +156,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _reject_unknown(doc["mc"], {"samples", "seed"}, "mc")
         if "samples" not in doc["mc"]:
             raise DomainError("mc config requires a samples count")
-        mc = McConfig(samples=int(doc["mc"]["samples"]),
-                      seed=int(doc["mc"].get("seed", 0)))
+        mc = McConfig(samples=_number(doc["mc"]["samples"], "mc.samples", int),
+                      seed=_number(doc["mc"].get("seed", 0), "mc.seed", int))
 
-    scenario = Scenario(
-        metric=metric, axis_name=name, grid=grid, value_params=vp,
-        weight_params=wp,
-        reference=None if "reference" not in doc else float(doc["reference"]),
-        mu=float(doc.get("mu", 1.0)),
-        pt_over_n0=None if "pt_over_n0" not in doc else float(doc["pt_over_n0"]),
-        epsilon=None if "epsilon" not in doc else float(doc["epsilon"]),
-        tolerance=float(doc.get("tolerance", DEFAULT_TOL)),
-        budget=int(doc.get("budget", DEFAULT_BUDGET)),
-        mc=mc)
+    fixed = {k: _number(doc[k], k, cast)
+             for k, cast in _NUMBER_KEYS.items() if k in doc}
+    scenario = Scenario(metric=metric, axis_name=name, grid=grid,
+                        value_params=vp, weight_params=wp, mc=mc, **fixed)
     _check_required(scenario)
     return scenario
 

@@ -25,6 +25,8 @@ def test_rejects_bad_configs():
         MultipathConfig(k_paths=4, amplitude_scale=0.0)
     with pytest.raises(DomainError):
         MultipathConfig(k_paths=4, amplitude_scale=-1.0)
+    with pytest.raises(DomainError, match="seed"):
+        MultipathConfig(k_paths=4, seed=-1)
 
 
 def test_rejects_nonpositive_sample_count():

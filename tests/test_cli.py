@@ -100,6 +100,22 @@ def test_pop_point(capsys):
     assert out.splitlines()[1] == f"1,{POP_HALF},0,1"
 
 
+def test_points_keep_their_order_and_repeats(capsys):
+    code, out, _ = run(capsys, ["weight", "0.9", "0.1", "0.1"])
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+        "0.9", "0.1", "0.1"]
+    assert out.splitlines()[2] == out.splitlines()[3]
+
+
+def test_rates_past_float_range_exit_0(capsys):
+    code, out, _ = run(capsys, ["pop", "--epsilon", "2000"])
+    assert (code, out.splitlines()[1]) == (0, "100,1,0,1")
+    code, out, _ = run(capsys, ["pu-rate", "--ref", "2000"])
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) < 0.0
+
+
 # --- exit codes -------------------------------------------------------------------
 
 def test_validation_failure_exits_2(capsys):
@@ -107,6 +123,44 @@ def test_validation_failure_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_point_error_names_the_grid_point(capsys):
+    code, out, err = run(capsys, ["value", "5", "-1", "3"])
+    assert (code, out) == (2, "")
+    assert err == ("error: at grid point x=-1: "
+                   "quantity metric must be nonnegative\n")
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param({"epsilon": "abc"}, id="epsilon-text"),
+    pytest.param({"budget": "x"}, id="budget-text"),
+    pytest.param({"budget": float("inf")}, id="budget-1e400"),
+    pytest.param({"mu": None}, id="mu-null"),
+    pytest.param({"reference": None}, id="reference-null"),
+    pytest.param({"weight_params": [1, 2]}, id="weight-params-list"),
+    pytest.param({"value_params": [0.5]}, id="value-params-list"),
+    pytest.param({"mc": 5}, id="mc-number"),
+    pytest.param({"mc": {"samples": 10, "seed": -1}}, id="mc-seed-negative"),
+    pytest.param({"mc": {"samples": float("inf")}}, id="mc-samples-1e400"),
+    pytest.param({"axis": {"name": "pt_over_n0", "grid": ["a"]}},
+                 id="grid-text"),
+    pytest.param({"axis": {"name": "pt_over_n0", "grid": [[1]]}},
+                 id="grid-list"),
+    pytest.param({"value_params": {"alpha": "0.5", "lambda_gain": 1.0,
+                                   "lambda_loss": 2.0}}, id="alpha-text"),
+    pytest.param(["simulate-channel", "--seed", "-1", "--samples", "100"],
+                 id="simulate-seed-negative"),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, bad):
+    if isinstance(bad, dict):
+        path = Path(scenario_file(tmp_path, **bad))
+        # json writes inf as Infinity; a document overflows a float as 1e400
+        path.write_text(path.read_text().replace("Infinity", "1e400"))
+        bad = ["sweep", str(path)]
+    code, out, err = run(capsys, bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_unknown_scenario_key_exits_2(tmp_path, capsys):
@@ -283,6 +337,18 @@ def test_module_entry_runs():
                     reason="percept console script not installed on PATH")
 def test_installed_console_script_runs():
     assert_entry_runs([shutil.which("percept")])
+
+
+# --- demos ------------------------------------------------------------------------------
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, timeout=120, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- runtime dependencies ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from percept import (DomainError, ExponentialGain, PerceptualDistribution,
-                     WeightParams, pcdf, perceptual_sample, ppdf)
+                     WeightParams)
 
 # mpmath (30 digits): w(1 - e^-1) at gamma=1, theta=0.5
 PCDF_1_HALF = 0.50800926251670411
@@ -124,11 +124,6 @@ def test_pcdf_is_nondecreasing_and_bounded(s, step, gamma, theta):
     assert 0.0 <= a <= b <= 1.0
 
 
-def test_pcdf_module_alias():
-    pd = make_pd()
-    assert pcdf(pd, 1.0) == pd.pcdf(1.0)
-
-
 # --- perceived density ----------------------------------------------------
 
 def test_ppdf_identity_weighting_reduces_to_pdf():
@@ -177,11 +172,6 @@ def test_ppdf_domain_errors_at_edges():
         pd.ppdf(800.0)  # F rounds to 1 here; only the limit exists
 
 
-def test_ppdf_module_alias():
-    pd = make_pd()
-    assert ppdf(pd, 1.0) == pd.ppdf(1.0)
-
-
 # --- perceptual sampling --------------------------------------------------
 
 def test_perceptual_sample_identity_is_plain_quantile():
@@ -225,8 +215,3 @@ def test_perceptual_sample_empirical_cdf_matches_pcdf():
     model = np.array([pd.pcdf(s) for s in probe])
     empirical = np.searchsorted(draws, probe, side="right") / n
     assert float(np.max(np.abs(empirical - model))) < 0.002
-
-
-def test_perceptual_sample_module_alias():
-    pd = make_pd()
-    assert perceptual_sample(pd, 0.5) == pd.perceptual_sample(0.5)

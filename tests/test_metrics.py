@@ -9,11 +9,11 @@ import scipy.special
 from scipy.integrate import quad
 
 from percept import (CompositeMetric, DomainError, ExponentialGain,
-                     LinkBudget, OutageSpec, PerceptualDistribution,
+                     LinkBudget, McConfig, OutageSpec, PerceptualDistribution,
                      ToleranceNotMet, ValueParams, WeightParams, as_reference,
-                     outage_probability, pop, pu_composite, pu_rate, pu_snr,
-                     rate_metric, snr_metric, value, weight)
-from percept.metrics import DEFAULT_BUDGET, _gain_at
+                     mc_pop, outage_probability, pop, pu_composite, pu_rate,
+                     pu_snr, rate_metric, snr_metric, value, weight)
+from percept.metrics import DEFAULT_BUDGET, _gain_at, rate_gain
 from percept.sweep import preset_scenario, run_scenario
 
 VP = ValueParams(0.5, 1.0, 2.0)
@@ -25,6 +25,8 @@ WP_ID = WeightParams(1.0, 1.0, mode="permissive")
 EXP_CDF_1 = 0.63212055882855768
 OUTAGE_E2_R10 = 0.25918177931828213   # 1 - exp(-0.3)
 POP_HALF = 0.50800926251670411        # w(1 - e^-1) at gamma=1, theta=0.5
+PU_SNR_R10 = 1.0997321667562066       # pu_snr at rho=10, ref 4, VP, WP
+PU_RATE_REF2000 = -89.311716188957788  # pu_rate at rho=100, ref 2000, VP, WP
 
 
 def link(rho, mu=1.0):
@@ -150,7 +152,10 @@ def test_tolerance_below_roundoff_raises_within_budget():
     err = exc.value
     assert 0 < err.evaluations <= DEFAULT_BUDGET
     assert err.abs_error > 1e-14
-    assert math.isfinite(err.value)
+    # the intervals above their floor are still refined, so the value
+    # carried is good to well below the default tolerance
+    assert abs(err.value - PU_SNR_R10) <= err.abs_error < 1e-10
+    assert "below the roundoff floor" in str(err)
 
 
 def test_budget_below_one_pass_evaluates_nothing():
@@ -333,6 +338,27 @@ def test_pop_decreases_with_power():
     vals = [pop(link(r), OutageSpec(1.0), wp)
             for r in (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_rate_threshold_past_float_range():
+    # 2**rate is formed directly below 1024 and in log space above
+    assert rate_gain(1023.5, 3.0) == (2.0 ** 1023.5 - 1.0) / 3.0
+    assert rate_gain(2000.0, 1e300) == pytest.approx(
+        2.0 ** 1000 / 1e300 * 2.0 ** 1000, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rate_gain(2000.0, 100.0) == math.inf
+        assert rate_metric(link(100.0), 2000.0).crossing == math.inf
+        assert outage_probability(link(100.0), OutageSpec(2000.0)) == 1.0
+        assert pop(link(100.0), OutageSpec(2000.0), WP) == 1.0
+        assert mc_pop(link(100.0), OutageSpec(2000.0), WP,
+                      McConfig(1000)).mean == 1.0
+
+
+def test_pu_rate_reference_past_float_range():
+    # the reference rate is never reached: every outcome is a loss
+    res = pu_rate(link(100.0), 2000.0, VP, WP)
+    assert abs(res.value - PU_RATE_REF2000) <= res.abs_error <= 1e-8
 
 
 def test_pop_at_zero_power_is_certain():

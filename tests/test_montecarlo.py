@@ -35,6 +35,11 @@ def test_config_rejects_nonpositive_samples():
             McConfig(samples=bad)
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        McConfig(samples=10, seed=-1)
+
+
 def test_pu_needs_two_samples_for_an_error_bar():
     with pytest.raises(DomainError):
         mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP, McConfig(samples=1))

@@ -33,6 +33,12 @@ def test_validate_rejects_bad_exponent_strict(alpha):
     assert exc.value.constraint == "concavity"
 
 
+def test_validate_rejects_bad_loss_exponent():
+    with pytest.raises(ConstraintViolation) as exc:
+        validate_value_params(0.5, 1.2, 1.0, 2.0, mode="strict")
+    assert exc.value.constraint == "convexity"
+
+
 def test_validate_rejects_inverted_loss_scales():
     with pytest.raises(ConstraintViolation) as exc:
         validate_value_params(0.5, 0.5, 2.0, 1.0, mode="strict")
