@@ -88,12 +88,14 @@ class PerceptualDistribution:
     weights: WeightParams
 
     def pcdf(self, s):
-        """Perceived CDF, w(F(s)). A valid CDF spanning 0 to 1.
+        """Perceived CDF, w(F(s)). A valid CDF spanning 0 to 1; NaN raises.
 
         Evaluated through log F so the upper tail keeps full precision
         after F itself rounds to 1.
         """
         s = np.asarray(s, dtype=float)
+        if np.any(np.isnan(s)):
+            raise DomainError("pcdf argument must not be NaN")
         out = np.zeros(s.shape)
         inside = s > 0.0
         if np.any(inside):
@@ -113,7 +115,7 @@ class PerceptualDistribution:
         the far left tail.
         """
         s = np.asarray(s, dtype=float)
-        if np.any(s <= 0.0) or np.any(s >= np.inf):
+        if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
         f_base = self.base.cdf(s)
         neg_log_f = -self.base.log_cdf(s)

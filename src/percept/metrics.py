@@ -40,9 +40,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import ExponentialGain, PerceptualDistribution
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, PerceptError, ToleranceNotMet
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
-                       as_reference, value, weight)
+                       _value_kernel, as_reference, check_quantity, weight)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
@@ -69,8 +69,13 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # below this z, log(1 - exp(-z)) = log z - z/2 to within z**2/24
 _SMALL_Z = 1e-8
-# rows of the interval table built by pu_composite
-_VAL, _ERR, _FLOOR = 3, 4, 5
+# rows of the interval table: the interval, its K15 value, error estimate
+# and roundoff floor, the table member it belongs to, and 1.0 if it may
+# still be split
+_LO, _HI, _MAPPED, _VAL, _ERR, _FLOOR, _OWNER, _SPLIT = range(8)
+# per-member parameters, gathered per interval row
+_S_INF, _MU, _GAMMA, _THETA, _ALPHA, _GAIN, _LOSS, _X0, _RHO = range(9)
+_NPAR = 9
 
 
 @dataclass(frozen=True)
@@ -150,20 +155,21 @@ class CompositeMetric:
                 below = mid
 
 
-def _gain_at(base: ExponentialGain, wp: WeightParams, s):
+def _gain_at(s, mu, gamma, theta):
     """Gain whose perceived CDF equals exp(-s); the substitution inverse.
 
     The base survival probability q = 1 - exp(-z), z = (s/gamma)**(1/theta),
     underflows to 0 for tiny s when theta is small, although its logarithm
     is an ordinary number. So log q is formed from log z, and the gain is
-    the exponential law's quantile at survival q, -mu * log q.
+    the exponential law's quantile at survival q, -mu * log q. The
+    parameters broadcast against ``s``.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        log_z = np.log(s / wp.gamma) / wp.theta
+        log_z = np.log(s / gamma) / theta
         z = np.exp(log_z)
     log_q = np.where(z < _SMALL_Z, log_z - 0.5 * z,
                      np.log(-np.expm1(-np.maximum(z, _SMALL_Z))))
-    return -base.mu * log_q
+    return -mu * log_q
 
 
 def _crossing_coordinate(base, wp: WeightParams, g_star: float) -> float:
@@ -188,87 +194,168 @@ def pu_composite(metric: CompositeMetric, pd: PerceptualDistribution,
     estimate and the evaluation count, when the estimate cannot be
     certified within ``budget`` integrand evaluations. ``evaluations``
     counts integrand nodes and never exceeds ``budget``. ``metric.map``
-    is called on arrays of gains.
+    is called on arrays of gains. A batch of one for :func:`pu_batch`.
+    """
+    (out,) = pu_batch([(metric, pd, value_params)], tol, budget)
+    if isinstance(out, PerceptError):
+        raise out
+    return out
+
+
+def pu_batch(points, tol: float = DEFAULT_TOL,
+             budget: int = DEFAULT_BUDGET) -> list:
+    """Perceptual utility of every ``(metric, pd, value_params)`` point.
+
+    Points whose metrics share a function of the received SNR share one
+    interval table, each row recording the point it belongs to, and each
+    pass refines every unfinished point in one array program. Each point
+    meets ``tol`` within its own ``budget`` exactly as it would alone.
+    Returns, in the order of ``points``, a PuResult or the PerceptError
+    that :func:`pu_composite` raises for that point.
     """
     if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    base, wp = pd.base, pd.weights
-    ref = metric.ref
-    g_star = metric.crossing_point((0.0, math.inf))
-    s_star = _crossing_coordinate(base, wp, g_star)
-    # the semi-infinite piece starts at the kink, or at 0 without one
-    s_inf = s_star if math.isfinite(s_star) else 0.0
+        return [DomainError(f"tolerance must be positive, got {tol}")
+                for _ in points]
+    out = [None] * len(points)
+    families = {}
+    for i, (metric, _, _) in enumerate(points):
+        m = metric.map
+        fn, rho = (m.of, m.rho) if isinstance(m, _OfSnr) else (m, 1.0)
+        families.setdefault(id(fn), (fn, []))[1].append((i, rho))
+    for fn, members in families.values():
+        _integrate(fn, [(i, rho, *points[i]) for i, rho in members], tol,
+                   budget, out)
+    return out
 
-    def rule(lo, hi, mapped):
-        """Rows lo, hi, mapped, K15 value, error estimate, roundoff floor.
+
+def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
+    """The adaptive G7/K15 rule on one table; fills ``out`` per member.
+
+    Each member is (index into ``out``, rho, metric, pd, value_params), and
+    its metric maps g to fn(rho * g).
+    """
+    n = len(members)
+    par = np.zeros((_NPAR, n))
+    evals = np.zeros(n, dtype=np.int64)
+    active = np.zeros(n, dtype=bool)
+    pieces = []
+    for j, (i, rho, metric, pd, vp) in enumerate(members):
+        base, wp = pd.base, pd.weights
+        s_star = _crossing_coordinate(
+            base, wp, metric.crossing_point((0.0, math.inf)))
+        # the semi-infinite piece starts at the kink, or at 0 without one
+        own = [(0.0, 1.0, 1.0, j)]
+        if 0.0 < s_star < math.inf:
+            own.insert(0, (0.0, s_star, 0.0, j))
+        evals[j] = _NODES * len(own)
+        if evals[j] > budget:
+            out[i] = ToleranceNotMet(
+                f"budget {budget} is below the {evals[j]} evaluations of "
+                "one pass", value=math.nan, abs_error=math.inf, evaluations=0)
+            continue
+        pieces += own
+        active[j] = True
+        par[:, j] = (s_star if math.isfinite(s_star) else 0.0, base.mu,
+                     wp.gamma, wp.theta, vp.alpha, vp.lambda_gain,
+                     vp.lambda_loss, metric.ref.x0, rho)
+    if not pieces:
+        return
+
+    def rule(lo, hi, mapped, owner):
+        """Table rows of the given intervals (see _LO ... _SPLIT).
 
         ``mapped`` is 1.0 for intervals of the semi-infinite piece, whose
-        coordinate is t, and 0.0 for intervals of [0, s*] in s itself.
+        coordinate is t, and 0.0 for intervals of [0, s*] in s itself. A
+        member whose metric leaves the value function's domain fails.
         """
+        p = par[:, owner.astype(np.intp), None]
         half = 0.5 * (hi - lo)
         x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
         on_t = mapped[:, None] > 0.0
         # a node rounding to t = 1 sits at s = inf, where the integrand is 0
         inside = ~on_t | (x < 1.0)
         t = np.where(on_t & inside, x, 0.0)
-        s = np.where(on_t, s_inf + t / (1.0 - t), x)
+        s = np.where(on_t, p[_S_INF] + t / (1.0 - t), x)
         jac = np.where(on_t, 1.0 / (1.0 - t) ** 2, 1.0)
-        g = _gain_at(base, wp, s)
-        v = value(metric.map(g), ref, value_params)
+        q = fn(p[_RHO] * _gain_at(s, p[_MU], p[_GAMMA], p[_THETA]))
+        ok = (q >= 0.0) & (q < np.inf)
+        if not ok.all():
+            bad = ~ok.all(axis=1)
+            for j in np.unique(owner[bad]).astype(np.intp):
+                try:
+                    check_quantity(q[owner == j])
+                except DomainError as exc:
+                    out[members[j][0]] = exc
+                    active[j] = False
+            q[bad] = 0.0  # rows of failed members, kept out of the arithmetic
+        v = _value_kernel(q, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS])
         f = np.where(inside, v * np.exp(-s) * jac, 0.0)
         kron = half * (f @ _WK)
         floor = 50.0 * _EPS * half * (np.abs(f) @ _WK)
         err = np.maximum(np.abs(kron - half * (f @ _WG)), floor)
-        return np.stack([lo, hi, mapped, kron, err, floor])
-
-    # one interval per piece, as rows lo, hi, mapped
-    pieces = [(0.0, 1.0, 1.0)]
-    if 0.0 < s_star < math.inf:
-        pieces.insert(0, (0.0, s_star, 0.0))
-    evals = _NODES * len(pieces)
-    if evals > budget:
-        raise ToleranceNotMet(
-            f"budget {budget} is below the {evals} evaluations of one pass",
-            value=math.nan, abs_error=math.inf, evaluations=0)
-    iv = rule(*np.array(pieces).T)
-    target = 0.5 * tol
-    # stop when the target is met, when roundoff alone exceeds it and the
-    # tolerance is met, when no interval can be split, or when the next
-    # pass would overrun the budget
-    while target < iv[_ERR].sum() and (iv[_FLOOR].sum() <= target
-                                       or tol < iv[_ERR].sum()):
-        lo, hi, _, _, err, floor = iv
         # splitting cannot shrink an error at its roundoff floor, nor an
         # interval as narrow as the float spacing
-        cand = np.flatnonzero((err > floor)
-                              & (hi - lo > 8.0 * _EPS * hi + _TINY))
-        # largest errors first, as many as it takes to leave <= target,
-        # or <= the summed floors once those exceed it
-        cand = cand[np.argsort(-err[cand], kind="stable")]
-        left = err.sum() - np.cumsum(err[cand])
-        goal = max(target, floor.sum())
-        k = min(np.count_nonzero(left > goal) + 1, cand.size,
-                (budget - evals) // (2 * _NODES))
-        if k == 0:
+        split = (err > floor) & (hi - lo > 8.0 * _EPS * hi + _TINY)
+        return np.stack([lo, hi, mapped, kron, err, floor, owner, split])
+
+    iv = rule(*np.array(pieces).T)
+    target = 0.5 * tol
+    while True:
+        err, floor, owner = iv[_ERR], iv[_FLOOR], iv[_OWNER]
+        own = owner.astype(np.intp)
+        err_sum = np.bincount(own, err, n)
+        floor_sum = np.bincount(own, floor, n)
+        # a member stops when its target is met, when roundoff alone
+        # exceeds it and the tolerance is met, when none of its intervals
+        # can be split, or when its next pass would overrun the budget
+        active &= (target < err_sum) & ((floor_sum <= target)
+                                        | (tol < err_sum))
+        cand = np.flatnonzero(active[own] & (iv[_SPLIT] > 0.0))
+        # per member, largest errors first, as many as it takes to leave
+        # <= target, or <= the summed floors once those exceed it
+        cand = cand[np.lexsort((-err[cand], own[cand]))]
+        who = own[cand]
+        count = np.bincount(who, minlength=n)
+        rank = np.arange(cand.size) - (np.cumsum(count) - count)[who]
+        by_member = np.zeros((n, count.max(initial=0)))
+        by_member[who, rank] = err[cand]
+        left = err_sum[who] - np.cumsum(by_member, axis=1)[who, rank]
+        goal = np.maximum(target, floor_sum)[who]
+        need = np.bincount(who, left > goal, n).astype(np.int64) + 1
+        k = np.minimum(np.minimum(need, count),
+                       (budget - evals) // (2 * _NODES))
+        active &= k > 0
+        if not active.any():
             break
-        pick = cand[:k]
-        lo, hi, mapped = iv[:3, pick]
-        mid = 0.5 * (lo + hi)
-        new = rule(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                   np.concatenate([mapped, mapped]))
-        evals += _NODES * new.shape[1]
-        iv = np.concatenate([np.delete(iv, pick, axis=1), new], axis=1)
-    total = float(iv[_VAL].sum())
-    total_err = float(iv[_ERR].sum())
-    if not total_err <= tol:
-        floor = float(iv[_FLOOR].sum())
-        why = (f"is below the roundoff floor {floor:g}" if floor > tol
-               else "not certified")
-        raise ToleranceNotMet(
+        pick = cand[rank < k[who]]
+        evals += 2 * _NODES * k
+        halves = iv[:_OWNER + 1, np.concatenate([pick, pick])]
+        mid = 0.5 * (halves[_LO, :pick.size] + halves[_HI, :pick.size])
+        halves[_HI, :pick.size] = mid
+        halves[_LO, pick.size:] = mid
+        keep = np.ones(iv.shape[1], dtype=bool)
+        keep[pick] = False
+        iv = np.concatenate([iv[:, keep], rule(halves[_LO], halves[_HI],
+                                               halves[_MAPPED],
+                                               halves[_OWNER])], axis=1)
+    own = iv[_OWNER].astype(np.intp)
+    totals = np.bincount(own, iv[_VAL], n)
+    errors = np.bincount(own, iv[_ERR], n)
+    floors = np.bincount(own, iv[_FLOOR], n)
+    for j, (i, *_) in enumerate(members):
+        if out[i] is not None:
+            continue
+        total, total_err = float(totals[j]), float(errors[j])
+        if total_err <= tol:
+            out[i] = PuResult(value=total, abs_error=total_err,
+                              evaluations=int(evals[j]))
+            continue
+        why = (f"is below the roundoff floor {floors[j]:g}"
+               if floors[j] > tol else "not certified")
+        out[i] = ToleranceNotMet(
             f"requested abs tolerance {tol:g} {why}: error estimate "
-            f"{total_err:g} after {evals} evaluations (budget {budget})",
-            value=total, abs_error=total_err, evaluations=evals)
-    return PuResult(value=total, abs_error=total_err, evaluations=evals)
+            f"{total_err:g} after {evals[j]} evaluations (budget {budget})",
+            value=total, abs_error=total_err, evaluations=int(evals[j]))
 
 
 def rate_gain(rate: float, rho: float) -> float:
@@ -283,12 +370,35 @@ def rate_gain(rate: float, rho: float) -> float:
         return float(np.exp(rate * math.log(2.0) - math.log(rho)))
 
 
+@dataclass(frozen=True)
+class _OfSnr:
+    """The map g -> of(rho * g) of a metric of the received SNR rho*g.
+
+    pu_batch integrates all points that share ``of`` in one table, with
+    ``rho`` gathered per interval.
+    """
+
+    of: Callable
+    rho: float
+
+    def __call__(self, g):
+        return self.of(self.rho * g)
+
+
+def _snr(x):
+    return x
+
+
+def _rate(x):
+    return np.log2(1.0 + x)
+
+
 def snr_metric(link: LinkBudget, ref) -> CompositeMetric:
     """Instantaneous SNR, pt_over_n0 * g, with its analytic crossing."""
     rho = link.pt_over_n0
     ref = as_reference(ref)
     crossing = math.inf if rho == 0.0 else ref.x0 / rho
-    return CompositeMetric(map=lambda g: rho * g, ref=ref, crossing=crossing)
+    return CompositeMetric(map=_OfSnr(_snr, rho), ref=ref, crossing=crossing)
 
 
 def rate_metric(link: LinkBudget, ref) -> CompositeMetric:
@@ -299,7 +409,7 @@ def rate_metric(link: LinkBudget, ref) -> CompositeMetric:
     rho = link.pt_over_n0
     ref = as_reference(ref)
     crossing = math.inf if rho == 0.0 else rate_gain(ref.x0, rho)
-    return CompositeMetric(map=lambda g: np.log2(1.0 + rho * g), ref=ref,
+    return CompositeMetric(map=_OfSnr(_rate, rho), ref=ref,
                            crossing=crossing)
 
 

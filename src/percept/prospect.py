@@ -176,15 +176,24 @@ def value(x, ref, params: ValueParams):
     """
     x0 = as_reference(ref).x0
     x = np.asarray(x, dtype=float)
+    check_quantity(x)
+    return scalar_out(_value_kernel(x, x0, params.alpha, params.lambda_gain,
+                                    params.lambda_loss))
+
+
+def check_quantity(x: np.ndarray) -> None:
+    """Raise DomainError unless every quantity in ``x`` is finite and >= 0."""
     if not np.all(np.isfinite(x)):
         raise DomainError("quantity metric must be finite")
     if np.any(x < 0.0):
         raise DomainError("quantity metric must be nonnegative")
+
+
+def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss):
+    """The value-function formula, unchecked; all arguments broadcast."""
     d = x - x0
-    mag = np.abs(d) ** params.alpha
-    out = np.where(d >= 0.0, params.lambda_gain * mag,
-                   -params.lambda_loss * mag)
-    return scalar_out(out)
+    mag = np.abs(d) ** alpha
+    return np.where(d >= 0.0, lambda_gain * mag, -lambda_loss * mag)
 
 
 def weight(p, params: WeightParams):

@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import ConstraintViolation, DomainError, PerceptError, ToleranceNotMet
 from .metrics import (DEFAULT_BUDGET, DEFAULT_TOL, LinkBudget, OutageSpec,
-                      pop, pu_rate, pu_snr, rate_metric, snr_metric)
+                      pop, pu_batch, rate_metric, snr_metric)
 from .montecarlo import McConfig, mc_pu
 from .prospect import ValueParams, WeightParams, value, weight
 
@@ -222,7 +222,9 @@ def _point_seeds(seed: int, count: int):
             for ss in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]) -> SweepRow:
+def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
+    """The row of a closed-form or Monte Carlo point; for a quadrature
+    point, its ``(metric, pd, value_params)`` for :func:`pu_batch`."""
     eff = _point_scenario(s, x)
     metric = s.metric
     if metric == "value_curve":
@@ -244,18 +246,16 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]) -> SweepRow:
         est = mc_pu(composite, pd, eff.value_params,
                     McConfig(eff.mc.samples, mc_seed))
         return SweepRow(x, est.mean, est.std_error, est.samples)
-    res = (pu_snr if metric == "pu_snr" else pu_rate)(
-        link, eff.reference, eff.value_params, eff.weight_params,
-        tol=eff.tolerance, budget=eff.budget)
-    return SweepRow(x, res.value, res.abs_error, res.evaluations)
+    return composite, pd, eff.value_params
 
 
 def run_scenario(s: Scenario) -> list:
     """Evaluate the selected metric at every grid point, in axis order.
 
-    PU metrics run the quadrature engine unless the scenario carries an mc
-    config, in which case the Monte Carlo estimator is used and rows report
-    its standard error and sample count instead.
+    PU metrics run the quadrature engine, all grid points in one batch,
+    unless the scenario carries an mc config, in which case the Monte Carlo
+    estimator is used and rows report its standard error and sample count
+    instead. The error raised is that of the first failing grid point.
     """
     seeds = (_point_seeds(s.mc.seed, len(s.grid)) if s.mc is not None
              else [None] * len(s.grid))
@@ -264,7 +264,17 @@ def run_scenario(s: Scenario) -> list:
         try:
             rows.append(_eval_point(s, x, seed))
         except PerceptError as exc:
-            raise _with_point(exc, s.axis_name, x) from exc
+            rows.append(exc)
+            break  # only a quadrature point before it can fail first
+    quad = [i for i, r in enumerate(rows) if isinstance(r, tuple)]
+    results = pu_batch([rows[i] for i in quad], s.tolerance, s.budget)
+    for i, res in zip(quad, results):
+        rows[i] = (res if isinstance(res, PerceptError) else
+                   SweepRow(s.grid[i], res.value, res.abs_error,
+                            res.evaluations))
+    for x, row in zip(s.grid, rows):
+        if isinstance(row, PerceptError):
+            raise _with_point(row, s.axis_name, x) from row
     return rows
 
 

@@ -132,6 +132,13 @@ def test_point_error_names_the_grid_point(capsys):
                    "quantity metric must be nonnegative\n")
 
 
+@pytest.mark.parametrize("command", ["pcdf", "ppdf"])
+def test_nan_point_exits_2(capsys, command):
+    code, out, err = run(capsys, [command, "nan"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: at grid point s=nan: ")
+
+
 @pytest.mark.parametrize("bad", [
     pytest.param({"epsilon": "abc"}, id="epsilon-text"),
     pytest.param({"budget": "x"}, id="budget-text"),

@@ -112,6 +112,16 @@ def test_pcdf_boundaries():
     pd = make_pd()
     assert pd.pcdf(0.0) == 0.0
     assert pd.pcdf(1e6) == 1.0
+    assert pd.pcdf(math.inf) == 1.0
+
+
+def test_nan_is_outside_both_domains():
+    pd = make_pd()
+    for fn in (pd.pcdf, pd.ppdf):
+        with pytest.raises(DomainError):
+            fn(math.nan)
+        with pytest.raises(DomainError):
+            fn(np.array([1.0, math.nan]))
 
 
 @given(st.floats(min_value=0.0, max_value=40.0),

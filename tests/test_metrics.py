@@ -204,16 +204,15 @@ PU_THETA_001 = {"pu_snr": "18.8017112057649821399622745836",
 
 
 def test_gain_at_tiny_s_stays_finite():
-    base, wp = ExponentialGain(2.0), WeightParams(1.0, 0.01)
+    base = ExponentialGain(2.0)
     s = np.array([1e-3, 1e-300])
     # z is 1e-300, then underflows to 0; log(1 - exp(-z)) = log z there
     expect = -2.0 * np.log(s) / 0.01
-    assert np.allclose(_gain_at(base, wp, s), expect, rtol=1e-15)
+    assert np.allclose(_gain_at(s, 2.0, 1.0, 0.01), expect, rtol=1e-15)
     # away from the tiny-z branch the quantile is the exponential law's
     s = np.array([0.05, 1.0, 20.0])
-    wp = WeightParams(1.3, 0.6)
     z = (s / 1.3) ** (1.0 / 0.6)
-    assert np.allclose(_gain_at(base, wp, s),
+    assert np.allclose(_gain_at(s, 2.0, 1.3, 0.6),
                        base.inverse_survival(-np.expm1(-z)), rtol=1e-14)
 
 
@@ -280,6 +279,14 @@ PRESET_REFS = {
 }
 
 
+# integrand evaluations of the same presets; the counts are deterministic,
+# so any change to how the engine refines an interval shows here
+PRESET_EVALS = {
+    "fig5": [1380, 1500, 1560, 1560, 1560, 1560, 1560, 1530, 1500, 1500],
+    "fig6": [630, 960, 1170, 1230, 1260, 1290, 1290, 1290, 1260, 1260],
+}
+
+
 @pytest.mark.parametrize(
     "metric, rho, ref, alpha, lambda_loss, gamma, theta, mu, tol, expect",
     HARD_POINTS, ids=[f"{p[0]}-rho{p[1]}" for p in HARD_POINTS])
@@ -299,6 +306,12 @@ def test_error_bound_holds_on_pu_presets(name):
     assert len(rows) == len(PRESET_REFS[name])
     for row, expect in zip(rows, PRESET_REFS[name]):
         assert abs(row.value - float(expect)) <= row.err, row.axis
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_EVALS))
+def test_pu_preset_evaluation_counts_are_pinned(name):
+    rows = run_scenario(preset_scenario(name))
+    assert [r.n_eval for r in rows] == PRESET_EVALS[name]
 
 
 # --- outage and its weighted counterpart ------------------------------------

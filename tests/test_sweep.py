@@ -1,13 +1,15 @@
 """Scenario parsing, sweep evaluation, cross-checks, CSV rendering, presets."""
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
 from percept import (ConstraintViolation, DomainError, ExponentialGain,
                      LinkBudget, PerceptualDistribution, ToleranceNotMet,
                      ValueParams, WeightParams, cross_check, cross_check_csv,
-                     load_scenario, pop, preset_scenario, pu_snr,
+                     load_scenario, pop, preset_scenario, pu_rate, pu_snr,
                      run_scenario, scenario_from_dict, sweep_csv, weight)
 from percept.sweep import PRESET_NOTES, PRESETS, SCHEMA, Scenario
 
@@ -188,6 +190,51 @@ def test_starved_budget_surfaces_tolerance_failure():
                        match="at grid point pt_over_n0=1") as exc:
         run_scenario(s)
     assert exc.value.evaluations > 0
+
+
+@pytest.mark.parametrize("metric, fn", [("pu_snr", pu_snr),
+                                        ("pu_rate", pu_rate)])
+@pytest.mark.parametrize("axis, grid", [
+    ("pt_over_n0", [0.0, 1.0, 10.0, 100.0]),   # power 0: all loss
+    ("reference", [0.0, 1.0, 4.0, 16.0]),      # reference 0: all gain
+])
+def test_batched_points_match_points_run_alone(metric, fn, axis, grid):
+    # each point has its own budget, which the batch as a whole exceeds
+    s = scenario_from_dict(doc(metric=metric, pt_over_n0=10.0, budget=2000,
+                               axis={"name": axis, "grid": grid}))
+    rows = run_scenario(s)
+    assert len(rows) == len(grid)
+    for r in rows:
+        fixed = {"pt_over_n0": 10.0, "reference": 4.0, axis: r.axis}
+        alone = fn(LinkBudget(fixed["pt_over_n0"], ExponentialGain(1.0)),
+                   fixed["reference"], ValueParams(0.5, 1.0, 2.0),
+                   WeightParams(1.0, 0.8), budget=2000)
+        assert r.n_eval == alone.evaluations, r.axis
+        assert abs(r.value - alone.value) <= 1e-12 * abs(alone.value), r.axis
+
+
+def test_first_failing_point_is_reported():
+    # alpha=0.5 misses its tolerance within 100 evaluations; alpha=1 lies
+    # outside the strict box and fails when its objects are built
+    s = scenario_from_dict(doc(axis={"name": "alpha", "grid": [0.5, 1.0]},
+                               pt_over_n0=10.0, budget=100))
+    with pytest.raises(ToleranceNotMet, match="at grid point alpha=0.5:"):
+        run_scenario(s)
+
+
+@pytest.mark.parametrize("later", [
+    1e308,          # rho*g overflows to inf inside the quadrature
+    float("inf"),   # what a document's 1e400 parses to; LinkBudget rejects it
+])
+def test_later_domain_error_does_not_hide_an_earlier_failure(later):
+    axis = {"name": "pt_over_n0", "grid": [1.0, later]}
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=re.escape(
+                f"at grid point pt_over_n0={later:g}:")):
+            run_scenario(scenario_from_dict(doc(axis=axis)))
+        with pytest.raises(ToleranceNotMet,
+                           match="at grid point pt_over_n0=1:"):
+            run_scenario(scenario_from_dict(doc(axis=axis, budget=100)))
 
 
 def test_mc_rows_report_sampling_statistics():
