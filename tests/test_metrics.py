@@ -27,6 +27,8 @@ OUTAGE_E2_R10 = 0.25918177931828213   # 1 - exp(-0.3)
 POP_HALF = 0.50800926251670411        # w(1 - e^-1) at gamma=1, theta=0.5
 PU_SNR_R10 = 1.0997321667562066       # pu_snr at rho=10, ref 4, VP, WP
 PU_RATE_REF2000 = -89.311716188957788  # pu_rate at rho=100, ref 2000, VP, WP
+# pu_rate at rho=1e300, ref 2000, VP, WP, with bench/make_refs.py's model
+PU_RATE_FAR_TAIL = "-63.3836254320401246732296213960"
 
 
 def link(rho, mu=1.0):
@@ -214,6 +216,20 @@ def test_gain_at_tiny_s_stays_finite():
     z = (s / 1.3) ** (1.0 / 0.6)
     assert np.allclose(_gain_at(s, 2.0, 1.3, 0.6),
                        base.inverse_survival(-np.expm1(-z)), rtol=1e-14)
+
+
+def test_gain_at_keeps_the_far_tail():
+    # q = 1 - exp(-z) rounds to 1 here, yet the gain is ~ mu * exp(-z)
+    s = np.array([20.0, 40.0])
+    z = s ** (1.0 / 0.8)
+    assert np.allclose(_gain_at(s, 2.0, 1.0, 0.8), 2.0 * np.exp(-z),
+                       rtol=1e-13, atol=0.0)
+
+
+def test_pu_rate_far_tail_gain_against_mpmath():
+    # at rho = 1e300 the rate still reads gains of 1e-16 and below
+    res = pu_rate(link(1e300), 2000.0, VP, WP)
+    assert abs(res.value - float(PU_RATE_FAR_TAIL)) <= res.abs_error <= 1e-8
 
 
 @pytest.mark.parametrize("fn", [pu_snr, pu_rate])
