@@ -249,16 +249,16 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         s_star = _crossing_coordinate(
             base, wp, metric.crossing_point((0.0, math.inf)))
         # the semi-infinite piece starts at the kink, or at 0 without one
-        own = [(0.0, 1.0, 1.0, j)]
+        start = [(0.0, 1.0, 1.0, j)]
         if 0.0 < s_star < math.inf:
-            own.insert(0, (0.0, s_star, 0.0, j))
-        evals[j] = _NODES * len(own)
+            start.insert(0, (0.0, s_star, 0.0, j))
+        evals[j] = _NODES * len(start)
         if evals[j] > budget:
             out[i] = ToleranceNotMet(
                 f"budget {budget} is below the {evals[j]} evaluations of "
                 "one pass", value=math.nan, abs_error=math.inf, evaluations=0)
             continue
-        pieces += own
+        pieces += start
         active[j] = True
         par[:, j] = (s_star if math.isfinite(s_star) else 0.0, base.mu,
                      wp.gamma, wp.theta, vp.alpha, vp.lambda_gain,
@@ -282,18 +282,19 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         t = np.where(on_t & inside, x, 0.0)
         s = np.where(on_t, p[_S_INF] + t / (1.0 - t), x)
         jac = np.where(on_t, 1.0 / (1.0 - t) ** 2, 1.0)
-        q = fn(p[_RHO] * _gain_at(s, p[_MU], p[_GAMMA], p[_THETA]))
-        ok = (q >= 0.0) & (q < np.inf)
+        omega = fn(p[_RHO] * _gain_at(s, p[_MU], p[_GAMMA], p[_THETA]))
+        ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():
             bad = ~ok.all(axis=1)
             for j in np.unique(owner[bad]).astype(np.intp):
                 try:
-                    check_quantity(q[owner == j])
+                    check_quantity(omega[owner == j])
                 except DomainError as exc:
                     out[members[j][0]] = exc
                     active[j] = False
-            q[bad] = 0.0  # rows of failed members, kept out of the arithmetic
-        v = _value_kernel(q, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS])
+            # rows of failed members take no part in the arithmetic below
+            omega[bad] = 0.0
+        v = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS])
         f = np.where(inside, v * np.exp(-s) * jac, 0.0)
         kron = half * (f @ _WK)
         floor = 50.0 * _EPS * half * (np.abs(f) @ _WK)
