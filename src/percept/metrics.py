@@ -17,16 +17,26 @@ turns the integral into
 with Finv the exponential quantile -mu * log(1 - u). That is a smooth
 exponentially weighted integrand with a single kink at the image s* of the
 reference crossing. The two pieces [0, s*] and [s*, inf), the second
-mapped onto t in [0, 1) by s = s* + t/(1-t), share one pool of intervals
-integrated by an adaptive 7-point Gauss / 15-point Kronrod rule (the qk15
-nodes of QUADPACK, Piessens et al. 1983). Each pass bisects the intervals
-with the largest error estimates and evaluates the 15 nodes of every new
-interval in one numpy call. An interval reports its K15 value with the
-error estimate |K15 - G7|, which is pessimistic for the K15 value, floored
-at 50 machine epsilons of the integral of |f| over the interval for roundoff.
-A tolerance below the summed floors cannot be certified; the intervals not
-yet at their floor are still refined, and ToleranceNotMet carries the
-refined value.
+mapped onto t in [0, 1) by s = s* + t/(1-t), are integrated by an adaptive
+7-point Gauss / 15-point Kronrod rule (the qk15 nodes of QUADPACK,
+Piessens et al. 1983). The intervals of both pieces of every grid point
+of a sweep share one table; each row records the point it belongs to, and
+the point's parameters (s*, mu, gamma, theta, alpha, the lambdas, x0,
+rho) are gathered per row. Each pass bisects, for every unfinished point,
+its intervals with the largest error estimates, and evaluates the 15
+nodes of every new interval of every point in one numpy call, so a sweep
+takes about as many passes as its slowest point. An interval reports its
+K15 value with the error estimate |K15 - G7|, which is pessimistic for
+the K15 value, floored at 50 machine epsilons of the integral of |f| over
+the interval for roundoff.
+
+The stopping rule is per point, so each point gets the value and the
+evaluation count it would get alone: it splits as many intervals as it
+takes to leave at most tol/2, and stops when that is met, when its floors
+alone exceed tol/2 and tol is met, when none of its intervals can shrink,
+or when its next pass would overrun its budget. A tolerance below the
+summed floors cannot be certified; the intervals not yet at their floor
+are still refined, and ToleranceNotMet carries the refined value.
 
 Rate thresholds (2**r - 1) / rho are formed in log space past the float
 range of 2**r, where they overflow to inf (an unreachable rate).
@@ -42,7 +52,7 @@ import numpy as np
 from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import DomainError, PerceptError, ToleranceNotMet
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
-                       _value_kernel, as_reference, check_quantity, weight)
+                       _check_quantity, _value_kernel, as_reference, weight)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
@@ -288,7 +298,7 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
             bad = ~ok.all(axis=1)
             for j in np.unique(owner[bad]).astype(np.intp):
                 try:
-                    check_quantity(omega[owner == j])
+                    _check_quantity(omega[owner == j])
                 except DomainError as exc:
                     out[members[j][0]] = exc
                     active[j] = False
@@ -335,6 +345,9 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
             break
         pick = cand[rank < k[who]]
         evals += 2 * _NODES * k
+        # the survivors keep their order, then all left halves, then all
+        # right halves: each member's rows stay in the order they have when
+        # it runs alone, which fixes its sums and its ties
         halves = iv[:_OWNER + 1, np.concatenate([pick, pick])]
         mid = 0.5 * (halves[_LO, :pick.size] + halves[_HI, :pick.size])
         halves[_HI, :pick.size] = mid

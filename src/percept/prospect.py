@@ -176,12 +176,12 @@ def value(x, ref, params: ValueParams):
     """
     x0 = as_reference(ref).x0
     x = np.asarray(x, dtype=float)
-    check_quantity(x)
+    _check_quantity(x)
     return scalar_out(_value_kernel(x, x0, params.alpha, params.lambda_gain,
                                     params.lambda_loss))
 
 
-def check_quantity(x: np.ndarray) -> None:
+def _check_quantity(x: np.ndarray) -> None:
     """Raise DomainError unless every quantity in ``x`` is finite and >= 0."""
     if not np.all(np.isfinite(x)):
         raise DomainError("quantity metric must be finite")
