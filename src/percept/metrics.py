@@ -262,12 +262,13 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         start = [(0.0, 1.0, 1.0, j)]
         if 0.0 < s_star < math.inf:
             start.insert(0, (0.0, s_star, 0.0, j))
-        evals[j] = _NODES * len(start)
-        if evals[j] > budget:
+        first = _NODES * len(start)
+        if first > budget:
             out[i] = ToleranceNotMet(
-                f"budget {budget} is below the {evals[j]} evaluations of "
-                "one pass", value=math.nan, abs_error=math.inf, evaluations=0)
+                f"budget {budget} is below the {first} evaluations of one "
+                "pass", value=math.nan, abs_error=math.inf, evaluations=0)
             continue
+        evals[j] = first
         pieces += start
         active[j] = True
         par[:, j] = (s_star if math.isfinite(s_star) else 0.0, base.mu,
@@ -293,6 +294,8 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         s = np.where(on_t, p[_S_INF] + t / (1.0 - t), x)
         jac = np.where(on_t, 1.0 / (1.0 - t) ** 2, 1.0)
         omega = fn(p[_RHO] * _gain_at(s, p[_MU], p[_GAMMA], p[_THETA]))
+        if np.ndim(omega) == 0:  # a map may return one constant
+            omega = np.full(s.shape, omega, dtype=float)
         ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():
             bad = ~ok.all(axis=1)

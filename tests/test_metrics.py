@@ -175,6 +175,14 @@ def test_generic_composite_constant_metric():
     assert res.value == pytest.approx(value(1.0, 4.0, VP), abs=1e-8)
 
 
+def test_generic_composite_map_may_return_one_constant():
+    m = CompositeMetric(map=lambda g: 1.0, ref=as_reference(4.0),
+                        crossing=math.inf)
+    pd = PerceptualDistribution(ExponentialGain(1.0), WP)
+    res = pu_composite(m, pd, VP)
+    assert res.value == pytest.approx(value(1.0, 4.0, VP), abs=1e-8)
+
+
 # --- perceptual utility: shape ----------------------------------------------
 
 def test_pu_increases_with_power():
