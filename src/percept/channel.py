@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .montecarlo import _substreams
 
 _CHUNK = 1 << 14
 
@@ -40,11 +41,8 @@ def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:
         raise DomainError(f"sample count must be >= 1, got {n}")
     amp = config.amplitude_scale / np.sqrt(config.k_paths)
     out = np.empty(n, dtype=complex)
-    chunks = range(0, n, _CHUNK)
-    children = np.random.SeedSequence(config.seed).spawn(len(chunks))
-    for start, ss in zip(chunks, children):
-        m = min(_CHUNK, n - start)
-        rng = np.random.Generator(np.random.Philox(ss))
+    for i, (rng, m) in enumerate(_substreams(config.seed, n, _CHUNK)):
+        start = i * _CHUNK
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(m, config.k_paths))
         out[start:start + m] = amp * (np.cos(theta).sum(axis=1)
                                       - 1j * np.sin(theta).sum(axis=1))

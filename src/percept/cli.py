@@ -15,17 +15,47 @@ from typing import Optional
 import numpy as np
 
 from .channel import MultipathConfig, gain_samples
+from .distributions import ExponentialGain
 from .errors import ConstraintViolation, DomainError, ToleranceNotMet
 from .metrics import DEFAULT_BUDGET, DEFAULT_TOL
 from .prospect import ValueParams, WeightParams
-from .sweep import (PRESET_NOTES, PRESETS, Scenario, cross_check,
-                    cross_check_csv, load_scenario, preset_scenario,
-                    run_scenario, sweep_csv)
+from .sweep import (_CURVE_AXIS, _METRIC_FIELDS, PRESET_NOTES, PRESETS,
+                    Scenario, cross_check, cross_check_csv, load_scenario,
+                    preset_scenario, run_scenario, sweep_csv)
 
 _QUANTILE_STEP = 0.05
-# point-command flags that set a fixed scenario field, by argparse dest
-_SCENARIO_FLAGS = {"ref": "reference", "mu": "mu", "epsilon": "epsilon",
-                   "tol": "tolerance", "budget": "budget"}
+# the point commands: (name, metric, help)
+_POINT_COMMANDS = (
+    ("value", "value_curve", "two-part value function at given points"),
+    ("weight", "weight_curve", "probability weighting at given points"),
+    ("pcdf", "pcdf", "perceived CDF of the channel gain"),
+    ("ppdf", "ppdf", "perceived density of the channel gain"),
+    ("pu-snr", "pu_snr", "perceptual utility of the instantaneous SNR"),
+    ("pu-rate", "pu_rate", "perceptual utility of the transmission rate"),
+    ("pop", "pop", "perceptual outage probability"),
+)
+# the flags that set each scenario field: (dest, type, default, help); the
+# flag is --dest with dashes, and a parameter object takes its flags in order
+_FLAGS = {
+    "value_params": (
+        ("alpha", float, 0.5,
+         "diminishing-sensitivity exponent (default 0.5)"),
+        ("lambda_gain", float, 1.0, "gain-side scale (default 1)"),
+        ("lambda_loss", float, 2.0, "loss-side scale (default 2)")),
+    "weight_params": (
+        ("gamma", float, 1.0, "weighting distortion scale (default 1)"),
+        ("theta", float, 0.8, "weighting curvature in (0,1) (default 0.8)")),
+    "reference": (("ref", float, 4.0, "reference point (default 4)"),),
+    "mu": (("mu", float, 1.0, "average channel gain (default 1)"),),
+    "pt_over_n0": (("ptn0", float, 100.0,
+                    "transmit power to noise ratio (default 100)"),),
+    "epsilon": (("epsilon", float, 1.0,
+                 "rate threshold in bits/s/Hz (default 1)"),),
+    "tolerance": (("tol", float, DEFAULT_TOL,
+                   "absolute quadrature tolerance"),),
+    "budget": (("budget", int, DEFAULT_BUDGET, "integrand evaluation budget"),),
+}
+_PARAMS = {"value_params": ValueParams, "weight_params": WeightParams}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -43,16 +73,12 @@ def _cmd_point(args) -> int:
     repeats, or the single --ptn0 of pop and pu-*.
     """
     grid = tuple(args.points) if "points" in args else (args.ptn0,)
-    vp = wp = None
-    if "alpha" in args:
-        vp = ValueParams(args.alpha, args.lambda_gain, args.lambda_loss,
-                         mode=args.mode)
-    if "gamma" in args:
-        wp = WeightParams(args.gamma, args.theta, mode=args.mode)
-    fixed = {field: getattr(args, flag)
-             for flag, field in _SCENARIO_FLAGS.items() if flag in args}
-    scenario = Scenario(args.metric, args.axis, grid, value_params=vp,
-                        weight_params=wp, **fixed)
+    fixed = {}
+    for field in _METRIC_FIELDS[args.metric]:
+        vals = [getattr(args, dest) for dest, *_ in _FLAGS[field]]
+        cls = _PARAMS.get(field)
+        fixed[field] = cls(*vals, mode=args.mode) if cls else vals[0]
+    scenario = Scenario(args.metric, args.axis, grid, **fixed)
     _emit(sweep_csv(run_scenario(scenario)), args.out)
     return 0
 
@@ -88,49 +114,30 @@ def _cmd_cross_check(args) -> int:
 
 def _cmd_simulate_channel(args) -> int:
     config = MultipathConfig(args.k_paths, args.scale, args.seed)
+    mean_gain = args.scale * args.scale
+    if not 0.0 < mean_gain < np.inf:
+        raise DomainError("the mean gain scale**2 must be positive and "
+                          f"finite, got scale {args.scale:g}")
+    law = ExponentialGain(mean_gain)
     gains = np.sort(gain_samples(config, args.samples))
     n = gains.size
-    mu = args.scale ** 2
 
     # Empirical CDF against the exponential limit law, at the law's own
     # quantiles (where the model CDF is the probability by construction).
     probs = np.arange(1, int(1.0 / _QUANTILE_STEP)) * _QUANTILE_STEP
-    grid = -mu * np.log1p(-probs)
+    grid = law.inverse_cdf(probs)
     empirical = np.searchsorted(gains, grid, side="right") / n
     lines = ["gain,empirical_cdf,model_cdf,abs_diff"]
     for g, e, m in zip(grid, empirical, probs):
         lines.append(f"{g:.12g},{e:.12g},{m:.12g},{abs(e - m):.12g}")
     _emit("\n".join(lines) + "\n", args.out)
 
-    model = -np.expm1(-gains / mu)
+    model = law.cdf(gains)
     steps = np.arange(1, n + 1) / n
     ks = float(np.max(np.maximum(steps - model, model - (steps - 1.0 / n))))
     print(f"ks_statistic={ks:.6g} samples={n} k_paths={args.k_paths} "
           f"scale={args.scale:g}", file=sys.stderr)
     return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("strict", "permissive"),
-                   default="strict", help="parameter validation mode")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="write CSV here instead of stdout")
-
-
-def _add_value_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5,
-                   help="diminishing-sensitivity exponent (default 0.5)")
-    p.add_argument("--lambda-gain", type=float, default=1.0,
-                   dest="lambda_gain", help="gain-side scale (default 1)")
-    p.add_argument("--lambda-loss", type=float, default=2.0,
-                   dest="lambda_loss", help="loss-side scale (default 2)")
-
-
-def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="weighting distortion scale (default 1)")
-    p.add_argument("--theta", type=float, default=0.8,
-                   help="weighting curvature in (0,1) (default 0.8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,61 +146,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perceptual QoS metrics for Rayleigh fading links.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("value", help="two-part value function at given points")
-    p.add_argument("points", type=float, nargs="+", metavar="X")
-    _add_value_flags(p)
-    p.add_argument("--ref", type=float, default=4.0,
-                   help="reference point (default 4)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_point, metric="value_curve", axis="x")
-
-    p = sub.add_parser("weight", help="probability weighting at given points")
-    p.add_argument("points", type=float, nargs="+", metavar="P")
-    _add_weight_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_point, metric="weight_curve", axis="p")
-
-    for name, helptext in (("pcdf", "perceived CDF of the channel gain"),
-                           ("ppdf", "perceived density of the channel gain")):
+    for name, metric, helptext in _POINT_COMMANDS:
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("points", type=float, nargs="+", metavar="S")
-        _add_weight_flags(p)
-        p.add_argument("--mu", type=float, default=1.0,
-                       help="average channel gain (default 1)")
-        _add_common(p)
-        p.set_defaults(func=_cmd_point, metric=name, axis="s")
-
-    for name, metric, helptext in (
-            ("pu-snr", "pu_snr",
-             "perceptual utility of the instantaneous SNR"),
-            ("pu-rate", "pu_rate",
-             "perceptual utility of the transmission rate")):
-        p = sub.add_parser(name, help=helptext)
-        _add_value_flags(p)
-        _add_weight_flags(p)
-        p.add_argument("--ref", type=float, default=4.0,
-                       help="reference point (default 4)")
-        p.add_argument("--mu", type=float, default=1.0,
-                       help="average channel gain (default 1)")
-        p.add_argument("--ptn0", type=float, default=100.0,
-                       help="transmit power to noise ratio (default 100)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="absolute quadrature tolerance")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="integrand evaluation budget")
-        _add_common(p)
-        p.set_defaults(func=_cmd_point, metric=metric, axis="pt_over_n0")
-
-    p = sub.add_parser("pop", help="perceptual outage probability")
-    _add_weight_flags(p)
-    p.add_argument("--mu", type=float, default=1.0,
-                   help="average channel gain (default 1)")
-    p.add_argument("--ptn0", type=float, default=100.0,
-                   help="transmit power to noise ratio (default 100)")
-    p.add_argument("--epsilon", type=float, default=1.0,
-                   help="rate threshold in bits/s/Hz (default 1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_point, metric="pop", axis="pt_over_n0")
+        axis = _CURVE_AXIS.get(metric, "pt_over_n0")
+        if metric in _CURVE_AXIS:
+            p.add_argument("points", type=float, nargs="+",
+                           metavar=axis.upper())
+        for field in _METRIC_FIELDS[metric]:
+            for dest, type_, default, flag_help in _FLAGS[field]:
+                p.add_argument("--" + dest.replace("_", "-"), type=type_,
+                               default=default, help=flag_help)
+        p.add_argument("--mode", choices=("strict", "permissive"),
+                       default="strict", help="parameter validation mode")
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="write CSV here instead of stdout")
+        p.set_defaults(func=_cmd_point, metric=metric, axis=axis)
 
     p = sub.add_parser(
         "sweep", help="run a sweep scenario (preset name or JSON file)",

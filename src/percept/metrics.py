@@ -52,7 +52,8 @@ import numpy as np
 from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import DomainError, PerceptError, ToleranceNotMet
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
-                       _check_quantity, _value_kernel, as_reference, weight)
+                       _check_quantity, _check_value, _value_kernel,
+                       as_reference, weight)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
@@ -128,30 +129,27 @@ class CompositeMetric:
     """A monotone nondecreasing map from channel gain to a quantity metric.
 
     ``crossing`` is the gain at which the metric meets its reference point;
-    pass None to have it located by bisection. math.inf means the reference
-    is never reached (all-loss), 0.0 that it is met on the whole support
-    (all-gain).
+    pass None to have it located by bisection on the exponential law's
+    support [0, inf). math.inf means the reference is never reached
+    (all-loss), 0.0 that it is met on the whole support (all-gain).
     """
 
     map: Callable
     ref: ReferencePoint
     crossing: Optional[float] = None
 
-    def crossing_point(self, support: tuple) -> float:
+    def crossing_point(self) -> float:
         if self.crossing is not None:
             return self.crossing
-        lo, hi = support
         x0 = self.ref.x0
-        if self.map(lo) >= x0:
-            return lo
+        if self.map(0.0) >= x0:
+            return 0.0
         # expand until the metric exceeds the reference or clearly never will
-        probe = max(lo, 0.0) + 1.0
+        probe = 1.0
         for _ in range(80):
             if self.map(probe) >= x0:
-                return self._bisect(lo, probe)
+                return self._bisect(0.0, probe)
             probe *= 4.0
-            if probe > min(hi, 1e300):
-                break
         return math.inf
 
     def _bisect(self, below: float, above: float) -> float:
@@ -238,8 +236,11 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
         fn, rho = (m.of, m.rho) if isinstance(m, _OfSnr) else (m, 1.0)
         families.setdefault(id(fn), (fn, []))[1].append((i, rho))
     for fn, members in families.values():
-        _integrate(fn, [(i, rho, *points[i]) for i, rho in members], tol,
-                   budget, out)
+        # an overflow fails its point (a non-finite metric or error
+        # estimate), so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            _integrate(fn, [(i, rho, *points[i]) for i, rho in members],
+                       tol, budget, out)
     return out
 
 
@@ -256,8 +257,7 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
     pieces = []
     for j, (i, rho, metric, pd, vp) in enumerate(members):
         base, wp = pd.base, pd.weights
-        s_star = _crossing_coordinate(
-            base, wp, metric.crossing_point((0.0, math.inf)))
+        s_star = _crossing_coordinate(base, wp, metric.crossing_point())
         # the semi-infinite piece starts at the kink, or at 0 without one
         start = [(0.0, 1.0, 1.0, j)]
         if 0.0 < s_star < math.inf:
@@ -277,12 +277,22 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
     if not pieces:
         return
 
+    def fail(owner, bad, check, x):
+        """Fail each member owning a ``bad`` row with ``check``'s error."""
+        for j in np.unique(owner[bad]).astype(np.intp):
+            try:
+                check(x[owner == j])
+            except DomainError as exc:
+                out[members[j][0]] = exc
+                active[j] = False
+
     def rule(lo, hi, mapped, owner):
         """Table rows of the given intervals (see _LO ... _SPLIT).
 
         ``mapped`` is 1.0 for intervals of the semi-infinite piece, whose
         coordinate is t, and 0.0 for intervals of [0, s*] in s itself. A
-        member whose metric leaves the value function's domain fails.
+        member whose metric leaves the value function's domain fails, and
+        so does one whose value or integral overflows.
         """
         p = par[:, owner.astype(np.intp), None]
         half = 0.5 * (hi - lo)
@@ -299,12 +309,7 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():
             bad = ~ok.all(axis=1)
-            for j in np.unique(owner[bad]).astype(np.intp):
-                try:
-                    _check_quantity(omega[owner == j])
-                except DomainError as exc:
-                    out[members[j][0]] = exc
-                    active[j] = False
+            fail(owner, bad, _check_quantity, omega)
             # rows of failed members take no part in the arithmetic below
             omega[bad] = 0.0
         v = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS])
@@ -312,6 +317,8 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         kron = half * (f @ _WK)
         floor = 50.0 * _EPS * half * (np.abs(f) @ _WK)
         err = np.maximum(np.abs(kron - half * (f @ _WG)), floor)
+        if not np.isfinite(err).all():  # the value or its integral overflowed
+            fail(owner, ~np.isfinite(err), _check_value, err)
         # splitting cannot shrink an error at its roundoff floor, nor an
         # interval as narrow as the float spacing
         split = (err > floor) & (hi - lo > 8.0 * _EPS * hi + _TINY)
@@ -460,8 +467,7 @@ def outage_probability(link: LinkBudget, spec: OutageSpec) -> float:
     rho = link.pt_over_n0
     if rho == 0.0:
         return 1.0
-    g_th = rate_gain(spec.epsilon, rho)
-    return float(-np.expm1(-g_th / link.channel.mu))
+    return link.channel.cdf(rate_gain(spec.epsilon, rho))
 
 
 def pop(link: LinkBudget, spec: OutageSpec,

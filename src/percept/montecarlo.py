@@ -20,7 +20,8 @@ import numpy as np
 from .distributions import PerceptualDistribution
 from .errors import DomainError
 from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
-from .prospect import ValueParams, WeightParams, value, weight, weight_derivative
+from .prospect import (ValueParams, WeightParams, _check_value, value, weight,
+                       weight_derivative)
 
 RNG_ALGORITHM = "philox4x64"
 _BATCH = 1 << 19
@@ -53,17 +54,15 @@ class McEstimate:
     generator: str = RNG_ALGORITHM
 
 
-def _batch_rngs(seed: int, total: int):
-    """Fixed assignment of spawned Philox substreams to sample batches."""
-    sizes = []
-    remaining = total
-    while remaining > 0:
-        take = min(remaining, _BATCH)
-        sizes.append(take)
-        remaining -= take
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    return [(np.random.Generator(np.random.Philox(ss)), m)
-            for ss, m in zip(children, sizes)]
+def _substreams(seed: int, total: int, size: int):
+    """(Generator, draws) per block of ``size`` of ``total`` draws, in order.
+
+    Block i (the last one holds the rest) owns the Philox substream of child
+    i of SeedSequence(seed), so its draws do not depend on ``total``.
+    """
+    children = np.random.SeedSequence(seed).spawn(-(-total // size))
+    return [(np.random.Generator(np.random.Philox(ss)),
+             min(size, total - i * size)) for i, ss in enumerate(children)]
 
 
 def _merge(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
@@ -81,17 +80,19 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
     n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
-    for rng, m in _batch_rngs(config.seed, config.samples):
+    for rng, m in _substreams(config.seed, config.samples, _BATCH):
         u = np.fmax(rng.random(m), _U_FLOOR)
         gains = pd.perceptual_sample(u)
         vals = np.asarray(value(metric.map(gains), metric.ref, value_params))
         n_b = vals.size
-        mean_b = float(vals.mean())
-        m2_b = float(((vals - mean_b) ** 2).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_b = float(vals.mean())
+            m2_b = float(((vals - mean_b) ** 2).sum())
         n_acc, mean_acc, m2_acc = _merge(n_acc, mean_acc, m2_acc,
                                          n_b, mean_b, m2_b)
     variance = m2_acc / (n_acc - 1)
     std_error = math.sqrt(max(variance, 0.0) / n_acc)
+    _check_value((mean_acc, std_error))  # finite values may sum past the range
     return McEstimate(mean=mean_acc, std_error=std_error, samples=n_acc)
 
 
@@ -110,7 +111,7 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
                           samples=config.samples)
     g_th = rate_gain(spec.epsilon, rho)
     outages = 0
-    for rng, m in _batch_rngs(config.seed, config.samples):
+    for rng, m in _substreams(config.seed, config.samples, _BATCH):
         gains = rng.standard_exponential(m) * link.channel.mu
         outages += int(np.count_nonzero(gains < g_th))
     n = config.samples

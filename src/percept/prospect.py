@@ -90,11 +90,6 @@ class ValueParams:
                 "strict mode requires lambda_gain < lambda_loss, got "
                 f"{self.lambda_gain} >= {self.lambda_loss}")
 
-    @classmethod
-    def classical(cls) -> "ValueParams":
-        """Identity utility v(x, 0) = x; needs permissive mode."""
-        return cls(1.0, 1.0, 1.0, mode="permissive")
-
 
 @dataclass(frozen=True)
 class WeightParams:
@@ -116,11 +111,6 @@ class WeightParams:
             raise ConstraintViolation(
                 "distortion", f"gamma must be positive, got {self.gamma}")
         _check_exponent("inverse_s", "theta", self.theta, self.mode)
-
-    @classmethod
-    def identity(cls) -> "WeightParams":
-        """No distortion, w(p) = p; needs permissive mode."""
-        return cls(1.0, 1.0, mode="permissive")
 
 
 @dataclass(frozen=True)
@@ -154,18 +144,17 @@ def validate_value_params(alpha1: float, alpha2: float, lambda1: float,
     Loss aversion over every deviation size forces the gain and loss
     exponents to coincide, so a valid parameter set always collapses to
     (alpha, lambda_gain, lambda_loss). Raises ConstraintViolation naming
-    the first violated property.
+    the first violated property; the gain exponent is checked as ``alpha``.
     """
-    _check_mode(mode)
-    _require_finite("value parameters", alpha1, alpha2, lambda1, lambda2)
-    _check_exponent("concavity", "gain exponent", alpha1, mode)
+    params = ValueParams(alpha1, lambda1, lambda2, mode=mode)
+    _require_finite("value parameters", alpha2)
     _check_exponent("convexity", "loss exponent", alpha2, mode)
     if alpha1 != alpha2:
         raise ConstraintViolation(
             "loss_aversion",
             "loss aversion over all deviation sizes requires equal gain and "
             f"loss exponents, got {alpha1} != {alpha2}")
-    return ValueParams(alpha1, lambda1, lambda2, mode=mode)
+    return params
 
 
 def value(x, ref, params: ValueParams):
@@ -177,8 +166,11 @@ def value(x, ref, params: ValueParams):
     x0 = as_reference(ref).x0
     x = np.asarray(x, dtype=float)
     _check_quantity(x)
-    return scalar_out(_value_kernel(x, x0, params.alpha, params.lambda_gain,
-                                    params.lambda_loss))
+    with np.errstate(over="ignore"):
+        out = _value_kernel(x, x0, params.alpha, params.lambda_gain,
+                            params.lambda_loss)
+    _check_value(out)
+    return scalar_out(out)
 
 
 def _check_quantity(x: np.ndarray) -> None:
@@ -187,6 +179,12 @@ def _check_quantity(x: np.ndarray) -> None:
         raise DomainError("quantity metric must be finite")
     if np.any(x < 0.0):
         raise DomainError("quantity metric must be nonnegative")
+
+
+def _check_value(v) -> None:
+    """Raise DomainError unless every perceived value in ``v`` is finite."""
+    if not np.all(np.isfinite(v)):
+        raise DomainError("perceived value overflows the float range")
 
 
 def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss):

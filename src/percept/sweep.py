@@ -24,8 +24,19 @@ from .prospect import ValueParams, WeightParams, value, weight
 
 SCHEMA = "percept-scenario/1"
 
-METRICS = ("value_curve", "weight_curve", "pcdf", "ppdf",
-           "pu_snr", "pu_rate", "pop")
+# the scenario fields each metric reads, in the order of its CLI flags;
+# a field whose Scenario default is None is required unless it is the axis
+_METRIC_FIELDS = {
+    "value_curve": ("value_params", "reference"),
+    "weight_curve": ("weight_params",),
+    "pcdf": ("weight_params", "mu"),
+    "ppdf": ("weight_params", "mu"),
+    "pu_snr": ("value_params", "weight_params", "reference", "mu",
+               "pt_over_n0", "tolerance", "budget"),
+    "pu_rate": ("value_params", "weight_params", "reference", "mu",
+                "pt_over_n0", "tolerance", "budget"),
+    "pop": ("weight_params", "mu", "pt_over_n0", "epsilon"),
+}
 
 _CURVE_AXIS = {"value_curve": "x", "weight_curve": "p", "pcdf": "s", "ppdf": "s"}
 _PU_AXES = ("pt_over_n0", "alpha", "lambda_gain", "lambda_loss",
@@ -115,8 +126,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _reject_unknown(doc, _TOP_KEYS, "scenario")
 
     metric = doc.get("metric")
-    if metric not in METRICS:
-        raise DomainError(f"metric must be one of {METRICS}, got {metric!r}")
+    if metric not in _METRIC_FIELDS:
+        raise DomainError(
+            f"metric must be one of {tuple(_METRIC_FIELDS)}, got {metric!r}")
 
     axis = doc.get("axis")
     if not isinstance(axis, dict):
@@ -168,21 +180,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def _check_required(s: Scenario) -> None:
-    need = {
-        "value_curve": ("value_params", "reference"),
-        "weight_curve": ("weight_params",),
-        "pcdf": ("weight_params",),
-        "ppdf": ("weight_params",),
-        "pu_snr": ("value_params", "weight_params", "reference"),
-        "pu_rate": ("value_params", "weight_params", "reference"),
-        "pop": ("weight_params", "epsilon"),
-    }[s.metric]
-    for field in need:
+    for field in _METRIC_FIELDS[s.metric]:
         if getattr(s, field) is None and s.axis_name != field:
             raise DomainError(f"metric {s.metric} requires {field}")
-    if s.metric in ("pu_snr", "pu_rate", "pop"):
-        if s.pt_over_n0 is None and s.axis_name != "pt_over_n0":
-            raise DomainError(f"metric {s.metric} requires pt_over_n0")
 
 
 def load_scenario(path: str) -> Scenario:

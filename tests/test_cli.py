@@ -139,6 +139,35 @@ def test_nan_point_exits_2(capsys, command):
     assert err.startswith("error: at grid point s=nan: ")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["value", "0", "--ref", "4", "--lambda-loss", "1e308"],
+    ["pu-snr", "--ptn0", "10", "--ref", "4", "--lambda-loss", "1e308"],
+    "mc",
+])
+def test_value_overflow_exits_2(tmp_path, capsys, argv):
+    if argv == "mc":
+        argv = ["sweep", scenario_file(
+            tmp_path, axis={"name": "pt_over_n0", "grid": [10.0]},
+            value_params={"alpha": 0.5, "lambda_gain": 1.0,
+                          "lambda_loss": 1e308},
+            mc={"samples": 1000, "seed": 0})]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: at grid point ")
+    assert err.endswith(": perceived value overflows the float range\n")
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e-200"])
+def test_simulate_channel_scale_without_a_mean_gain_exits_2(capsys, scale):
+    # scale**2 overflows to inf or underflows to 0
+    code, out, err = run(capsys, ["simulate-channel", "--scale", scale,
+                                  "--samples", "100"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the mean gain scale**2 must be positive and "
+                   f"finite, got scale {float(scale):g}\n")
+
+
 @pytest.mark.parametrize("bad", [
     pytest.param({"epsilon": "abc"}, id="epsilon-text"),
     pytest.param({"budget": "x"}, id="budget-text"),

@@ -13,7 +13,7 @@ from percept import (CompositeMetric, DomainError, ExponentialGain,
                      ToleranceNotMet, ValueParams, WeightParams, as_reference,
                      mc_pop, outage_probability, pop, pu_composite, pu_rate,
                      pu_snr, rate_metric, snr_metric, value, weight)
-from percept.metrics import DEFAULT_BUDGET, _gain_at, rate_gain
+from percept.metrics import DEFAULT_BUDGET, _gain_at, pu_batch, rate_gain
 from percept.sweep import preset_scenario, run_scenario
 
 VP = ValueParams(0.5, 1.0, 2.0)
@@ -62,14 +62,14 @@ def test_metric_crossings_are_analytic():
 def test_crossing_point_bisection_matches_analytic():
     m = CompositeMetric(map=lambda g: 10.0 * g, ref=as_reference(4.0),
                         crossing=None)
-    found = m.crossing_point((0.0, math.inf))
+    found = m.crossing_point()
     assert found == pytest.approx(0.4, rel=1e-12)
 
 
 def test_crossing_point_never_reached_is_infinite():
     m = CompositeMetric(map=lambda g: 1.0, ref=as_reference(4.0),
                         crossing=None)
-    assert math.isinf(m.crossing_point((0.0, math.inf)))
+    assert math.isinf(m.crossing_point())
 
 
 def test_pu_rejects_nonpositive_tolerance():
@@ -181,6 +181,24 @@ def test_generic_composite_map_may_return_one_constant():
     pd = PerceptualDistribution(ExponentialGain(1.0), WP)
     res = pu_composite(m, pd, VP)
     assert res.value == pytest.approx(value(1.0, 4.0, VP), abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_value_overflow_fails_only_its_own_point():
+    pd = PerceptualDistribution(ExponentialGain(1.0), WP)
+    huge = ValueParams(0.5, 1.0, 1e308)
+    points = [(snr_metric(link(10.0), 4.0), pd, VP),
+              (snr_metric(link(10.0), 4.0), pd, huge),
+              (snr_metric(link(100.0), 4.0), pd, VP)]
+    out = pu_batch(points)
+    assert isinstance(out[1], DomainError)
+    assert "overflows the float range" in str(out[1])
+    for res, rho in ((out[0], 10.0), (out[2], 100.0)):
+        alone = pu_snr(link(rho), 4.0, VP, WP)
+        assert (res.value, res.evaluations) == (alone.value,
+                                                alone.evaluations)
+    with pytest.raises(DomainError, match="overflows the float range"):
+        pu_snr(link(10.0), 4.0, huge, WP)
 
 
 # --- perceptual utility: shape ----------------------------------------------

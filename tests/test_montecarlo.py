@@ -45,6 +45,17 @@ def test_pu_needs_two_samples_for_an_error_bar():
         mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP, McConfig(samples=1))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lambda_loss", [
+    1e308,  # a single perceived value overflows
+    1e306,  # every value is finite, but their sum overflows
+])
+def test_pu_overflow_is_a_domain_error(lambda_loss):
+    with pytest.raises(DomainError, match="overflows the float range"):
+        mc_pu(snr_metric(link(10.0), 4.0), make_pd(),
+              ValueParams(0.5, 1.0, lambda_loss), McConfig(samples=1000))
+
+
 def test_estimate_carries_generator_name():
     est = mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP,
                 McConfig(samples=100))

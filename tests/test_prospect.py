@@ -107,6 +107,17 @@ def test_value_rejects_negative_or_nonfinite_metric():
             value(bad, 4.0, VP)
 
 
+@pytest.mark.filterwarnings("error")
+def test_value_overflow_is_a_domain_error():
+    # an accepted parameter set whose loss side overflows: -1e308 * 4**0.5
+    vp = ValueParams(0.5, 1.0, 1e308)
+    with pytest.raises(DomainError, match="overflows the float range"):
+        value(0.0, 4.0, vp)
+    with pytest.raises(DomainError, match="overflows the float range"):
+        value(np.array([3.5, 0.0]), 4.0, vp)
+    assert value(3.5, 4.0, vp) == pytest.approx(-1e308 * 0.5 ** 0.5)
+
+
 def test_value_classical_reduction_is_identity():
     p = ValueParams(1.0, 1.0, 1.0, mode="permissive")
     for x in (0.0, 0.5, 3.0, 100.0):
