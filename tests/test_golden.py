@@ -4,8 +4,10 @@ The values in ``golden/`` were captured from the code before the substream
 helper and the table-built parser replaced their hand-written forms, so a
 changed spawn order, batch or chunk size, or flag definition shows here
 even when two runs of the new code agree with each other. The MC counts
-sit on both sides of the 2**19-sample batch boundary, the channel counts
-on both sides of the 16384-draw chunk boundary.
+sit on both sides of the 2**19-sample batch boundary and at four uneven
+batches (3 * 2**19 + 1); the channel counts sit on both sides of the
+16384-draw chunk boundary, at five chunks and a short one with K=80, and
+below one chunk (n=3).
 """
 import hashlib
 import json
