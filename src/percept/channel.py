@@ -5,6 +5,13 @@ independent uniform phase; the summed coefficient tends to a zero-mean
 complex Gaussian as K grows, so the power gain |H|^2 approaches the
 exponential law the analytic metrics assume. Equal per-path power
 amplitude_scale / sqrt(K) normalizes E[|H|^2] to amplitude_scale**2.
+
+Draws come in chunks of 16384 coefficients, each from its own Philox
+substream, and the chunks run on up to one thread per CPU the process may
+use. A chunk draws its phases in consecutive row slices of about 2**16
+path draws, which keeps the working set near the cache and reads the same
+stream as one draw of the whole chunk, so every sample is bit-identical
+whatever the thread count.
 """
 from __future__ import annotations
 
@@ -13,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import _substreams
+from .montecarlo import _map_substreams
 
 _CHUNK = 1 << 14
+_SLICE = 1 << 16  # path draws per row slice of a chunk
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,9 @@ class MultipathConfig:
                 and self.amplitude_scale > 0.0):
             raise DomainError("amplitude_scale must be positive and finite, "
                               f"got {self.amplitude_scale}")
+        if not 0.0 < self.amplitude_scale * self.amplitude_scale < np.inf:
+            raise DomainError("the mean gain scale**2 must be positive and "
+                              f"finite, got scale {self.amplitude_scale:g}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
@@ -39,13 +50,19 @@ def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:
     """n complex channel coefficients H = sum_k A_k * exp(-j*theta_k)."""
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    amp = config.amplitude_scale / np.sqrt(config.k_paths)
+    k = config.k_paths
+    amp = config.amplitude_scale / np.sqrt(k)
+    rows = max(1, _SLICE // k)
     out = np.empty(n, dtype=complex)
-    for i, (rng, m) in enumerate(_substreams(config.seed, n, _CHUNK)):
-        start = i * _CHUNK
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(m, config.k_paths))
-        out[start:start + m] = amp * (np.cos(theta).sum(axis=1)
-                                      - 1j * np.sin(theta).sum(axis=1))
+
+    def chunk(i, rng, m):
+        for lo in range(i * _CHUNK, i * _CHUNK + m, rows):
+            hi = min(lo + rows, i * _CHUNK + m)
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=(hi - lo, k))
+            out[lo:hi] = amp * (np.cos(theta).sum(axis=1)
+                                - 1j * np.sin(theta).sum(axis=1))
+
+    _map_substreams(chunk, config.seed, n, _CHUNK)
     return out
 
 

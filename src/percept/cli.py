@@ -114,11 +114,7 @@ def _cmd_cross_check(args) -> int:
 
 def _cmd_simulate_channel(args) -> int:
     config = MultipathConfig(args.k_paths, args.scale, args.seed)
-    mean_gain = args.scale * args.scale
-    if not 0.0 < mean_gain < np.inf:
-        raise DomainError("the mean gain scale**2 must be positive and "
-                          f"finite, got scale {args.scale:g}")
-    law = ExponentialGain(mean_gain)
+    law = ExponentialGain(args.scale * args.scale)
     gains = np.sort(gain_samples(config, args.samples))
     n = gains.size
 

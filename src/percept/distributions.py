@@ -135,16 +135,23 @@ class PerceptualDistribution:
         is exp(-z) with z = ((-log u)/gamma)**(1/theta); each element is
         routed through whichever quantile keeps its small side exact, so
         neither u near 0 nor u near 1 collapses onto a support endpoint.
+        Where z underflows to 0 (u near 1 with small theta), the gain is
+        -mu*log z to double precision, with log z formed from u directly.
         """
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(np.isnan(u)):
             raise DomainError("uniform variate must lie in (0, 1)")
-        z = ((-np.log(u)) / self.weights.gamma) ** (1.0 / self.weights.theta)
-        # clamps keep the unselected branch evaluable; the floor keeps the
-        # base probability representable when exp(-z) would underflow
-        surv = -np.expm1(-np.minimum(z, 1.0))
+        gamma, theta = self.weights.gamma, self.weights.theta
+        z = ((-np.log(u)) / gamma) ** (1.0 / theta)
+        # clamps keep the unselected branch evaluable; the floors keep the
+        # base probabilities representable when exp(-z) or z underflows
+        surv = np.fmax(-np.expm1(-np.minimum(z, 1.0)), 5e-324)
         prob = np.fmax(np.exp(-np.maximum(z, 0.5)), 5e-324)
         out = np.where(z > _LOG2,
                        self.base.inverse_cdf(prob),
                        self.base.inverse_survival(surv))
+        under = z == 0.0
+        if np.any(under):
+            log_z = (np.log(-np.log(u[under])) - np.log(gamma)) / theta
+            out[under] = -self.base.mu * log_z
         return scalar_out(out)

@@ -29,6 +29,13 @@ def test_rejects_bad_configs():
         MultipathConfig(k_paths=4, seed=-1)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_rejects_a_scale_whose_mean_gain_leaves_the_float_range(scale):
+    # scale**2 overflows to inf or underflows to 0
+    with pytest.raises(DomainError, match=r"mean gain scale\*\*2"):
+        MultipathConfig(k_paths=8, amplitude_scale=scale)
+
+
 def test_rejects_nonpositive_sample_count():
     with pytest.raises(DomainError):
         draw_channel(MultipathConfig(k_paths=4), 0)

@@ -390,10 +390,15 @@ def test_demo_runs(demo):
 # --- runtime dependencies ---------------------------------------------------------------
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: a fresh interpreter must not load it
-    code = ("import sys, percept; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # scipy is a test-only dependency: a fresh interpreter must not load it.
+    # Nor does the import load concurrent.futures or start a thread: the
+    # samplers start their threads per call, which keeps a cold start cheap.
+    code = ("import sys, threading; before = threading.active_count(); "
+            "import percept; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')), "
+            "threading.active_count() - before)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 0"

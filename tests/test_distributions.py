@@ -209,6 +209,16 @@ def test_perceptual_sample_round_trip_wide(u, gamma, theta):
     assert pd.pcdf(pd.perceptual_sample(u)) == pytest.approx(u, abs=1e-9)
 
 
+def test_perceptual_sample_keeps_the_tail_when_z_underflows():
+    # theta = 0.01: z = (2**-53)**100 underflows, so the gain -log(z) is
+    # formed in log space; it equals 100 * 53 * log(2) for mu = 1
+    pd = make_pd(theta=0.01)
+    g = pd.perceptual_sample(1.0 - 2.0**-53)
+    assert math.isfinite(g)
+    assert g == pytest.approx(5300.0 * math.log(2.0), rel=1e-12)
+    assert pd.pcdf(g) == pytest.approx(1.0 - 2.0**-53, abs=1e-15)
+
+
 def test_perceptual_sample_rejects_boundary_uniforms():
     pd = make_pd()
     for bad in (0.0, 1.0, -0.1, math.nan):

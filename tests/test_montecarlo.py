@@ -1,14 +1,20 @@
 """Monte Carlo oracle: distribution targeting, batching, reproducibility."""
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
-                     McEstimate, OutageSpec, PerceptualDistribution,
-                     ValueParams, WeightParams, mc_pop, mc_pu,
+from percept import (CompositeMetric, DomainError, ExponentialGain,
+                     LinkBudget, McConfig, McEstimate, MultipathConfig,
+                     OutageSpec, PerceptualDistribution, ValueParams,
+                     WeightParams, as_reference, gain_samples, mc_pop, mc_pu,
                      outage_probability, pu_snr, snr_metric, value, weight)
-from percept.montecarlo import _BATCH, _U_FLOOR, RNG_ALGORITHM
+from percept import montecarlo
+from percept.montecarlo import (_BATCH, _U_FLOOR, RNG_ALGORITHM,
+                                _map_substreams)
 
 VP = ValueParams(0.5, 1.0, 2.0)
 WP = WeightParams(1.0, 0.8)
@@ -66,12 +72,32 @@ def test_estimate_carries_generator_name():
 # --- statistical correctness -------------------------------------------------
 
 def test_constant_metric_has_zero_error():
-    from percept import CompositeMetric, as_reference
     m = CompositeMetric(map=lambda g: np.ones_like(np.asarray(g, float)),
                         ref=as_reference(4.0), crossing=math.inf)
     est = mc_pu(m, make_pd(), VP, McConfig(samples=1000))
     assert est.mean == pytest.approx(value(1.0, 4.0, VP), abs=1e-15)
     assert est.std_error <= 1e-15  # roundoff of the mean reduction only
+
+
+@pytest.mark.parametrize("n", [1000, _BATCH + 5])
+def test_map_returning_one_constant_is_broadcast(n):
+    # the quadrature accepts a map that returns one number for any input
+    m = CompositeMetric(map=lambda g: 8.0, ref=as_reference(4.0),
+                        crossing=0.0)
+    est = mc_pu(m, make_pd(), VP, McConfig(samples=n))
+    assert est.mean == value(8.0, 4.0, VP) == 2.0
+    assert est.std_error == 0.0
+    assert est.samples == n
+
+
+def test_oracle_covers_theta_near_zero():
+    # at theta = 0.01 the base probability z of u near 1 underflows to 0;
+    # those draws take the gain from log z instead of failing
+    wp = WeightParams(1.0, 0.01)
+    quad_val = pu_snr(link(10.0), 4.0, VP, wp).value
+    est = mc_pu(snr_metric(link(10.0), 4.0), make_pd(wp), VP,
+                McConfig(samples=100_000, seed=1))
+    assert abs(est.mean - quad_val) <= 5.0 * est.std_error
 
 
 def test_classical_snr_mean_recovers_mean_snr():
@@ -143,6 +169,128 @@ def test_batched_merge_matches_single_pass_statistics():
     assert est.mean == pytest.approx(float(flat.mean()), rel=1e-12)
     assert est.std_error == pytest.approx(
         float(flat.std(ddof=1)) / math.sqrt(n), rel=1e-12)
+
+
+# --- block scheduling ---------------------------------------------------------
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: n)
+
+
+def test_blocks_come_back_in_order(monkeypatch):
+    use_cpus(monkeypatch, 3)
+
+    def block(i, rng, m):
+        if i == 0:
+            second_done.wait(timeout=10)  # block 0 finishes after block 1
+        elif i == 1:
+            second_done.set()
+        return i, m
+
+    second_done = threading.Event()
+    assert _map_substreams(block, 0, 10, 3) == [(0, 3), (1, 3), (2, 3),
+                                                (3, 1)]
+    assert second_done.is_set()
+
+
+def test_lowest_failing_block_raises_even_when_a_later_one_fails_first(
+        monkeypatch):
+    use_cpus(monkeypatch, 3)
+    later_failed = threading.Event()
+
+    def block(i, rng, m):
+        if i == 1:
+            assert later_failed.wait(timeout=10)
+            raise ValueError("block 1")
+        if i == 2:
+            later_failed.set()
+            raise ValueError("block 2")
+        return i
+
+    with pytest.raises(ValueError, match="block 1"):
+        _map_substreams(block, 0, 40, 4)
+
+
+def test_no_block_starts_after_a_failure(monkeypatch):
+    use_cpus(monkeypatch, 1)
+    started = []
+
+    def block(i, rng, m):
+        started.append(i)
+        if i == 1:
+            raise ValueError("block 1")
+
+    with pytest.raises(ValueError, match="block 1"):
+        _map_substreams(block, 0, 40, 4)
+    assert started == [0, 1]
+
+
+def test_every_thread_is_joined(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    before = threading.active_count()
+
+    def block(i, rng, m):
+        time.sleep(0.01)  # the last blocks outlast the calling thread's
+        return threading.get_ident()
+
+    seen = _map_substreams(block, 0, 60, 4)
+    assert threading.active_count() == before
+    assert len(set(seen)) <= 3
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_one_block_starts_no_thread(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    caller = threading.get_ident()
+    seen = _map_substreams(
+        lambda i, rng, m: (threading.get_ident(), threading.active_count()),
+        0, 5, 8)
+    assert seen == [(caller, before)]
+
+
+def test_blocks_see_the_callers_error_state(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    with np.errstate(divide="raise"):
+        seen = _map_substreams(lambda i, rng, m: np.geterr()["divide"],
+                               0, 12, 2)
+    assert seen == ["raise"] * 6
+
+
+def test_each_block_runs_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a block taken
+    # twice or skipped shows in the run log or the results
+    use_cpus(monkeypatch, 8)
+    runs = []
+
+    def block(i, rng, m):
+        runs.append(i)
+        return i, float(rng.random())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _map_substreams(block, 3, 400, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == list(range(400))
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_cpus", lambda: 1)
+        assert got == _map_substreams(block, 3, 400, 1)
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BATCH", 4096)  # several blocks, cheap
+    runs = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        runs.append((
+            mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP,
+                  McConfig(samples=20_001, seed=4)),
+            mc_pop(link(5.0), OutageSpec(1.0), WP,
+                   McConfig(samples=20_001, seed=4)),
+            gain_samples(MultipathConfig(80, seed=4), 5 * 16384 + 7).tobytes()))
+    assert runs[0] == runs[1]
 
 
 # --- weighted outage estimator ----------------------------------------------
