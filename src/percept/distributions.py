@@ -16,8 +16,18 @@ import numpy as np
 from .errors import DomainError
 from .prospect import WeightParams, scalar_out
 
-_LOG_HALF = float(np.log(0.5))
 _LOG2 = float(np.log(2.0))
+
+
+def _log1mexp(x):
+    """log(1 - exp(-x)) for x >= 0, accurate in both tails; -inf at x = 0.
+
+    log(-expm1(-x)) up to x = log 2 and log1p(-exp(-x)) above (Maechler
+    2012), so neither tail loses precision before exp(-x) underflows.
+    """
+    with np.errstate(divide="ignore"):
+        return np.where(x > _LOG2,
+                        np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
 
 
 @dataclass(frozen=True)
@@ -35,37 +45,31 @@ class ExponentialGain:
 
     def cdf(self, g):
         g = np.asarray(g, dtype=float)
-        out = np.where(g < 0.0, 0.0, -np.expm1(-np.maximum(g, 0.0) / self.mu))
-        return scalar_out(out)
+        with np.errstate(over="ignore"):  # g/mu = inf is the limit F = 1
+            x = np.maximum(g, 0.0) / self.mu
+        return scalar_out(np.where(g < 0.0, 0.0, -np.expm1(-x)))
 
     def pdf(self, g):
         g = np.asarray(g, dtype=float)
-        out = np.where(g < 0.0, 0.0, np.exp(-np.maximum(g, 0.0) / self.mu) / self.mu)
-        return scalar_out(out)
+        with np.errstate(over="ignore"):  # g/mu = inf is the limit f = 0
+            out = np.exp(-np.maximum(g, 0.0) / self.mu) / self.mu
+        return scalar_out(np.where(g < 0.0, 0.0, out))
 
     def log_cdf(self, g):
-        """log F(g), accurate in both tails.
-
-        Uses log(-expm1(-x)) below x = log 2 and log1p(-exp(-x)) above,
-        so neither tail loses precision before the underlying exp itself
-        underflows.
-        """
+        """log F(g), accurate in both tails; see :func:`_log1mexp`."""
         g = np.asarray(g, dtype=float)
-        if np.any(g <= 0.0):
+        if not np.all(g > 0.0):  # NaN fails too
             raise DomainError("log_cdf defined for g > 0")
-        x = -g / self.mu
-        with np.errstate(divide="ignore"):
-            out = np.where(x > _LOG_HALF,
-                           np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
-        return scalar_out(out)
+        with np.errstate(over="ignore"):  # g/mu = inf is the limit log F = 0
+            x = g / self.mu
+        return scalar_out(_log1mexp(x))
 
     def inverse_cdf(self, u):
         """Quantile function, -mu * log1p(-u) for u in (0, 1)."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(np.isnan(u)):
+        if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both
             raise DomainError("quantile argument must lie in (0, 1)")
-        out = -self.mu * np.log1p(-u)
-        return scalar_out(out)
+        return scalar_out(-self.mu * np.log1p(-u))
 
     def inverse_survival(self, q):
         """Quantile at survival probability q in (0, 1]; exact for tiny q.
@@ -74,10 +78,9 @@ class ExponentialGain:
         deep in the upper tail.
         """
         q = np.asarray(q, dtype=float)
-        if np.any(q <= 0.0) or np.any(q > 1.0) or np.any(np.isnan(q)):
+        if not np.all((q > 0.0) & (q <= 1.0)):  # NaN fails both
             raise DomainError("survival argument must lie in (0, 1]")
-        out = -self.mu * np.log(q)
-        return scalar_out(out)
+        return scalar_out(-self.mu * np.log(q))
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,12 @@ class PerceptualDistribution:
         s = np.asarray(s, dtype=float)
         if np.any(np.isnan(s)):
             raise DomainError("pcdf argument must not be NaN")
-        out = np.zeros(s.shape)
-        inside = s > 0.0
-        if np.any(inside):
-            neg_log_f = -self.base.log_cdf(s[inside])
-            out[inside] = np.exp(
-                -self.weights.gamma * neg_log_f ** self.weights.theta)
-        return scalar_out(out)
+        with np.errstate(over="ignore"):  # s/mu = inf is the limit F = 1
+            x = np.maximum(s, 0.0) / self.base.mu
+        # log F = -inf on s <= 0, where the perceived CDF is exp(-inf) = 0
+        neg_log_f = -_log1mexp(x)
+        return scalar_out(
+            np.exp(-self.weights.gamma * neg_log_f ** self.weights.theta))
 
     def ppdf(self, s):
         """Perceived density, the derivative of :meth:`pcdf`.
@@ -131,27 +133,22 @@ class PerceptualDistribution:
     def perceptual_sample(self, u):
         """Deterministic inverse-transform sample at uniform variate u.
 
-        Returned values have CDF :meth:`pcdf`. The base CDF of the sample
-        is exp(-z) with z = ((-log u)/gamma)**(1/theta); each element is
-        routed through whichever quantile keeps its small side exact, so
-        neither u near 0 nor u near 1 collapses onto a support endpoint.
-        Where z underflows to 0 (u near 1 with small theta), the gain is
-        -mu*log z to double precision, with log z formed from u directly.
+        Returned values have CDF :meth:`pcdf`: the sample is
+        -mu * log(1 - exp(-z)) with z = ((-log u)/gamma)**(1/theta), formed
+        by :func:`_log1mexp` so neither u near 0 nor u near 1 collapses onto
+        a support endpoint. Where exp(-z) underflows (u near 0) the log is
+        capped at -5e-324, the smallest base probability; where z underflows
+        to 0 (u near 1, small theta) log z is formed from u directly.
         """
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(np.isnan(u)):
+        if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both
             raise DomainError("uniform variate must lie in (0, 1)")
         gamma, theta = self.weights.gamma, self.weights.theta
-        z = ((-np.log(u)) / gamma) ** (1.0 / theta)
-        # clamps keep the unselected branch evaluable; the floors keep the
-        # base probabilities representable when exp(-z) or z underflows
-        surv = np.fmax(-np.expm1(-np.minimum(z, 1.0)), 5e-324)
-        prob = np.fmax(np.exp(-np.maximum(z, 0.5)), 5e-324)
-        out = np.where(z > _LOG2,
-                       self.base.inverse_cdf(prob),
-                       self.base.inverse_survival(surv))
+        with np.errstate(over="ignore"):  # z = inf is the limit exp(-z) = 0
+            z = ((-np.log(u)) / gamma) ** (1.0 / theta)
+        log_q = _log1mexp(z)
+        np.minimum(log_q, -5e-324, out=log_q)
         under = z == 0.0
         if np.any(under):
-            log_z = (np.log(-np.log(u[under])) - np.log(gamma)) / theta
-            out[under] = -self.base.mu * log_z
-        return scalar_out(out)
+            log_q[under] = (np.log(-np.log(u[under])) - np.log(gamma)) / theta
+        return scalar_out(-self.base.mu * log_q)

@@ -201,7 +201,7 @@ def weight(p, params: WeightParams):
     w(1)=1. Scalar in, scalar out; arrays pass through elementwise.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(np.isnan(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
         raise DomainError("probability must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         # -log(0) = inf makes the p=0 limit w=0 fall out of exp(-inf)
@@ -216,7 +216,7 @@ def weight_inverse(q, params: WeightParams):
     themselves.
     """
     q = np.asarray(q, dtype=float)
-    if np.any(np.isnan(q)) or np.any(q < 0.0) or np.any(q > 1.0):
+    if not np.all((q >= 0.0) & (q <= 1.0)):  # NaN fails both
         raise DomainError("perceived probability must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         out = np.exp(-((-np.log(q)) / params.gamma) ** (1.0 / params.theta))
@@ -229,7 +229,7 @@ def weight_derivative(p, params: WeightParams):
     Valid on the open interval (0, 1).
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both
         raise DomainError("derivative defined on (0, 1) only")
     neg_log = -np.log(p)
     out = (params.gamma * params.theta * weight(p, params)

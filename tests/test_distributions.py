@@ -82,6 +82,13 @@ def test_base_log_cdf_both_tails():
 
 def test_base_domain_errors():
     d = ExponentialGain(1.0)
+    for bad in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+            d.inverse_cdf(bad)
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
+            d.inverse_survival(bad)
+        with pytest.raises(DomainError, match="log_cdf defined for g > 0"):
+            d.log_cdf(bad)
     with pytest.raises(DomainError):
         d.inverse_cdf(0.0)
     with pytest.raises(DomainError):
@@ -106,6 +113,18 @@ def test_pcdf_identity_weighting_reduces_to_cdf():
 
 def test_pcdf_closed_form_composition():
     assert make_pd().pcdf(1.0) == pytest.approx(PCDF_1_HALF, abs=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gains_past_mu_times_the_float_range_take_their_limits():
+    # g/mu overflows to inf: F = 1, f = 0, log F = 0, perceived F = 1
+    g = np.array([1e306, np.finfo(float).max, np.inf])
+    d = ExponentialGain(1e-3)
+    assert np.all(d.cdf(g) == 1.0)
+    assert np.all(d.pdf(g) == 0.0)
+    assert np.all(d.log_cdf(g) == 0.0)
+    assert np.all(PerceptualDistribution(d, WeightParams(1.0, 0.5)).pcdf(g)
+                  == 1.0)
 
 
 def test_pcdf_boundaries():
@@ -219,10 +238,35 @@ def test_perceptual_sample_keeps_the_tail_when_z_underflows():
     assert pd.pcdf(g) == pytest.approx(1.0 - 2.0**-53, abs=1e-15)
 
 
+def test_perceptual_sample_uses_neither_public_quantile(monkeypatch):
+    pd = make_pd(gamma=0.7, theta=0.3)
+    u = np.concatenate([np.ldexp(1.0, -np.arange(1, 1075)),
+                        1.0 - np.ldexp(1.0, -np.arange(1, 54)),
+                        np.random.default_rng(3).random(1000)])
+    want = pd.perceptual_sample(u)
+
+    def forbidden(self, x):
+        raise AssertionError("the sampler called a public quantile")
+
+    monkeypatch.setattr(ExponentialGain, "inverse_cdf", forbidden)
+    monkeypatch.setattr(ExponentialGain, "inverse_survival", forbidden)
+    assert pd.perceptual_sample(u).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_perceptual_sample_where_z_overflows():
+    # gamma = 1e-3, theta = 0.01: z overflows to inf below u ~ 0.3 and
+    # exp(-z) underflows below u ~ 0.999; the gain is then mu times the
+    # smallest base probability
+    pd = make_pd(mu=2.0, gamma=1e-3, theta=0.01)
+    g = pd.perceptual_sample(np.array([2.0**-1074, 0.5, 0.99]))
+    assert g.tolist() == [2.0 * 5e-324] * 3
+
+
 def test_perceptual_sample_rejects_boundary_uniforms():
     pd = make_pd()
-    for bad in (0.0, 1.0, -0.1, math.nan):
-        with pytest.raises(DomainError):
+    for bad in (0.0, 1.0, -0.1, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
             pd.perceptual_sample(bad)
 
 

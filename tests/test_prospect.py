@@ -236,10 +236,16 @@ def test_weight_inverse_boundaries_and_fixed_point():
 
 
 def test_weight_inverse_rejects_outside_unit_interval():
-    with pytest.raises(DomainError):
-        weight_inverse(-0.01, W_HALF)
-    with pytest.raises(DomainError):
-        weight_inverse(1.01, W_HALF)
+    for bad in (-0.01, 1.01, math.nan):
+        with pytest.raises(DomainError, match="perceived probability"):
+            weight_inverse(bad, W_HALF)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, math.nan,
+                                 np.array([0.5, math.nan])])
+def test_weight_derivative_names_its_own_domain(bad):
+    with pytest.raises(DomainError, match=r"derivative defined on \(0, 1\)"):
+        weight_derivative(bad, W_HALF)
 
 
 def test_weight_derivative_matches_finite_difference():
