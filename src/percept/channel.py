@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import _map_substreams
+from .montecarlo import _check_count, _map_substreams
 
 _CHUNK = 1 << 14
 _SLICE = 1 << 16  # path draws per row slice of a chunk
@@ -33,23 +33,27 @@ class MultipathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_paths < 1:
-            raise DomainError(f"k_paths must be >= 1, got {self.k_paths}")
+        _check_count("k_paths", self.k_paths, 1)
         if not (np.isfinite(self.amplitude_scale)
                 and self.amplitude_scale > 0.0):
             raise DomainError("amplitude_scale must be positive and finite, "
                               f"got {self.amplitude_scale}")
-        if not 0.0 < self.amplitude_scale * self.amplitude_scale < np.inf:
+        scale = float(self.amplitude_scale)  # overflows to inf, not a warning
+        if not 0.0 < scale * scale < np.inf:
             raise DomainError("the mean gain scale**2 must be positive and "
                               f"finite, got scale {self.amplitude_scale:g}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # |H|**2 reaches k_paths * scale**2 and the limit law's quantiles
+        # up to 0.95 reach scale**2 * log(20) < 3 * scale**2
+        if not (self.k_paths + 3) * scale * scale < np.inf:
+            raise DomainError(
+                "the gain bound (k_paths + 3) * scale**2 must be finite, got "
+                f"k_paths {self.k_paths} and scale {self.amplitude_scale:g}")
+        _check_count("seed", self.seed, 0)
 
 
 def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:
     """n complex channel coefficients H = sum_k A_k * exp(-j*theta_k)."""
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
+    _check_count("sample count", n, 1)
     k = config.k_paths
     amp = config.amplitude_scale / np.sqrt(k)
     rows = max(1, _SLICE // k)

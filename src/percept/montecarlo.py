@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -39,6 +40,14 @@ _SLICE = 1 << 15  # elementwise work per step: a few arrays fit in L2
 _U_FLOOR = 5e-324
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise DomainError unless ``value`` is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Sample count and reproducibility seed for one estimate."""
@@ -47,10 +56,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        _check_count("samples", self.samples, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

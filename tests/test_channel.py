@@ -27,6 +27,15 @@ def test_rejects_bad_configs():
         MultipathConfig(k_paths=4, amplitude_scale=-1.0)
     with pytest.raises(DomainError, match="seed"):
         MultipathConfig(k_paths=4, seed=-1)
+    # |H|**2 reaches k_paths * scale**2, the 0.95 quantile 3 * scale**2
+    with pytest.raises(DomainError, match=r"\(k_paths \+ 3\) \* scale"):
+        MultipathConfig(k_paths=8, amplitude_scale=1e154)
+    with pytest.raises(DomainError, match=r"\(k_paths \+ 3\) \* scale"):
+        MultipathConfig(k_paths=1, amplitude_scale=1.3e154)
+    with pytest.raises(DomainError, match="k_paths must be an integer"):
+        MultipathConfig(k_paths=2.5)
+    with pytest.raises(DomainError, match="seed must be an integer"):
+        MultipathConfig(k_paths=4, seed=1.5)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-200])
@@ -39,6 +48,19 @@ def test_rejects_a_scale_whose_mean_gain_leaves_the_float_range(scale):
 def test_rejects_nonpositive_sample_count():
     with pytest.raises(DomainError):
         draw_channel(MultipathConfig(k_paths=4), 0)
+
+
+def test_rejects_a_fractional_sample_count():
+    with pytest.raises(DomainError, match="sample count must be an integer"):
+        draw_channel(MultipathConfig(k_paths=4), 2.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_accepted_scale_gives_finite_gains():
+    # (k_paths + 3) * scale**2 sits just inside the float range
+    k = 8
+    scale = float(np.sqrt(np.finfo(float).max / (k + 3))) * (1 - 1e-15)
+    assert np.all(np.isfinite(gain_samples(MultipathConfig(k, scale), 1000)))
 
 
 # --- deterministic structure ---------------------------------------------------

@@ -46,6 +46,19 @@ def test_config_rejects_negative_seed():
         McConfig(samples=10, seed=-1)
 
 
+@pytest.mark.parametrize("samples, seed, field", [
+    (2.5, 1, "samples"), (1.5, 0, "samples"), (10, 1.5, "seed")])
+def test_config_rejects_fractional_counts(samples, seed, field):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        McConfig(samples, seed)
+
+
+def test_config_accepts_numpy_integers():
+    c = McConfig(np.int64(10), np.uint64(3))
+    est = mc_pop(link(1.0), OutageSpec(1.0), WP, c)
+    assert est.samples == 10
+
+
 def test_pu_needs_two_samples_for_an_error_bar():
     with pytest.raises(DomainError):
         mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP, McConfig(samples=1))
