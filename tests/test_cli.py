@@ -168,6 +168,27 @@ def test_simulate_channel_scale_without_a_mean_gain_exits_2(capsys, scale):
                    f"finite, got scale {float(scale):g}\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    (["pcdf", "1e306", "--mu", "0.001"], 0),
+    (["ppdf", "1e306", "--mu", "0.001"], 2),
+    (["simulate-channel", "--k-paths", "8", "--scale", "1e154"], 2),
+    (["simulate-channel", "--k-paths", "1", "--scale", "1.3e154"], 2),
+    ("mc-sweep", 0),
+])
+def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
+                                                    code):
+    if argv == "mc-sweep":
+        # z = ((-log u)/gamma)**(1/theta) overflows to inf for most draws
+        argv = ["sweep", scenario_file(
+            tmp_path, weight_params={"gamma": 0.001, "theta": 0.01},
+            mc={"samples": 100000, "seed": 0})]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert "Warning" not in err
+    assert err == "" if code == 0 else err.startswith("error:")
+
+
 @pytest.mark.parametrize("bad", [
     pytest.param({"epsilon": "abc"}, id="epsilon-text"),
     pytest.param({"budget": "x"}, id="budget-text"),
