@@ -38,7 +38,8 @@ class MultipathConfig:
                 and self.amplitude_scale > 0.0):
             raise DomainError("amplitude_scale must be positive and finite, "
                               f"got {self.amplitude_scale}")
-        scale = float(self.amplitude_scale)  # overflows to inf, not a warning
+        # a Python float: scale * scale overflows to inf without a warning
+        scale = float(self.amplitude_scale)
         if not 0.0 < scale * scale < np.inf:
             raise DomainError("the mean gain scale**2 must be positive and "
                               f"finite, got scale {self.amplitude_scale:g}")

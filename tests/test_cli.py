@@ -186,7 +186,7 @@ def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
     got, out, err = run(capsys, argv)
     assert got == code
     assert "Warning" not in err
-    assert err == "" if code == 0 else err.startswith("error:")
+    assert err.startswith("error:") if code else err == ""
 
 
 @pytest.mark.parametrize("bad", [
