@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .montecarlo import _check_count, _map_substreams
+from .errors import DomainError, _check_count, _real
+from .montecarlo import _map_substreams
 
 _CHUNK = 1 << 14
 _SLICE = 1 << 16  # path draws per row slice of a chunk
@@ -34,21 +34,17 @@ class MultipathConfig:
 
     def __post_init__(self):
         _check_count("k_paths", self.k_paths, 1)
-        if not (np.isfinite(self.amplitude_scale)
-                and self.amplitude_scale > 0.0):
-            raise DomainError("amplitude_scale must be positive and finite, "
-                              f"got {self.amplitude_scale}")
         # a Python float: scale * scale overflows to inf without a warning
-        scale = float(self.amplitude_scale)
+        scale = _real("amplitude_scale", self.amplitude_scale, 0.0, above=True)
         if not 0.0 < scale * scale < np.inf:
             raise DomainError("the mean gain scale**2 must be positive and "
-                              f"finite, got scale {self.amplitude_scale:g}")
+                              f"finite, got scale {scale:g}")
         # |H|**2 reaches k_paths * scale**2 and the limit law's quantiles
         # up to 0.95 reach scale**2 * log(20) < 3 * scale**2
         if not (self.k_paths + 3) * scale * scale < np.inf:
             raise DomainError(
                 "the gain bound (k_paths + 3) * scale**2 must be finite, got "
-                f"k_paths {self.k_paths} and scale {self.amplitude_scale:g}")
+                f"k_paths {self.k_paths} and scale {scale:g}")
         _check_count("seed", self.seed, 0)
 
 

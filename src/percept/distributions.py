@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _real
 from .prospect import WeightParams, scalar_out
 
 _LOG2 = float(np.log(2.0))
@@ -40,8 +40,7 @@ class ExponentialGain:
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0.0):
-            raise DomainError(f"mu must be positive and finite, got {self.mu}")
+        _real("mu", self.mu, 0.0, above=True)
 
     def cdf(self, g):
         g = np.asarray(g, dtype=float)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its scalar checks."""
+import math
+import numbers
 
 
 class PerceptError(Exception):
@@ -34,3 +36,28 @@ class ToleranceNotMet(PerceptError, RuntimeError):
         self.abs_error = abs_error
         self.evaluations = evaluations
         super().__init__(message)
+
+
+def _real(name: str, x, low: float = -math.inf, above: bool = False) -> float:
+    """``x`` as a finite float, at least ``low`` (above it if ``above``);
+    a DomainError naming ``name`` for anything else, NaN, +-inf and ints
+    past the float range included. numpy scalars and bools are real."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:  # str() may refuse such an int: over 4300 digits
+        v, x = math.inf, "an integer past the float range"
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {x}")
+    if not (v > low if above else v >= low):
+        raise DomainError(f"{name} must be {'>' if above else '>='} {low:g}, "
+                          f"got {x}")
+    return v
+
+
+def _check_count(name: str, value, least: float) -> None:
+    """Raise DomainError unless ``value`` is a float-range int >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    _real(name, value, least)

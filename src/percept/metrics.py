@@ -50,7 +50,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import ExponentialGain, PerceptualDistribution
-from .errors import DomainError, PerceptError, ToleranceNotMet
+from .errors import (DomainError, PerceptError, ToleranceNotMet,
+                     _check_count, _real)
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
                        _check_quantity, _check_value, _value_kernel,
                        as_reference, weight)
@@ -78,6 +79,7 @@ _WG[1::2] = _WGAUSS + _WGAUSS[-2::-1]
 _NODES = _XK.size
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # below this z, log(1 - exp(-z)) = log z - z/2 to within z**2/24
 _SMALL_Z = 1e-8
 _LOG2 = math.log(2.0)
@@ -98,9 +100,7 @@ class LinkBudget:
     channel: ExponentialGain
 
     def __post_init__(self):
-        if not (np.isfinite(self.pt_over_n0) and self.pt_over_n0 >= 0.0):
-            raise DomainError(
-                f"pt_over_n0 must be finite and >= 0, got {self.pt_over_n0}")
+        _real("pt_over_n0", self.pt_over_n0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ class OutageSpec:
     epsilon: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError(
-                f"epsilon must be positive and finite, got {self.epsilon}")
+        _real("epsilon", self.epsilon, 0.0, above=True)
 
 
 @dataclass(frozen=True)
@@ -224,11 +222,15 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
     pass refines every unfinished point in one array program. Each point
     meets ``tol`` within its own ``budget`` exactly as it would alone.
     Returns, in the order of ``points``, a PuResult or the PerceptError
-    that :func:`pu_composite` raises for that point.
+    that :func:`pu_composite` raises for that point. A tolerance of inf
+    accepts the first pass; a budget below it fails with ToleranceNotMet.
     """
-    if not tol > 0.0:
-        return [DomainError(f"tolerance must be positive, got {tol}")
-                for _ in points]
+    try:
+        if tol != math.inf:
+            _real("tolerance", tol, 0.0, above=True)
+        _check_count("budget", budget, -math.inf)
+    except DomainError as exc:
+        return [exc] * len(points)
     out = [None] * len(points)
     families = {}
     for i, (metric, _, _) in enumerate(points):
@@ -349,7 +351,7 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         goal = np.maximum(target, floor_sum)[who]
         need = np.bincount(who, left > goal, n).astype(np.int64) + 1
         k = np.minimum(np.minimum(need, count),
-                       (budget - evals) // (2 * _NODES))
+                       (min(budget, _INT64_MAX) - evals) // (2 * _NODES))
         active &= k > 0
         if not active.any():
             break

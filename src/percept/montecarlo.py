@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PerceptualDistribution
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
 from .prospect import (ValueParams, WeightParams, _check_quantity,
                        _check_value, _value_kernel, weight, weight_derivative)
@@ -38,14 +37,6 @@ _SLICE = 1 << 15  # elementwise work per step: a few arrays fit in L2
 
 # smallest positive double; keeps -log(u) finite if a uniform draw hits 0.0
 _U_FLOOR = 5e-324
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise DomainError unless ``value`` is an integer >= ``least``."""
-    if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

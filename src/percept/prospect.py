@@ -25,24 +25,22 @@ are frozen and safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError
+from .errors import ConstraintViolation, DomainError, _real
 
 _MODES = ("strict", "permissive")
 
 
-def _require_finite(name: str, *vals: float) -> None:
-    for v in vals:
-        if not np.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
+def _check_fields(params) -> None:
+    """Require a known ``mode``, then every other field to be finite."""
+    if params.mode not in _MODES:
+        raise DomainError(f"mode must be one of {_MODES}, got {params.mode!r}")
+    for field in fields(params):
+        if field.name != "mode":
+            _real(field.name, getattr(params, field.name))
 
 
 def _check_exponent(constraint: str, name: str, x: float, mode: str) -> None:
@@ -75,9 +73,7 @@ class ValueParams:
     mode: str = "strict"
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        _require_finite("value parameters", self.alpha, self.lambda_gain,
-                        self.lambda_loss)
+        _check_fields(self)
         _check_exponent("concavity", "alpha", self.alpha, self.mode)
         if self.lambda_gain <= 0.0 or self.lambda_loss <= 0.0:
             raise ConstraintViolation(
@@ -105,8 +101,7 @@ class WeightParams:
     mode: str = "strict"
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        _require_finite("weight parameters", self.gamma, self.theta)
+        _check_fields(self)
         if self.gamma <= 0.0:
             raise ConstraintViolation(
                 "distortion", f"gamma must be positive, got {self.gamma}")
@@ -124,17 +119,17 @@ class ReferencePoint:
     x0: float
 
     def __post_init__(self):
-        _require_finite("reference point", self.x0)
+        _real("x0", self.x0)
         if self.x0 < 0.0:
             raise ConstraintViolation(
                 "reference", f"reference point must be >= 0, got {self.x0}")
 
 
 def as_reference(ref) -> ReferencePoint:
-    """Coerce a bare number into a ReferencePoint."""
+    """Coerce a bare real number into a ReferencePoint."""
     if isinstance(ref, ReferencePoint):
         return ref
-    return ReferencePoint(float(ref))
+    return ReferencePoint(_real("reference", ref))
 
 
 def validate_value_params(alpha1: float, alpha2: float, lambda1: float,
@@ -147,7 +142,7 @@ def validate_value_params(alpha1: float, alpha2: float, lambda1: float,
     the first violated property; the gain exponent is checked as ``alpha``.
     """
     params = ValueParams(alpha1, lambda1, lambda2, mode=mode)
-    _require_finite("value parameters", alpha2)
+    _real("alpha2", alpha2)
     _check_exponent("convexity", "loss exponent", alpha2, mode)
     if alpha1 != alpha2:
         raise ConstraintViolation(
