@@ -8,7 +8,6 @@ a validation error, 3 when a numerical tolerance or cross-check fails,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -18,10 +17,9 @@ from .channel import MultipathConfig, gain_samples
 from .distributions import ExponentialGain
 from .errors import ConstraintViolation, DomainError, ToleranceNotMet
 from .metrics import DEFAULT_BUDGET, DEFAULT_TOL
-from .prospect import ValueParams, WeightParams
-from .sweep import (_CURVE_AXIS, _METRIC_FIELDS, PRESET_NOTES, PRESETS,
-                    Scenario, cross_check, cross_check_csv, load_scenario,
-                    preset_scenario, run_scenario, sweep_csv)
+from .sweep import (_CURVE_AXIS, _METRIC_FIELDS, _PARAMS, PRESET_NOTES,
+                    PRESETS, Scenario, cross_check, cross_check_csv,
+                    load_scenario, preset_scenario, run_scenario, sweep_csv)
 
 _QUANTILE_STEP = 0.05
 # the point commands: (name, metric, help)
@@ -55,7 +53,6 @@ _FLAGS = {
                    "absolute quadrature tolerance"),),
     "budget": (("budget", int, DEFAULT_BUDGET, "integrand evaluation budget"),),
 }
-_PARAMS = {"value_params": ValueParams, "weight_params": WeightParams}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -193,9 +190,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
-        return 2
     except (ConstraintViolation, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,15 +39,16 @@ _METRIC_FIELDS = {
 }
 
 _CURVE_AXIS = {"value_curve": "x", "weight_curve": "p", "pcdf": "s", "ppdf": "s"}
-_PU_AXES = ("pt_over_n0", "alpha", "lambda_gain", "lambda_loss",
-            "gamma", "theta", "reference", "mu")
-_POP_AXES = ("pt_over_n0", "epsilon", "gamma", "theta", "mu")
+# the parameter blocks, each keyed by the numeric fields of its class
+_PARAMS = {"value_params": ValueParams, "weight_params": WeightParams}
+_KEYS = {block: tuple(f.name for f in dataclasses.fields(cls)
+                      if f.name != "mode") for block, cls in _PARAMS.items()}
 
 # top-level numeric keys, each with the type it is coerced to
 _NUMBER_KEYS = {"reference": float, "mu": float, "pt_over_n0": float,
                 "epsilon": float, "tolerance": float, "budget": int}
-_TOP_KEYS = {"schema", "metric", "axis", "value_params", "weight_params",
-             "mc"} | set(_NUMBER_KEYS)
+_TOP_KEYS = ({"schema", "metric", "axis", "mc"} | set(_PARAMS)
+             | set(_NUMBER_KEYS))
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,22 @@ def _number(x, key: str, cast=float):
         raise DomainError(f"{key} must be a finite number, got {x!r}") from None
 
 
-def _parse_params(d: dict, cls, keys: tuple, where: str):
-    _reject_unknown(d, set(keys) | {"mode"}, where)
+def _axes(metric: str) -> tuple:
+    """The axes ``metric`` may sweep: its curve coordinate, or the fields
+    it reads but the quadrature controls, a parameter block as its keys."""
+    if metric in _CURVE_AXIS:
+        return (_CURVE_AXIS[metric],)
+    return sum((_KEYS.get(field, (field,)) for field in _METRIC_FIELDS[metric]
+                if field not in ("tolerance", "budget")), ())
+
+
+def _parse_params(d: dict, block: str):
+    cls, keys = _PARAMS[block], _KEYS[block]
+    _reject_unknown(d, set(keys) | {"mode"}, block)
     missing = [k for k in keys if k not in d]
     if missing:
-        raise DomainError(f"{where} missing key(s): {', '.join(missing)}")
-    return cls(**{k: v if k == "mode" else _number(v, f"{where}.{k}")
+        raise DomainError(f"{block} missing key(s): {', '.join(missing)}")
+    return cls(**{k: v if k == "mode" else _number(v, f"{block}.{k}")
                   for k, v in d.items()})
 
 
@@ -142,27 +153,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("axis grid must be strictly increasing")
 
-    if metric in _CURVE_AXIS:
-        if name != _CURVE_AXIS[metric]:
-            raise DomainError(
-                f"metric {metric} sweeps axis {_CURVE_AXIS[metric]!r}, "
-                f"got {name!r}")
-    elif metric == "pop":
-        if name not in _POP_AXES:
-            raise DomainError(f"pop axis must be one of {_POP_AXES}, got {name!r}")
-    else:
-        if name not in _PU_AXES:
-            raise DomainError(
-                f"{metric} axis must be one of {_PU_AXES}, got {name!r}")
+    if name not in _axes(metric):
+        raise DomainError(
+            f"{metric} axis must be one of {_axes(metric)}, got {name!r}")
 
-    vp = wp = None
-    if "value_params" in doc:
-        vp = _parse_params(doc["value_params"], ValueParams,
-                           ("alpha", "lambda_gain", "lambda_loss"),
-                           "value_params")
-    if "weight_params" in doc:
-        wp = _parse_params(doc["weight_params"], WeightParams,
-                           ("gamma", "theta"), "weight_params")
+    params = {b: _parse_params(doc[b], b) for b in _PARAMS if b in doc}
     mc = None
     if "mc" in doc:
         _reject_unknown(doc["mc"], {"samples", "seed"}, "mc")
@@ -173,8 +168,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     fixed = {k: _number(doc[k], k, cast)
              for k, cast in _NUMBER_KEYS.items() if k in doc}
-    scenario = Scenario(metric=metric, axis_name=name, grid=grid,
-                        value_params=vp, weight_params=wp, mc=mc, **fixed)
+    scenario = Scenario(metric=metric, axis_name=name, grid=grid, mc=mc,
+                        **params, **fixed)
     _check_required(scenario)
     return scenario
 
@@ -187,7 +182,11 @@ def _check_required(s: Scenario) -> None:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        try:  # bad syntax or encoding, or an int literal over 4300 digits
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"scenario is not valid JSON: {exc}") from exc
+    return scenario_from_dict(doc)
 
 
 def _with_point(exc: PerceptError, axis_name: str, x: float) -> PerceptError:
@@ -203,16 +202,12 @@ def _with_point(exc: PerceptError, axis_name: str, x: float) -> PerceptError:
 
 def _point_scenario(s: Scenario, x: float) -> Scenario:
     """Substitute the axis value into the scenario's fixed parameters."""
-    if s.axis_name in ("x", "p", "s"):
+    if s.metric in _CURVE_AXIS:
         return s
-    if s.axis_name in ("alpha", "lambda_gain", "lambda_loss"):
-        return dataclasses.replace(
-            s, value_params=dataclasses.replace(s.value_params,
-                                                **{s.axis_name: x}))
-    if s.axis_name in ("gamma", "theta"):
-        return dataclasses.replace(
-            s, weight_params=dataclasses.replace(s.weight_params,
-                                                 **{s.axis_name: x}))
+    for block, keys in _KEYS.items():
+        if s.axis_name in keys:
+            params = dataclasses.replace(getattr(s, block), **{s.axis_name: x})
+            return dataclasses.replace(s, **{block: params})
     return dataclasses.replace(s, **{s.axis_name: x})
 
 

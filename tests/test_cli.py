@@ -235,6 +235,19 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("raw", [
+    # json.load refuses an int literal of over 4300 digits
+    b'{"schema": "percept-scenario/1", "reference": ' + b"1" * 5000 + b"}",
+    b'{"schema": "percept-scenario/1", "metric": "\xff"}',  # not UTF-8
+], ids=["overlong-int", "latin-1"])
+def test_unreadable_json_exits_2(tmp_path, capsys, raw):
+    p = tmp_path / "scenario.json"
+    p.write_bytes(raw)
+    code, out, err = run(capsys, ["sweep", str(p)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scenario is not valid JSON: ")
+
+
 def test_starved_budget_exits_3(tmp_path, capsys):
     path = scenario_file(tmp_path, budget=100)
     code, _, err = run(capsys, ["sweep", path])

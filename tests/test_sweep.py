@@ -11,7 +11,7 @@ from percept import (ConstraintViolation, DomainError, ExponentialGain,
                      ValueParams, WeightParams, cross_check, cross_check_csv,
                      load_scenario, pop, preset_scenario, pu_rate, pu_snr,
                      run_scenario, scenario_from_dict, sweep_csv, weight)
-from percept.sweep import PRESET_NOTES, PRESETS, SCHEMA, Scenario
+from percept.sweep import PRESET_NOTES, PRESETS, SCHEMA, Scenario, _axes
 
 WEIGHT_SNAPSHOT = ("axis,value,err,n_eval\n"
                    "0,0,0,1\n"
@@ -74,6 +74,40 @@ def test_rejects_bad_metric_and_axis():
     wc["axis"] = {"name": "x", "grid": [0.5]}
     with pytest.raises(DomainError, match="axis"):
         scenario_from_dict(wc)
+
+
+def test_axes_are_the_fields_each_metric_reads():
+    pu = {"pt_over_n0", "alpha", "lambda_gain", "lambda_loss", "gamma",
+          "theta", "reference", "mu"}
+    assert set(_axes("pu_snr")) == set(_axes("pu_rate")) == pu
+    assert set(_axes("pop")) == {"pt_over_n0", "epsilon", "gamma", "theta",
+                                 "mu"}
+    assert _axes("ppdf") == ("s",)
+    for metric in ("pcdf", "pop", "pu_rate"):
+        with pytest.raises(DomainError, match=re.escape(
+                f"{metric} axis must be one of {_axes(metric)}, got 'lambda'")):
+            scenario_from_dict(doc(metric=metric, epsilon=1.0,
+                                   axis={"name": "lambda", "grid": [1.0]}))
+
+
+@pytest.mark.parametrize("block, field, x", [
+    ("value_params", "alpha", 0.3), ("value_params", "lambda_gain", 0.5),
+    ("value_params", "lambda_loss", 3.0), ("weight_params", "gamma", 0.7),
+    ("weight_params", "theta", 0.6)])
+def test_a_swept_block_field_replaces_its_placeholder(block, field, x):
+    swept = scenario_from_dict(doc(axis={"name": field, "grid": [x]},
+                                   pt_over_n0=10.0))
+    fixed = doc(axis={"name": "pt_over_n0", "grid": [10.0]})
+    fixed[block] = dict(fixed[block], **{field: x})
+    (row,) = run_scenario(swept)
+    (want,) = run_scenario(scenario_from_dict(fixed))
+    assert (row.axis, row.value, row.err, row.n_eval) == (
+        x, want.value, want.err, want.n_eval)
+    # the placeholder is still required
+    del fixed[block][field]
+    fixed["axis"] = {"name": field, "grid": [x]}
+    with pytest.raises(DomainError, match=f"{block} missing key.s.: {field}"):
+        scenario_from_dict(fixed)
 
 
 def test_rejects_bad_grids():
