@@ -77,7 +77,8 @@ def test_every_scalar_slot_accepts_or_raises_a_percept_error(fn, args, slot,
 
 @pytest.mark.parametrize("x, expected", [
     (np.float32(0.5), 0.5), (True, 1.0), (Fraction(1, 4), 0.25),
-    (10**300, 1e300), (-2, -2.0)])
+    (10**300, 1e300), (-2, -2.0)],
+    ids=["float32", "bool", "fraction", "10**300", "int"])
 def test_real_returns_the_float(x, expected):
     out = _real("x", x)
     assert type(out) is float and out == expected
@@ -113,7 +114,7 @@ def test_count_keeps_its_messages_and_the_float_range():
 
 # --- the constructors and calls that used to crash ------------------------
 
-@pytest.mark.parametrize("call, name", [
+FORMER_CRASHES = [
     (lambda: ExponentialGain(10**400), "mu"),
     (lambda: ExponentialGain(10**5000), "mu"),
     (lambda: ValueParams(10**400, 1, 2), "alpha"),
@@ -126,20 +127,28 @@ def test_count_keeps_its_messages_and_the_float_range():
     (lambda: pu_snr(LINK, 4.0, VP, WP, tol=None), "tolerance"),
     (lambda: pu_snr(LINK, 4.0, VP, WP, budget=2500.0), "budget"),
     (lambda: pu_snr(LINK, 4.0, VP, WP, budget=-10**5000), "budget"),
-], ids=lambda v: v if isinstance(v, str) else "")
+]
+
+
+@pytest.mark.parametrize("call, name", FORMER_CRASHES,
+                         ids=[name for _, name in FORMER_CRASHES])
 def test_former_crashes_raise_a_domain_error(call, name):
     with pytest.raises(DomainError, match=name):
         call()
 
 
-@pytest.mark.parametrize("call, name", [
+NAMED_FIELDS = [
     (lambda: ValueParams(float("nan"), 1.0, 2.0), "alpha"),
     (lambda: ValueParams(0.5, 1.0, float("inf")), "lambda_loss"),
     (lambda: WeightParams(1.0, float("nan")), "theta"),
     (lambda: ReferencePoint(float("inf")), "x0"),
     (lambda: validate_value_params(0.5, float("nan"), 1.0, 2.0), "alpha2"),
     (lambda: OutageSpec(0.0), "epsilon"),
-], ids=lambda v: v if isinstance(v, str) else "")
+]
+
+
+@pytest.mark.parametrize("call, name", NAMED_FIELDS,
+                         ids=[name for _, name in NAMED_FIELDS])
 def test_scalar_messages_name_the_field(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be"):
         call()
