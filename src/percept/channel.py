@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _real
+from .errors import DomainError, _check_count, _check_size, _real
 from .montecarlo import _map_substreams
 
 _CHUNK = 1 << 14
@@ -33,7 +33,7 @@ class MultipathConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("k_paths", self.k_paths, 1)
+        _check_size("k_paths", self.k_paths)
         # a Python float: scale * scale overflows to inf without a warning
         scale = _real("amplitude_scale", self.amplitude_scale, 0.0, above=True)
         if not 0.0 < scale * scale < np.inf:
@@ -50,7 +50,7 @@ class MultipathConfig:
 
 def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:
     """n complex channel coefficients H = sum_k A_k * exp(-j*theta_k)."""
-    _check_count("sample count", n, 1)
+    _check_size("sample count", n)
     k = config.k_paths
     amp = config.amplitude_scale / np.sqrt(k)
     rows = max(1, _SLICE // k)

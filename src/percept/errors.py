@@ -61,3 +61,11 @@ def _check_count(name: str, value, least: float) -> None:
     if not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     _real(name, value, least)
+
+
+def _check_size(name: str, value) -> None:
+    """_check_count(name, value, 1) below 2**63: a count that sizes an
+    array must fit np.intp."""
+    _check_count(name, value, 1)
+    if value >= 2**63:
+        raise DomainError(f"{name} must be < 2**63, got {value}")

@@ -49,7 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import ExponentialGain, PerceptualDistribution
+from .distributions import (ExponentialGain, PerceptualDistribution,
+                            _log1mexp)
 from .errors import (DomainError, PerceptError, ToleranceNotMet,
                      _check_count, _real)
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
@@ -82,7 +83,6 @@ _TINY = float(np.finfo(float).tiny)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # below this z, log(1 - exp(-z)) = log z - z/2 to within z**2/24
 _SMALL_Z = 1e-8
-_LOG2 = math.log(2.0)
 # rows of the interval table: the interval, its K15 value, error estimate
 # and roundoff floor, the table member it belongs to, and 1.0 if it may
 # still be split
@@ -167,20 +167,14 @@ def _gain_at(s, mu, gamma, theta):
 
     The base survival probability q = 1 - exp(-z), z = (s/gamma)**(1/theta),
     underflows to 0 for tiny s when theta is small, although its logarithm
-    is an ordinary number. So log q is formed from log z there, from
-    log(-expm1(-z)) up to z = ln 2, and from log1p(-exp(-z)) above, where
-    q rounds to 1 long before log q underflows. The gain is the exponential
-    law's quantile at survival q, -mu * log q. The parameters broadcast
-    against ``s``.
+    is an ordinary number. So log q is formed from log z there, and by
+    :func:`_log1mexp` elsewhere. The gain is the exponential law's quantile
+    at survival q, -mu * log q. The parameters broadcast against ``s``.
     """
     with np.errstate(divide="ignore", over="ignore"):
         log_z = np.log(s / gamma) / theta
         z = np.exp(log_z)
-    log_q = np.where(
-        z < _SMALL_Z, log_z - 0.5 * z,
-        np.where(z > _LOG2, np.log1p(-np.exp(-np.maximum(z, _LOG2))),
-                 np.log(-np.expm1(-np.maximum(z, _SMALL_Z)))))
-    return -mu * log_q
+    return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
 
 
 def _crossing_coordinate(base, wp: WeightParams, g_star: float) -> float:

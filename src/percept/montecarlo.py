@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import PerceptualDistribution
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_size
 from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
 from .prospect import (ValueParams, WeightParams, _check_quantity,
                        _check_value, _value_kernel, weight, weight_derivative)
@@ -47,7 +47,7 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("samples", self.samples, 1)
+        _check_size("samples", self.samples)
         _check_count("seed", self.seed, 0)
 
 
@@ -61,17 +61,6 @@ class McEstimate:
     generator: str = RNG_ALGORITHM
 
 
-def _substreams(seed: int, total: int, size: int):
-    """(Generator, draws) per block of ``size`` of ``total`` draws, in order.
-
-    Block i (the last one holds the rest) owns the Philox substream of child
-    i of SeedSequence(seed), so its draws do not depend on ``total``.
-    """
-    children = np.random.SeedSequence(seed).spawn(-(-total // size))
-    return [(np.random.Generator(np.random.Philox(ss)),
-             min(size, total - i * size)) for i, ss in enumerate(children)]
-
-
 def _cpus() -> int:
     """Number of CPUs this process may run on."""
     try:
@@ -81,20 +70,24 @@ def _cpus() -> int:
 
 
 def _map_substreams(fn, seed: int, total: int, size: int) -> list:
-    """[fn(i, rng, draws) for each block of _substreams(seed, total, size)].
+    """[fn(i, rng, draws) for each block of ``size`` of ``total`` draws].
 
-    The blocks run on at most min(blocks, _cpus()) threads, the calling
-    thread among them, so one block or one CPU starts no thread. Each
-    started thread runs in a copy of the caller's context, which carries
-    numpy's error state. Results come back in block order. If blocks fail,
-    the error of the lowest-numbered failing block is raised: blocks are
-    taken in order and none is taken after a failure, so every block below
-    a failing one has run. Every thread is joined before this returns.
+    Block i (the last one holds the rest) draws from the Philox substream
+    of SeedSequence(seed, spawn_key=(i,)), which is child i of
+    SeedSequence(seed), so its draws do not depend on ``total``; the
+    generator is built when a thread takes the block. The blocks run on
+    at most min(blocks, _cpus()) threads, the calling thread among them,
+    so one block or one CPU starts no thread. Each started thread runs in
+    a copy of the caller's context, which carries numpy's error state.
+    Results come back in block order. If blocks fail, the error of the
+    lowest-numbered failing block is raised: blocks are taken in order and
+    none is taken after a failure, so every block below a failing one has
+    run. Every thread is joined before this returns.
     """
-    blocks = _substreams(seed, total, size)
-    results = [None] * len(blocks)
+    count = -(-total // size)
+    results = [None] * count
     errors = {}
-    pending = iter(range(len(blocks)))
+    pending = iter(range(count))
     taking = threading.Lock()
     stop = threading.Event()
 
@@ -105,14 +98,16 @@ def _map_substreams(fn, seed: int, total: int, size: int) -> list:
             if i is None:
                 return
             try:
-                results[i] = fn(i, *blocks[i])
+                rng = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(seed, spawn_key=(i,))))
+                results[i] = fn(i, rng, min(size, total - i * size))
             except Exception as exc:  # re-raised in the calling thread
                 errors[i] = exc
                 stop.set()
 
     threads = [threading.Thread(target=contextvars.copy_context().run,
                                 args=(work,))
-               for _ in range(min(len(blocks), _cpus()) - 1)]
+               for _ in range(min(count, _cpus()) - 1)]
     try:
         for t in threads:
             t.start()
@@ -208,9 +203,9 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
             outages += int(np.count_nonzero(gains * link.channel.mu < g_th))
         return outages
 
-    outages = sum(_map_substreams(batch, config.seed, config.samples, _BATCH))
     n = config.samples
-    p_hat = outages / n
+    with np.errstate(over="ignore"):  # a gain past the float range: no outage
+        p_hat = sum(_map_substreams(batch, config.seed, n, _BATCH)) / n
     mean = float(weight(p_hat, weight_params))
     if 0.0 < p_hat < 1.0:
         se_p = math.sqrt(p_hat * (1.0 - p_hat) / n)

@@ -19,7 +19,7 @@ from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import ConstraintViolation, DomainError, PerceptError, ToleranceNotMet
 from .metrics import (DEFAULT_BUDGET, DEFAULT_TOL, LinkBudget, OutageSpec,
                       pop, pu_batch, rate_metric, snr_metric)
-from .montecarlo import McConfig, mc_pu
+from .montecarlo import McConfig, mc_pop, mc_pu
 from .prospect import ValueParams, WeightParams, value, weight
 
 SCHEMA = "percept-scenario/1"
@@ -43,6 +43,13 @@ _CURVE_AXIS = {"value_curve": "x", "weight_curve": "p", "pcdf": "s", "ppdf": "s"
 _PARAMS = {"value_params": ValueParams, "weight_params": WeightParams}
 _KEYS = {block: tuple(f.name for f in dataclasses.fields(cls)
                       if f.name != "mode") for block, cls in _PARAMS.items()}
+# the axes each metric may sweep: its curve coordinate, or the fields it
+# reads but the quadrature controls, a parameter block as its keys
+_AXES = {metric: (_CURVE_AXIS[metric],) if metric in _CURVE_AXIS else
+         sum((_KEYS.get(field, (field,)) for field in fields
+              if field not in ("tolerance", "budget")), ())
+         for metric, fields in _METRIC_FIELDS.items()}
+_MC_METRICS = ("pu_snr", "pu_rate", "pop")
 
 # top-level numeric keys, each with the type it is coerced to
 _NUMBER_KEYS = {"reference": float, "mu": float, "pt_over_n0": float,
@@ -53,6 +60,8 @@ _TOP_KEYS = ({"schema", "metric", "axis", "mc"} | set(_PARAMS)
 
 @dataclass(frozen=True)
 class Scenario:
+    """A sweep of one metric along one axis, checked when built."""
+
     metric: str
     axis_name: str
     grid: tuple
@@ -65,6 +74,21 @@ class Scenario:
     tolerance: float = DEFAULT_TOL
     budget: int = DEFAULT_BUDGET
     mc: Optional[McConfig] = None
+
+    def __post_init__(self):
+        if self.metric not in tuple(_AXES):  # by ==, so a list is unknown
+            raise DomainError(f"metric must be one of {tuple(_AXES)}, "
+                              f"got {self.metric!r}")
+        axes = _AXES[self.metric]
+        if self.axis_name not in axes:
+            raise DomainError(f"{self.metric} axis must be one of {axes}, "
+                              f"got {self.axis_name!r}")
+        for field in _METRIC_FIELDS[self.metric]:
+            if getattr(self, field) is None and self.axis_name != field:
+                raise DomainError(f"metric {self.metric} requires {field}")
+        if self.mc is not None and self.metric not in _MC_METRICS:
+            raise DomainError(f"mc requires a metric in {_MC_METRICS}, "
+                              f"got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -108,15 +132,6 @@ def _number(x, key: str, cast=float):
         raise DomainError(f"{key} must be a finite number, got {x!r}") from None
 
 
-def _axes(metric: str) -> tuple:
-    """The axes ``metric`` may sweep: its curve coordinate, or the fields
-    it reads but the quadrature controls, a parameter block as its keys."""
-    if metric in _CURVE_AXIS:
-        return (_CURVE_AXIS[metric],)
-    return sum((_KEYS.get(field, (field,)) for field in _METRIC_FIELDS[metric]
-                if field not in ("tolerance", "budget")), ())
-
-
 def _parse_params(d: dict, block: str):
     cls, keys = _PARAMS[block], _KEYS[block]
     _reject_unknown(d, set(keys) | {"mode"}, block)
@@ -136,11 +151,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f"scenario schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
     _reject_unknown(doc, _TOP_KEYS, "scenario")
 
-    metric = doc.get("metric")
-    if metric not in _METRIC_FIELDS:
-        raise DomainError(
-            f"metric must be one of {tuple(_METRIC_FIELDS)}, got {metric!r}")
-
     axis = doc.get("axis")
     if not isinstance(axis, dict):
         raise DomainError("scenario requires an axis object")
@@ -153,10 +163,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("axis grid must be strictly increasing")
 
-    if name not in _axes(metric):
-        raise DomainError(
-            f"{metric} axis must be one of {_axes(metric)}, got {name!r}")
-
     params = {b: _parse_params(doc[b], b) for b in _PARAMS if b in doc}
     mc = None
     if "mc" in doc:
@@ -168,16 +174,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     fixed = {k: _number(doc[k], k, cast)
              for k, cast in _NUMBER_KEYS.items() if k in doc}
-    scenario = Scenario(metric=metric, axis_name=name, grid=grid, mc=mc,
-                        **params, **fixed)
-    _check_required(scenario)
-    return scenario
-
-
-def _check_required(s: Scenario) -> None:
-    for field in _METRIC_FIELDS[s.metric]:
-        if getattr(s, field) is None and s.axis_name != field:
-            raise DomainError(f"metric {s.metric} requires {field}")
+    return Scenario(metric=doc.get("metric"), axis_name=name, grid=grid,
+                    mc=mc, **params, **fixed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -232,25 +230,29 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
     if metric == "ppdf":
         return SweepRow(x, pd.ppdf(x), 0.0, 1)
     link = LinkBudget(eff.pt_over_n0, ExponentialGain(eff.mu))
+    config = None if eff.mc is None else McConfig(eff.mc.samples, mc_seed)
     if metric == "pop":
-        return SweepRow(x, pop(link, OutageSpec(eff.epsilon),
-                               eff.weight_params), 0.0, 1)
-    composite = (snr_metric if metric == "pu_snr" else rate_metric)(
-        link, eff.reference)
-    if eff.mc is not None:
-        est = mc_pu(composite, pd, eff.value_params,
-                    McConfig(eff.mc.samples, mc_seed))
-        return SweepRow(x, est.mean, est.std_error, est.samples)
-    return composite, pd, eff.value_params
+        spec = OutageSpec(eff.epsilon)
+        if config is None:
+            return SweepRow(x, pop(link, spec, eff.weight_params), 0.0, 1)
+        est = mc_pop(link, spec, eff.weight_params, config)
+    else:
+        composite = (snr_metric if metric == "pu_snr" else rate_metric)(
+            link, eff.reference)
+        if config is None:
+            return composite, pd, eff.value_params
+        est = mc_pu(composite, pd, eff.value_params, config)
+    return SweepRow(x, est.mean, est.std_error, est.samples)
 
 
 def run_scenario(s: Scenario) -> list:
     """Evaluate the selected metric at every grid point, in axis order.
 
     PU metrics run the quadrature engine, all grid points in one batch,
-    unless the scenario carries an mc config, in which case the Monte Carlo
-    estimator is used and rows report its standard error and sample count
-    instead. The error raised is that of the first failing grid point.
+    and pop its closed form, unless the scenario carries an mc config, in
+    which case the metric's Monte Carlo estimator is used and rows report
+    its standard error and sample count instead. The error raised is that
+    of the first failing grid point.
     """
     seeds = (_point_seeds(s.mc.seed, len(s.grid)) if s.mc is not None
              else [None] * len(s.grid))

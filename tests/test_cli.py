@@ -1,17 +1,24 @@
 """Command-line interface: output shapes, exit codes, file handling."""
+import copy
 import importlib.metadata
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import percept
 from percept.cli import main
-from percept.sweep import SCHEMA
+from percept.sweep import _AXES, SCHEMA
 
 POP_HALF = "0.508009262517"
 
@@ -208,6 +215,15 @@ def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
                                    "lambda_loss": 2.0}}, id="alpha-text"),
     pytest.param(["simulate-channel", "--seed", "-1", "--samples", "100"],
                  id="simulate-seed-negative"),
+    # counts past 2**63 cannot size an array
+    pytest.param({"mc": {"samples": 1e30}}, id="mc-samples-1e30"),
+    pytest.param(["simulate-channel", "--samples", str(10**30)],
+                 id="simulate-samples-1e30"),
+    pytest.param(["simulate-channel", "--k-paths", str(10**30)],
+                 id="simulate-k-paths-1e30"),
+    pytest.param({"metric": "weight_curve", "mc": {"samples": 10},
+                  "axis": {"name": "p", "grid": [0.5]}},
+                 id="mc-on-curve-metric"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, bad):
     if isinstance(bad, dict):
@@ -218,6 +234,98 @@ def test_malformed_input_exits_2(tmp_path, capsys, bad):
     code, out, err = run(capsys, bad)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+# --- whole documents, drawn ---------------------------------------------------
+
+# every value drawn is cheap to run: no draw can spend a whole quadrature
+# budget, or ask for a count that passes the checks yet samples for hours
+GOOD = {"alpha": (0.15, 0.5, 0.88), "lambda_gain": (0.5, 1.0),
+        "lambda_loss": (2.0, 3.25), "gamma": (0.5, 1.0, 2.0),
+        "theta": (0.3, 0.65, 0.8), "reference": (0.0, 4.0), "mu": (0.5, 1.0),
+        "pt_over_n0": (0.0, 1.0, 100.0), "epsilon": (0.5, 1.0),
+        "tolerance": (1e-8, 1e-4), "budget": (100, 2000),
+        "x": (0.0, 2.0, 6.0), "p": (0.0, 0.25, 1.0), "s": (0.5, 1.0, 3.0)}
+# what may replace a value: a wrong type, a non-finite or out-of-range
+# number, a dropped key, or an unknown key beside it
+ODD = (None, "1", [1.0], {"k": 1}, True, -1.0, 0, math.nan, math.inf,
+       -math.inf, "drop", "typo")
+
+
+def _slots(node):
+    """(container, key) of every value in a document, nested ones too."""
+    keys = range(len(node)) if isinstance(node, list) else list(node)
+    out = []
+    for k in keys:
+        out.append((node, k))
+        if isinstance(node[k], (dict, list)):
+            out += _slots(node[k])
+    return out
+
+
+@st.composite
+def documents(draw):
+    """A valid document of a known or unknown metric, then up to three
+    faults."""
+    def pick(key):
+        return draw(st.sampled_from(GOOD[key]))
+
+    metric = draw(st.sampled_from(sorted(_AXES) + ["nope"]))
+    name = draw(st.sampled_from(_AXES.get(metric, ("x",))))
+    grid = sorted(draw(st.sets(st.sampled_from(GOOD[name]), min_size=1,
+                               max_size=4)))
+    doc = {"schema": SCHEMA, "metric": metric,
+           "axis": {"name": name, "grid": grid},
+           "value_params": {k: pick(k) for k in ("alpha", "lambda_gain",
+                                                 "lambda_loss")},
+           "weight_params": {k: pick(k) for k in ("gamma", "theta")}}
+    doc.update((k, pick(k)) for k in ("reference", "mu", "pt_over_n0",
+                                      "epsilon", "tolerance", "budget"))
+    if draw(st.booleans()):
+        doc["mc"] = {"samples": draw(st.sampled_from((2, 1000, 10**30))),
+                     "seed": draw(st.sampled_from((0, 7)))}
+    for _ in draw(st.lists(st.none(), max_size=3)):
+        node, key = draw(st.sampled_from(_slots(doc)))
+        odd = draw(st.sampled_from(ODD))
+        if odd == "drop":
+            del node[key]
+        elif odd == "typo" and isinstance(node, dict):
+            node["typo"] = 1
+        else:
+            node[key] = copy.deepcopy(odd)
+    return doc
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+ONE_E30_SAMPLES = {
+    "schema": SCHEMA, "metric": "pu_snr",
+    "axis": {"name": "pt_over_n0", "grid": [1.0]},
+    "value_params": {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0},
+    "weight_params": {"gamma": 1.0, "theta": 0.8}, "reference": 4.0,
+    "mc": {"samples": 10**30, "seed": 0}}
+
+
+@settings(max_examples=150)
+@given(doc=documents())
+@example(doc=ONE_E30_SAMPLES)
+@example(doc=dict(ONE_E30_SAMPLES, mc={"samples": 1000, "seed": 0}))
+def test_any_document_exits_0_2_or_3_with_an_error_line(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("sweep", "cross-check"):
+            code, _, err = run_in_process([command, path])
+            assert code in (0, 2, 3), err
+            if code:
+                assert any(line.startswith("error:")
+                           for line in err.splitlines()), err
 
 
 def test_unknown_scenario_key_exits_2(tmp_path, capsys):

@@ -322,10 +322,12 @@ def test_mc_pop_weighted_recovers_closed_form():
 
 
 def test_mc_pop_no_observed_outages_pins_to_zero():
-    est = mc_pop(link(1e9), OutageSpec(1.0), WeightParams(1.0, 0.5),
-                 McConfig(samples=10_000, seed=0))
-    assert est.mean == 0.0
-    assert est.std_error == 0.0
+    # with mu = 1e308 most gains mu * g overflow to inf: no outage, no warning
+    for lk in (link(1e9), link(1.0, mu=1e308)):
+        est = mc_pop(lk, OutageSpec(1.0), WeightParams(1.0, 0.5),
+                     McConfig(samples=10_000, seed=0))
+        assert est.mean == 0.0
+        assert est.std_error == 0.0
 
 
 def test_mc_pop_zero_power_is_certain_outage():

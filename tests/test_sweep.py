@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from percept import (ConstraintViolation, DomainError, ExponentialGain,
-                     LinkBudget, PerceptualDistribution, ToleranceNotMet,
-                     ValueParams, WeightParams, cross_check, cross_check_csv,
-                     load_scenario, pop, preset_scenario, pu_rate, pu_snr,
-                     run_scenario, scenario_from_dict, sweep_csv, weight)
-from percept.sweep import PRESET_NOTES, PRESETS, SCHEMA, Scenario, _axes
+                     LinkBudget, McConfig, PerceptualDistribution,
+                     ToleranceNotMet, ValueParams, WeightParams, cross_check,
+                     cross_check_csv, load_scenario, pop, preset_scenario,
+                     pu_rate, pu_snr, run_scenario, scenario_from_dict,
+                     sweep_csv, weight)
+from percept.sweep import _AXES, PRESET_NOTES, PRESETS, SCHEMA, Scenario
 
 WEIGHT_SNAPSHOT = ("axis,value,err,n_eval\n"
                    "0,0,0,1\n"
@@ -79,15 +80,51 @@ def test_rejects_bad_metric_and_axis():
 def test_axes_are_the_fields_each_metric_reads():
     pu = {"pt_over_n0", "alpha", "lambda_gain", "lambda_loss", "gamma",
           "theta", "reference", "mu"}
-    assert set(_axes("pu_snr")) == set(_axes("pu_rate")) == pu
-    assert set(_axes("pop")) == {"pt_over_n0", "epsilon", "gamma", "theta",
+    assert set(_AXES["pu_snr"]) == set(_AXES["pu_rate"]) == pu
+    assert set(_AXES["pop"]) == {"pt_over_n0", "epsilon", "gamma", "theta",
                                  "mu"}
-    assert _axes("ppdf") == ("s",)
+    assert _AXES["ppdf"] == ("s",)
     for metric in ("pcdf", "pop", "pu_rate"):
+        axes = _AXES[metric]
         with pytest.raises(DomainError, match=re.escape(
-                f"{metric} axis must be one of {_axes(metric)}, got 'lambda'")):
+                f"{metric} axis must be one of {axes}, got 'lambda'")):
             scenario_from_dict(doc(metric=metric, epsilon=1.0,
                                    axis={"name": "lambda", "grid": [1.0]}))
+
+
+VP, WP = ValueParams(0.5, 1.0, 2.0), WeightParams(1.0, 0.8)
+LIBRARY_SCENARIOS = [
+    (lambda: Scenario("nope", "x", (1.0,)), "metric must be one of"),
+    (lambda: Scenario("pu_snr", "bogus", (1.0,), VP, WP, 4.0,
+                      pt_over_n0=10.0), "pu_snr axis must be one of"),
+    (lambda: Scenario("pu_snr", "pt_over_n0", (1.0,), weight_params=WP,
+                      reference=4.0), "metric pu_snr requires value_params"),
+    (lambda: Scenario("pu_snr", "alpha", (0.5,), weight_params=WP,
+                      reference=4.0, pt_over_n0=10.0),
+     "metric pu_snr requires value_params"),
+    (lambda: Scenario("weight_curve", "p", (0.5,)),
+     "metric weight_curve requires weight_params"),
+]
+
+
+@pytest.mark.parametrize("build, message", LIBRARY_SCENARIOS,
+                         ids=["metric", "axis", "required", "block-axis",
+                              "curve-required"])
+def test_library_scenarios_are_checked_like_documents(build, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        run_scenario(build())
+
+
+@pytest.mark.parametrize("metric", ["value_curve", "weight_curve", "pcdf",
+                                    "ppdf"])
+def test_mc_config_on_a_curve_metric_is_rejected(metric):
+    d = doc(metric=metric, axis={"name": _AXES[metric][0], "grid": [0.5]},
+            mc={"samples": 100})
+    with pytest.raises(DomainError, match=f"^mc requires .*got '{metric}'"):
+        scenario_from_dict(d)
+    del d["mc"]
+    with pytest.raises(DomainError, match="^mc requires"):
+        dataclasses.replace(scenario_from_dict(d), mc=McConfig(100))
 
 
 @pytest.mark.parametrize("block, field, x", [
@@ -193,6 +230,23 @@ def test_pop_sweep_single_point():
         "epsilon": 1.0, "mu": 1.0})
     (row,) = run_scenario(s)
     assert row.value == pytest.approx(0.63212055882855768, abs=1e-14)
+
+
+POP_MC_SNAPSHOT = ("axis,value,err,n_eval\n"
+                   "1,0.545932475313,0.00112669295607,100000\n"
+                   "10,0.174296849186,0.000821233053722,100000\n")
+
+
+def test_pop_mc_rows_estimate_the_closed_form():
+    d = {"schema": SCHEMA, "metric": "pop",
+         "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0]},
+         "weight_params": {"gamma": 1.0, "theta": 0.65}, "epsilon": 1.0}
+    exact = run_scenario(scenario_from_dict(d))
+    rows = run_scenario(scenario_from_dict(
+        dict(d, mc={"samples": 100000, "seed": 3})))
+    assert sweep_csv(rows) == POP_MC_SNAPSHOT
+    for r, e in zip(rows, exact):
+        assert abs(r.value - e.value) <= 5.0 * r.err
 
 
 def test_parameter_axis_substitutes_per_point():

@@ -4,6 +4,7 @@ Whatever a caller passes where a scalar belongs, each constructor either
 accepts it or raises a PerceptError that names the parameter.
 """
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percept import (DomainError, ExponentialGain, LinkBudget, MultipathConfig,
-                     OutageSpec, PerceptError, ReferencePoint, ToleranceNotMet,
-                     ValueParams, WeightParams, as_reference, pu_snr,
-                     validate_value_params)
-from percept.errors import _check_count, _real
+from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
+                     MultipathConfig, OutageSpec, PerceptError, ReferencePoint,
+                     ToleranceNotMet, ValueParams, WeightParams, as_reference,
+                     draw_channel, pu_snr, validate_value_params)
+from percept.errors import _check_count, _check_size, _real
 
 VP = ValueParams(0.5, 1.0, 2.0)
 WP = WeightParams(1.0, 0.8)
@@ -110,6 +111,24 @@ def test_count_keeps_its_messages_and_the_float_range():
         _check_count("n", 2.5, 1)
     with pytest.raises(DomainError, match=f"^n {PAST_FLOAT}$"):
         _check_count("n", 10**400, 1)
+
+
+def test_size_must_fit_an_array_index():
+    _check_size("n", 2**63 - 1)
+    with pytest.raises(DomainError, match=re.escape(
+            f"n must be < 2**63, got {2**63}")):
+        _check_size("n", 2**63)
+    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+        _check_size("n", 0)
+    with pytest.raises(DomainError, match=f"^n {PAST_FLOAT}$"):
+        _check_size("n", 10**400)
+    # each count that sizes an array, at a value that used to crash
+    for call, name in [(lambda: McConfig(10**30), "samples"),
+                       (lambda: MultipathConfig(10**30), "k_paths"),
+                       (lambda: draw_channel(MultipathConfig(4), 10**30),
+                        "sample count")]:
+        with pytest.raises(DomainError, match=re.escape(f"{name} must be <")):
+            call()
 
 
 # --- the constructors and calls that used to crash ------------------------
