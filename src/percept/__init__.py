@@ -12,8 +12,8 @@ from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import (ConstraintViolation, DomainError, PerceptError,
                      ToleranceNotMet)
 from .metrics import (CompositeMetric, LinkBudget, OutageSpec, PuResult,
-                      outage_probability, pop, pu_composite, pu_rate, pu_snr,
-                      rate_metric, snr_metric)
+                      outage_probability, pop, pu_rate, pu_snr, rate_metric,
+                      snr_metric)
 from .montecarlo import McConfig, McEstimate, mc_pop, mc_pu
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
                        as_reference, validate_value_params, value, weight,
@@ -31,7 +31,7 @@ __all__ = [
     "weight_derivative",
     "ExponentialGain", "PerceptualDistribution",
     "LinkBudget", "OutageSpec", "CompositeMetric", "PuResult",
-    "pu_composite", "pu_snr", "pu_rate", "snr_metric", "rate_metric",
+    "pu_snr", "pu_rate", "snr_metric", "rate_metric",
     "outage_probability", "pop",
     "McConfig", "McEstimate", "mc_pu", "mc_pop",
     "MultipathConfig", "draw_channel", "gain_samples",

@@ -50,7 +50,7 @@ class MultipathConfig:
 
 def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:
     """n complex channel coefficients H = sum_k A_k * exp(-j*theta_k)."""
-    _check_size("sample count", n)
+    _check_size("sample count", n, 59)  # 16 bytes per complex draw
     k = config.k_paths
     amp = config.amplitude_scale / np.sqrt(k)
     rows = max(1, _SLICE // k)

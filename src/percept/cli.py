@@ -3,7 +3,7 @@
 Every subcommand prints CSV to stdout (or to --out) so results pipe
 directly into plotting or diffing tools. Exit codes: 0 on success, 2 on
 a validation error, 3 when a numerical tolerance or cross-check fails,
-4 on an I/O error.
+4 on an I/O error or when memory runs out.
 """
 from __future__ import annotations
 
@@ -198,6 +198,10 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:  # numpy names the allocation; a list may not
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 4
 
 

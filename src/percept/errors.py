@@ -63,9 +63,9 @@ def _check_count(name: str, value, least: float) -> None:
     _real(name, value, least)
 
 
-def _check_size(name: str, value) -> None:
-    """_check_count(name, value, 1) below 2**63: a count that sizes an
-    array must fit np.intp."""
+def _check_size(name: str, value, bits: int = 63) -> None:
+    """_check_count(name, value, 1) below 2**bits: a count that sizes an
+    array must fit np.intp, and so must the array's bytes."""
     _check_count(name, value, 1)
-    if value >= 2**63:
-        raise DomainError(f"{name} must be < 2**63, got {value}")
+    if value >= 2**bits:
+        raise DomainError(f"{name} must be < 2**{bits}, got {value}")

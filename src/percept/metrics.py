@@ -6,6 +6,10 @@ gain law,
 
     PU = integral over g of  v(Omega(g), ref) * ppdf(g) dg.
 
+Omega is a function of the received SNR rho*g: the SNR itself or the rate
+log2(1 + rho*g), each with the closed-form gain at which it meets the
+reference.
+
 Evaluated directly the integrand is nasty: the perceived density carries
 endpoint singularities and the value function has an unbounded derivative at
 the reference crossing. Substituting u = F(g) and then s = gamma*(-log u)**theta
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -124,42 +128,21 @@ class PuResult:
 
 @dataclass(frozen=True)
 class CompositeMetric:
-    """A monotone nondecreasing map from channel gain to a quantity metric.
+    """A link metric of the received SNR, the map g -> of(rho * g).
 
-    ``crossing`` is the gain at which the metric meets its reference point;
-    pass None to have it located by bisection on the exponential law's
-    support [0, inf). math.inf means the reference is never reached
-    (all-loss), 0.0 that it is met on the whole support (all-gain).
+    ``of`` is nondecreasing and elementwise on arrays of SNRs. ``crossing``
+    is the gain at which the metric meets its reference point: math.inf
+    when it never does (all-loss), 0.0 when it is met on the whole support
+    (all-gain). Built by :func:`snr_metric` and :func:`rate_metric`.
     """
 
-    map: Callable
+    of: Callable
+    rho: float
     ref: ReferencePoint
-    crossing: Optional[float] = None
+    crossing: float
 
-    def crossing_point(self) -> float:
-        if self.crossing is not None:
-            return self.crossing
-        x0 = self.ref.x0
-        if self.map(0.0) >= x0:
-            return 0.0
-        # expand until the metric exceeds the reference or clearly never will
-        probe = 1.0
-        for _ in range(80):
-            if self.map(probe) >= x0:
-                return self._bisect(0.0, probe)
-            probe *= 4.0
-        return math.inf
-
-    def _bisect(self, below: float, above: float) -> float:
-        """Bisect down to adjacent floats; map(below) < x0 <= map(above)."""
-        while True:
-            mid = 0.5 * (below + above)
-            if mid <= below or mid >= above:
-                return above
-            if self.map(mid) >= self.ref.x0:
-                above = mid
-            else:
-                below = mid
+    def map(self, g):
+        return self.of(self.rho * g)
 
 
 def _gain_at(s, mu, gamma, theta):
@@ -189,18 +172,10 @@ def _crossing_coordinate(base, wp: WeightParams, g_star: float) -> float:
     return wp.gamma * neg_log_f ** wp.theta
 
 
-def pu_composite(metric: CompositeMetric, pd: PerceptualDistribution,
-                 value_params: ValueParams, tol: float = DEFAULT_TOL,
-                 budget: int = DEFAULT_BUDGET) -> PuResult:
-    """Perceptual utility of ``metric`` under the perceived gain law.
-
-    Returns the integral with an absolute error estimate not exceeding
-    ``tol``; raises ToleranceNotMet, carrying the best value, its error
-    estimate and the evaluation count, when the estimate cannot be
-    certified within ``budget`` integrand evaluations. ``evaluations``
-    counts integrand nodes and never exceeds ``budget``. ``metric.map``
-    is called on arrays of gains. A batch of one for :func:`pu_batch`.
-    """
+def _pu_point(metric: CompositeMetric, pd: PerceptualDistribution,
+              value_params: ValueParams, tol: float,
+              budget: int) -> PuResult:
+    """:func:`pu_batch` of one point; raises the point's PerceptError."""
     (out,) = pu_batch([(metric, pd, value_params)], tol, budget)
     if isinstance(out, PerceptError):
         raise out
@@ -211,13 +186,17 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
              budget: int = DEFAULT_BUDGET) -> list:
     """Perceptual utility of every ``(metric, pd, value_params)`` point.
 
-    Points whose metrics share a function of the received SNR share one
-    interval table, each row recording the point it belongs to, and each
-    pass refines every unfinished point in one array program. Each point
-    meets ``tol`` within its own ``budget`` exactly as it would alone.
-    Returns, in the order of ``points``, a PuResult or the PerceptError
-    that :func:`pu_composite` raises for that point. A tolerance of inf
-    accepts the first pass; a budget below it fails with ToleranceNotMet.
+    Points whose metrics share ``of`` share one interval table, each row
+    recording the point it belongs to, and each pass refines every
+    unfinished point in one array program. Each point meets ``tol``
+    within its own ``budget`` exactly as it would alone. Returns, in the
+    order of ``points``, a PuResult whose ``abs_error`` is at most
+    ``tol`` and whose ``evaluations`` count integrand nodes, never more
+    than ``budget``; or the point's PerceptError, a ToleranceNotMet
+    carrying the best value, its error estimate and the evaluation count
+    when the estimate cannot be certified within ``budget``. A tolerance
+    of inf accepts the first pass; a budget below it fails with
+    ToleranceNotMet.
     """
     try:
         if tol != math.inf:
@@ -227,33 +206,30 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
         return [exc] * len(points)
     out = [None] * len(points)
     families = {}
-    for i, (metric, _, _) in enumerate(points):
-        m = metric.map
-        fn, rho = (m.of, m.rho) if isinstance(m, _OfSnr) else (m, 1.0)
-        families.setdefault(id(fn), (fn, []))[1].append((i, rho))
-    for fn, members in families.values():
+    for i, point in enumerate(points):
+        families.setdefault(point[0].of, []).append((i, *point))
+    for fn, members in families.items():
         # an overflow fails its point (a non-finite metric or error
         # estimate), so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            _integrate(fn, [(i, rho, *points[i]) for i, rho in members],
-                       tol, budget, out)
+            _integrate(fn, members, tol, budget, out)
     return out
 
 
 def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
     """The adaptive G7/K15 rule on one table; fills ``out`` per member.
 
-    Each member is (index into ``out``, rho, metric, pd, value_params), and
-    its metric maps g to fn(rho * g).
+    Each member is (index into ``out``, metric, pd, value_params), and its
+    metric's ``of`` is ``fn``.
     """
     n = len(members)
     par = np.zeros((_NPAR, n))
     evals = np.zeros(n, dtype=np.int64)
     active = np.zeros(n, dtype=bool)
     pieces = []
-    for j, (i, rho, metric, pd, vp) in enumerate(members):
+    for j, (i, metric, pd, vp) in enumerate(members):
         base, wp = pd.base, pd.weights
-        s_star = _crossing_coordinate(base, wp, metric.crossing_point())
+        s_star = _crossing_coordinate(base, wp, metric.crossing)
         # the semi-infinite piece starts at the kink, or at 0 without one
         start = [(0.0, 1.0, 1.0, j)]
         if 0.0 < s_star < math.inf:
@@ -269,7 +245,7 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         active[j] = True
         par[:, j] = (s_star if math.isfinite(s_star) else 0.0, base.mu,
                      wp.gamma, wp.theta, vp.alpha, vp.lambda_gain,
-                     vp.lambda_loss, metric.ref.x0, rho)
+                     vp.lambda_loss, metric.ref.x0, metric.rho)
     if not pieces:
         return
 
@@ -300,8 +276,6 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         s = np.where(on_t, p[_S_INF] + t / (1.0 - t), x)
         jac = np.where(on_t, 1.0 / (1.0 - t) ** 2, 1.0)
         omega = fn(p[_RHO] * _gain_at(s, p[_MU], p[_GAMMA], p[_THETA]))
-        if np.ndim(omega) == 0:  # a map may return one constant
-            omega = np.full(s.shape, omega, dtype=float)
         ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():
             bad = ~ok.all(axis=1)
@@ -395,21 +369,6 @@ def rate_gain(rate: float, rho: float) -> float:
         return float(np.exp(rate * math.log(2.0) - math.log(rho)))
 
 
-@dataclass(frozen=True)
-class _OfSnr:
-    """The map g -> of(rho * g) of a metric of the received SNR rho*g.
-
-    pu_batch integrates all points that share ``of`` in one table, with
-    ``rho`` gathered per interval.
-    """
-
-    of: Callable
-    rho: float
-
-    def __call__(self, g):
-        return self.of(self.rho * g)
-
-
 def _snr(x):
     return x
 
@@ -423,7 +382,7 @@ def snr_metric(link: LinkBudget, ref) -> CompositeMetric:
     rho = link.pt_over_n0
     ref = as_reference(ref)
     crossing = math.inf if rho == 0.0 else ref.x0 / rho
-    return CompositeMetric(map=_OfSnr(_snr, rho), ref=ref, crossing=crossing)
+    return CompositeMetric(_snr, rho, ref, crossing)
 
 
 def rate_metric(link: LinkBudget, ref) -> CompositeMetric:
@@ -434,8 +393,7 @@ def rate_metric(link: LinkBudget, ref) -> CompositeMetric:
     rho = link.pt_over_n0
     ref = as_reference(ref)
     crossing = math.inf if rho == 0.0 else rate_gain(ref.x0, rho)
-    return CompositeMetric(map=_OfSnr(_rate, rho), ref=ref,
-                           crossing=crossing)
+    return CompositeMetric(_rate, rho, ref, crossing)
 
 
 def pu_snr(link: LinkBudget, ref, value_params: ValueParams,
@@ -443,7 +401,7 @@ def pu_snr(link: LinkBudget, ref, value_params: ValueParams,
            budget: int = DEFAULT_BUDGET) -> PuResult:
     """Average perceived value of the instantaneous SNR."""
     pd = PerceptualDistribution(link.channel, weight_params)
-    return pu_composite(snr_metric(link, ref), pd, value_params, tol, budget)
+    return _pu_point(snr_metric(link, ref), pd, value_params, tol, budget)
 
 
 def pu_rate(link: LinkBudget, ref, value_params: ValueParams,
@@ -451,7 +409,7 @@ def pu_rate(link: LinkBudget, ref, value_params: ValueParams,
             budget: int = DEFAULT_BUDGET) -> PuResult:
     """Average perceived value of the instantaneous transmission rate."""
     pd = PerceptualDistribution(link.channel, weight_params)
-    return pu_composite(rate_metric(link, ref), pd, value_params, tol, budget)
+    return _pu_point(rate_metric(link, ref), pd, value_params, tol, budget)
 
 
 def outage_probability(link: LinkBudget, spec: OutageSpec) -> float:

@@ -154,7 +154,6 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
                 # consecutive draws read the same stream as one draw of m
                 u = rng.random(min(_SLICE, m - lo))
                 np.fmax(u, _U_FLOOR, out=u)
-                # a map that returns one constant broadcasts over its slice
                 vals[lo:lo + _SLICE] = metric.map(pd.perceptual_sample(u))
             _check_quantity(vals)
             with np.errstate(over="ignore"):
@@ -186,9 +185,11 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
     """Weighted empirical outage probability from plain channel draws.
 
     The standard error of the empirical probability is propagated through
-    the weighting function by the delta method; at an empirical probability
-    of exactly 0 or 1 the derivative diverges and the error is reported as 0
-    (the estimate itself is pinned to the boundary).
+    the weighting function by the delta method. At an empirical probability
+    of exactly 0 or 1, where that bar would be 0, the estimate is pinned to
+    the boundary and the bar is the distance to the weighted z = 1 Wilson
+    bound: w(1/(n+1)) at 0 and 1 - w(n/(n+1)) at 1. At zero power the
+    outage is certain and the bar is 0.
     """
     rho = link.pt_over_n0
     if rho == 0.0:
@@ -211,5 +212,6 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
         se_p = math.sqrt(p_hat * (1.0 - p_hat) / n)
         std_error = float(weight_derivative(p_hat, weight_params)) * se_p
     else:
-        std_error = 0.0
+        bound = 1.0 / (n + 1) if p_hat == 0.0 else n / (n + 1)
+        std_error = abs(float(weight(bound, weight_params)) - mean)
     return McEstimate(mean=mean, std_error=std_error, samples=n)

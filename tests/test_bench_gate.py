@@ -1,0 +1,106 @@
+"""What the benchmark under bench/ relies on, checked in tier-1.
+
+The mpmath catalogue (bench/catalogue.json, 30-digit references) is run
+whole and judged by the bench's own rules: every quadrature point lies
+within its reported abs_error of its reference, every CLI entry exits 0
+with values within the bench's bounds, and so does every preset. The
+bench's tracer rebinds names of the package at run time; its targets must
+still exist, and uninstalling it must leave every binding as it was.
+"""
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    """bench/<name>.py by path, under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+workloads = _load("workloads")
+CAT = json.loads((BENCH / "catalogue.json").read_text(encoding="utf-8"))
+
+
+def _failures(ops):
+    """(label, detail) of each op the bench's runner does not pass."""
+    run = workloads.Runner(str(BENCH.parent), cli_in_process=True)
+    out = []
+    for label, op in ops:
+        outcome = run(op)
+        if not outcome.ok:
+            out.append((label, outcome.detail))
+    return out
+
+
+def test_every_quad_catalogue_point_is_within_its_abs_error():
+    ops = [(f"quad[{i}]", workloads.Op("scenario", {"doc": e["doc"]},
+                                       tuple(e["refs"])))
+           for i, e in enumerate(CAT["quad"])]
+    assert len(ops) == 320
+    assert sum(len(op.refs) for _, op in ops) == 1280
+    assert _failures(ops) == []
+
+
+def test_every_cli_catalogue_entry_passes_the_bench_checks():
+    ops = [(" ".join(e["argv"]), workloads.Op("cli", {"argv": e["argv"]},
+                                              tuple(e["refs"])))
+           for e in CAT["cli"]]
+    assert len(ops) == 168
+    assert _failures(ops) == []
+
+
+def test_every_catalogue_preset_passes_the_bench_checks():
+    # the bench runs fig5/fig6 in-process and the others through the CLI
+    ops = [(name, workloads.Op("cli", {"argv": ["sweep", name]}, tuple(refs))
+            if name in workloads.CLI_PRESETS
+            else workloads.Op("preset", {"preset": name}, tuple(refs)))
+           for name, refs in CAT["presets"].items()]
+    assert sorted(name for name, _ in ops) == ["fig2", "fig3", "fig5",
+                                               "fig6", "fig7", "fig8"]
+    assert _failures(ops) == []
+
+
+def _site(mod, attr):
+    """(owner key, name) of a tracer target, a function or a method."""
+    cls, _, name = attr.rpartition(".")
+    return (f"{mod}.{cls}" if cls else mod), name
+
+
+def _bindings(tracing):
+    """{(owner key, attr): object} over every percept module and every
+    class whose methods the tracer rebinds."""
+    owners = {name: mod for name, mod in sys.modules.items()
+              if name == "percept" or name.startswith("percept.")}
+    for mod, attr, _ in tracing.LEAVES.values():
+        cls = attr.rpartition(".")[0]
+        if cls:
+            owners[f"{mod}.{cls}"] = getattr(sys.modules[mod], cls)
+    return {(key, attr): obj for key, owner in owners.items()
+            for attr, obj in vars(owner).items()}
+
+
+def test_tracer_targets_resolve_and_uninstall_restores_every_binding():
+    tracing = _load("tracing")
+    before = _bindings(tracing)
+    targets = [site for sites in tracing.SPANS.values() for site in sites]
+    targets += [(mod, attr) for mod, attr, _ in tracing.LEAVES.values()]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = _bindings(tracing)
+        for mod, attr in targets:
+            site = _site(mod, attr)
+            assert during[site] is not before[site], (mod, attr)
+    finally:
+        tracer.uninstall()
+    after = _bindings(tracing)
+    assert after.keys() == before.keys()
+    assert [k for k, obj in before.items() if after[k] is not obj] == []

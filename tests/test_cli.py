@@ -221,6 +221,9 @@ def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
                  id="simulate-samples-1e30"),
     pytest.param(["simulate-channel", "--k-paths", str(10**30)],
                  id="simulate-k-paths-1e30"),
+    # below 2**63, but its 16-byte complex draws are not
+    pytest.param(["simulate-channel", "--samples", str(4 * 10**18)],
+                 id="simulate-samples-4e18"),
     pytest.param({"metric": "weight_curve", "mc": {"samples": 10},
                   "axis": {"name": "p", "grid": [0.5]}},
                  id="mc-on-curve-metric"),
@@ -374,6 +377,21 @@ def test_unwritable_out_exits_4(capsys):
                                 "/no/such/dir/out.csv"])
     assert code == 4
     assert "error" in err
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 1.39 EiB",
+     "error: out of memory: Unable to allocate 1.39 EiB\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_exhaustion_exits_4(monkeypatch, capsys, message, line):
+    # a count that passes every check may still not fit in memory
+    def exhaust(config, n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(percept.cli, "gain_samples", exhaust)
+    got = run(capsys, ["simulate-channel", "--samples", str(10**17)])
+    assert got == (4, "", line)
 
 
 def test_no_arguments_is_a_usage_error():

@@ -8,11 +8,11 @@ import scipy.integrate
 import scipy.special
 from scipy.integrate import quad
 
-from percept import (CompositeMetric, DomainError, ExponentialGain,
-                     LinkBudget, McConfig, OutageSpec, PerceptualDistribution,
-                     ToleranceNotMet, ValueParams, WeightParams, as_reference,
-                     mc_pop, outage_probability, pop, pu_composite, pu_rate,
-                     pu_snr, rate_metric, snr_metric, value, weight)
+from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
+                     OutageSpec, PerceptualDistribution, ToleranceNotMet,
+                     ValueParams, WeightParams, mc_pop, outage_probability,
+                     pop, pu_rate, pu_snr, rate_metric, snr_metric, value,
+                     weight)
 from percept.metrics import DEFAULT_BUDGET, _gain_at, pu_batch, rate_gain
 from percept.sweep import preset_scenario, run_scenario
 
@@ -57,19 +57,6 @@ def test_metric_crossings_are_analytic():
     assert snr_metric(link(10.0), 4.0).crossing == pytest.approx(0.4)
     assert rate_metric(link(10.0), 4.0).crossing == pytest.approx(1.5)
     assert math.isinf(snr_metric(link(0.0), 4.0).crossing)
-
-
-def test_crossing_point_bisection_matches_analytic():
-    m = CompositeMetric(map=lambda g: 10.0 * g, ref=as_reference(4.0),
-                        crossing=None)
-    found = m.crossing_point()
-    assert found == pytest.approx(0.4, rel=1e-12)
-
-
-def test_crossing_point_never_reached_is_infinite():
-    m = CompositeMetric(map=lambda g: 1.0, ref=as_reference(4.0),
-                        crossing=None)
-    assert math.isinf(m.crossing_point())
 
 
 def test_pu_rejects_nonpositive_tolerance():
@@ -167,20 +154,22 @@ def test_budget_below_one_pass_evaluates_nothing():
 
 
 def test_generic_composite_constant_metric():
-    # constant metric below the reference: the value function is constant
-    m = CompositeMetric(map=lambda g: np.zeros_like(np.asarray(g)) + 1.0,
-                        ref=as_reference(4.0), crossing=math.inf)
-    pd = PerceptualDistribution(ExponentialGain(1.0), WP)
-    res = pu_composite(m, pd, VP)
-    assert res.value == pytest.approx(value(1.0, 4.0, VP), abs=1e-8)
+    # at zero power both metrics are 0, below the reference everywhere:
+    # the value function is constant, value(0, 4) = -4
+    assert value(0.0, 4.0, VP) == -4.0
+    for pu in (pu_snr, pu_rate):
+        res = pu(link(0.0), 4.0, VP, WP)
+        assert res.value == pytest.approx(-4.0, abs=1e-8)
 
 
 def test_generic_composite_map_may_return_one_constant():
-    m = CompositeMetric(map=lambda g: 1.0, ref=as_reference(4.0),
-                        crossing=math.inf)
+    # a reference of 0 at zero power: the metric, 0 for every gain, meets
+    # its reference everywhere and every node values 0
+    m = snr_metric(link(0.0), 0.0)
+    assert m.map(np.array([0.0, 1.0, 1e300])).tolist() == [0.0, 0.0, 0.0]
     pd = PerceptualDistribution(ExponentialGain(1.0), WP)
-    res = pu_composite(m, pd, VP)
-    assert res.value == pytest.approx(value(1.0, 4.0, VP), abs=1e-8)
+    (res,) = pu_batch([(m, pd, VP)])
+    assert (res.value, res.abs_error) == (0.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error")

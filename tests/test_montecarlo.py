@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from percept import (CompositeMetric, DomainError, ExponentialGain,
-                     LinkBudget, McConfig, McEstimate, MultipathConfig,
-                     OutageSpec, PerceptualDistribution, ValueParams,
-                     WeightParams, as_reference, gain_samples, mc_pop, mc_pu,
-                     outage_probability, pu_snr, snr_metric, value, weight)
+from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
+                     McEstimate, MultipathConfig, OutageSpec,
+                     PerceptualDistribution, ValueParams, WeightParams,
+                     gain_samples, mc_pop, mc_pu, outage_probability, pu_snr,
+                     snr_metric, value, weight)
 from percept import montecarlo
 from percept.montecarlo import (_BATCH, _U_FLOOR, RNG_ALGORITHM,
                                 _map_substreams)
@@ -85,20 +85,20 @@ def test_estimate_carries_generator_name():
 # --- statistical correctness -------------------------------------------------
 
 def test_constant_metric_has_zero_error():
-    m = CompositeMetric(map=lambda g: np.ones_like(np.asarray(g, float)),
-                        ref=as_reference(4.0), crossing=math.inf)
-    est = mc_pu(m, make_pd(), VP, McConfig(samples=1000))
-    assert est.mean == pytest.approx(value(1.0, 4.0, VP), abs=1e-15)
+    # at zero power the SNR is 0, below the reference for every draw
+    est = mc_pu(snr_metric(link(0.0), 4.0), make_pd(), VP,
+                McConfig(samples=1000))
+    assert est.mean == pytest.approx(value(0.0, 4.0, VP), abs=1e-15)
     assert est.std_error <= 1e-15  # roundoff of the mean reduction only
 
 
 @pytest.mark.parametrize("n", [1000, _BATCH + 5])
 def test_map_returning_one_constant_is_broadcast(n):
-    # the quadrature accepts a map that returns one number for any input
-    m = CompositeMetric(map=lambda g: 8.0, ref=as_reference(4.0),
-                        crossing=0.0)
-    est = mc_pu(m, make_pd(), VP, McConfig(samples=n))
-    assert est.mean == value(8.0, 4.0, VP) == 2.0
+    # a reference of 0 at zero power values every draw 0; past one batch
+    # the merge of zero-variance batches must stay exact
+    est = mc_pu(snr_metric(link(0.0), 0.0), make_pd(), VP,
+                McConfig(samples=n))
+    assert est.mean == value(0.0, 0.0, VP) == 0.0
     assert est.std_error == 0.0
     assert est.samples == n
 
@@ -323,11 +323,20 @@ def test_mc_pop_weighted_recovers_closed_form():
 
 def test_mc_pop_no_observed_outages_pins_to_zero():
     # with mu = 1e308 most gains mu * g overflow to inf: no outage, no warning
+    wp = WeightParams(1.0, 0.5)
     for lk in (link(1e9), link(1.0, mu=1e308)):
-        est = mc_pop(lk, OutageSpec(1.0), WeightParams(1.0, 0.5),
-                     McConfig(samples=10_000, seed=0))
+        est = mc_pop(lk, OutageSpec(1.0), wp, McConfig(samples=10_000, seed=0))
         assert est.mean == 0.0
-        assert est.std_error == 0.0
+        # the z = 1 Wilson bound 1/(n+1) on the weighted scale
+        assert est.std_error == weight(1.0 / 10_001, wp) > 0.0
+
+
+def test_mc_pop_all_outages_bar_reaches_the_wilson_bound():
+    wp = WeightParams(1.0, 0.65)
+    est = mc_pop(link(1.0), OutageSpec(1.0), wp, McConfig(samples=2, seed=0))
+    assert est.mean == 1.0
+    assert est.std_error == 1.0 - weight(2.0 / 3.0, wp)
+    assert est.std_error == pytest.approx(0.4266, abs=1e-4)
 
 
 def test_mc_pop_zero_power_is_certain_outage():

@@ -249,6 +249,25 @@ def test_pop_mc_rows_estimate_the_closed_form():
         assert abs(r.value - e.value) <= 5.0 * r.err
 
 
+@pytest.mark.parametrize("mu, samples, bar", [
+    (1.0, 2, 0.34540478614),
+    (1e308, 100, 0.0670572012211),
+], ids=["two-samples", "huge-mu"])
+def test_pop_mc_bar_stays_positive_with_no_observed_outage(mu, samples, bar):
+    # p-hat = 0 at both points: the bar is the weighted z = 1 Wilson bound
+    # w(1/(n+1)), not the 0 of the delta method
+    d = {"schema": SCHEMA, "metric": "pop",
+         "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0]},
+         "weight_params": {"gamma": 1.0, "theta": 0.65}, "epsilon": 1.0,
+         "mu": mu}
+    exact = run_scenario(scenario_from_dict(d))
+    rows = run_scenario(scenario_from_dict(dict(d, mc={"samples": samples})))
+    for r, e in zip(rows, exact):
+        assert r.value == 0.0
+        assert r.err == pytest.approx(bar, rel=1e-10)
+        assert abs(r.value - e.value) <= 3.0 * r.err
+
+
 def test_parameter_axis_substitutes_per_point():
     s = scenario_from_dict(doc(axis={"name": "alpha", "grid": [0.3, 0.5, 0.8]},
                                pt_over_n0=10.0))

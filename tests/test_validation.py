@@ -122,6 +122,11 @@ def test_size_must_fit_an_array_index():
         _check_size("n", 0)
     with pytest.raises(DomainError, match=f"^n {PAST_FLOAT}$"):
         _check_size("n", 10**400)
+    # a count of 16-byte complex draws stops where their bytes reach 2**63
+    _check_size("n", 2**59 - 1, 59)
+    with pytest.raises(DomainError, match=re.escape(
+            f"sample count must be < 2**59, got {2**59}")):
+        draw_channel(MultipathConfig(4), 2**59)
     # each count that sizes an array, at a value that used to crash
     for call, name in [(lambda: McConfig(10**30), "samples"),
                        (lambda: MultipathConfig(10**30), "k_paths"),
