@@ -18,29 +18,29 @@ turns the integral into
     PU = integral over s in (0, inf) of  h(s) * exp(-s) ds,
     h(s) = v(Omega(Finv(winv(exp(-s)))), ref),
 
-with Finv the exponential quantile -mu * log(1 - u). That is a smooth
-exponentially weighted integrand with a single kink at the image s* of the
-reference crossing. The two pieces [0, s*] and [s*, inf), the second
-mapped onto t in [0, 1) by s = s* + t/(1-t), are integrated by an adaptive
-7-point Gauss / 15-point Kronrod rule (the qk15 nodes of QUADPACK,
-Piessens et al. 1983). The intervals of both pieces of every grid point
-of a sweep share one table; each row records the point it belongs to, and
-the point's parameters (s*, mu, gamma, theta, alpha, the lambdas, x0,
-rho) are gathered per row. Each pass bisects, for every unfinished point,
-its intervals with the largest error estimates, and evaluates the 15
-nodes of every new interval of every point in one numpy call, so a sweep
-takes about as many passes as its slowest point. An interval reports its
-K15 value with the error estimate |K15 - G7|, which is pessimistic for
-the K15 value, floored at 50 machine epsilons of the integral of |f| over
-the interval for roundoff.
+with Finv the exponential quantile -mu * log(1 - u): an exponentially
+weighted integrand with a kink at the image s* of the reference crossing,
+and two endpoint singularities, log(1/s)**alpha at s = 0 (overweighted rare
+events) and |s - s*|**alpha at the kink. Double-exponential rules absorb
+both by construction (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005):
+tanh-sinh on [0, s*], s = s*/(1 + exp(-2y)), and exp-sinh on [s*, inf),
+s = s* + exp(y), or on [0, inf) alone without a kink; y = (pi/2) sinh(tau).
+
+Every piece samples tau on one fixed window, at step h0 on level 0; each
+later level halves the step and adds only the odd nodes, for the pieces of
+every unfinished point of a sweep together. A piece's estimate is the sum
+I_L = h * sum(w * f), and its error |I_L - I_{L-1}| (on level 0, against
+the sum over every other node) plus a roundoff floor of 50 machine epsilons
+of h * sum(|w * f|). As halving the step roughly squares the rule's error,
+the level difference is pessimistic for I_L. A node one step h0 beyond
+either end of the window weighs less than the floor (tests/test_metrics.py).
 
 The stopping rule is per point, so each point gets the value and the
-evaluation count it would get alone: it splits as many intervals as it
-takes to leave at most tol/2, and stops when that is met, when its floors
-alone exceed tol/2 and tol is met, when none of its intervals can shrink,
-or when its next pass would overrun its budget. A tolerance below the
-summed floors cannot be certified; the intervals not yet at their floor
-are still refined, and ToleranceNotMet carries the refined value.
+evaluation count it would get alone: it stops when its error meets tol,
+when its level difference is down to its floor, when its next level would
+overrun its budget, or at the last level, of step h0/4096. A tolerance
+below the floor cannot be certified; ToleranceNotMet then carries the
+refined value.
 
 Rate thresholds (2**r - 1) / rho are formed in log space past the float
 range of 2**r, where they overflow to inf (an unreachable rate).
@@ -64,35 +64,17 @@ from .prospect import (ReferencePoint, ValueParams, WeightParams,
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
 
-# QUADPACK qk15: the Kronrod abscissae in [0, 1) with their weights, and
-# the Gauss weights of the 7-point rule, whose abscissae are the Kronrod
-# ones with an odd index. Mirrored below into all 15 nodes on (-1, 1).
-_XGK = [0.991455371120812639207, 0.949107912342758524526,
-        0.864864423359769072790, 0.741531185599394439864,
-        0.586087235467691130294, 0.405845151377397166907,
-        0.207784955007898467601, 0.0]
-_WGK = [0.022935322010529224964, 0.063092092629978553291,
-        0.104790010322250183840, 0.140653259715525918745,
-        0.169004726639267902827, 0.190350578064785409913,
-        0.204432940075298892414, 0.209482141084727828013]
-_WGAUSS = [0.129484966168869693271, 0.279705391489276667901,
-           0.381830050505118944950, 0.417959183673469387755]
-_XK = np.array([-x for x in _XGK] + _XGK[-2::-1])
-_WK = np.array(_WGK + _WGK[-2::-1])
-_WG = np.zeros_like(_XK)
-_WG[1::2] = _WGAUSS + _WGAUSS[-2::-1]
-_NODES = _XK.size
+# the double-exponential rule samples tau in [_TAU_LO, _TAU_LO + _STEPS*_H0]
+# at step _H0 / 2**L on level L = 0 ... _LAST_LEVEL
+_TAU_LO, _H0, _STEPS, _LAST_LEVEL = -4.5, 0.5, 17, 12
+_SLICE = 1 << 15  # nodes per array program, about; bounds the working set
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # below this z, log(1 - exp(-z)) = log z - z/2 to within z**2/24
 _SMALL_Z = 1e-8
-# rows of the interval table: the interval, its K15 value, error estimate
-# and roundoff floor, the table member it belongs to, and 1.0 if it may
-# still be split
-_LO, _HI, _MAPPED, _VAL, _ERR, _FLOOR, _OWNER, _SPLIT = range(8)
-# per-member parameters, gathered per interval row
-_S_INF, _MU, _GAMMA, _THETA, _ALPHA, _GAIN, _LOSS, _X0, _RHO = range(9)
+# per-member parameters, gathered per piece: the kink s* (0 without one),
+# the law, the weighting, the value function, the reference and the power
+_KINK, _MU, _GAMMA, _THETA, _ALPHA, _GAIN, _LOSS, _X0, _RHO = range(9)
 _NPAR = 9
 
 
@@ -160,16 +142,40 @@ def _gain_at(s, mu, gamma, theta):
     return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
 
 
-def _crossing_coordinate(base, wp: WeightParams, g_star: float) -> float:
-    """Image s* of the reference crossing g* under the substitution."""
-    if g_star <= 0.0:
-        return math.inf  # gain everywhere
-    if math.isinf(g_star):
-        return 0.0  # loss everywhere
-    neg_log_f = -base.log_cdf(g_star)
-    if not np.isfinite(neg_log_f):  # F(g*) underflowed to 0
-        return math.inf
-    return wp.gamma * neg_log_f ** wp.theta
+def _column(metric: CompositeMetric, pd: PerceptualDistribution,
+            value_params: ValueParams):
+    """Whether a point has a kink, and its parameters (_KINK ... _RHO).
+
+    The kink s* is the image of the reference crossing g*. A point without
+    one, all gain or all loss, is a single piece from s = 0.
+    """
+    base, wp, vp = pd.base, pd.weights, value_params
+    s_star = 0.0
+    if 0.0 < metric.crossing < math.inf:  # inf if F(g*) underflows to 0
+        s_star = wp.gamma * (-base.log_cdf(metric.crossing)) ** wp.theta
+    kinked = 0.0 < s_star < math.inf
+    return kinked, (s_star if kinked else 0.0, base.mu, wp.gamma, wp.theta,
+                    vp.alpha, vp.lambda_gain, vp.lambda_loss, metric.ref.x0,
+                    metric.rho)
+
+
+def _terms(fn, p, finite, tau):
+    """The metric omega and the weight w at nodes ``tau`` of some pieces.
+
+    Piece r has parameters ``p[:, r]``. With y = (pi/2) sinh(tau), it is
+    [0, s*] under s = s*/(1 + exp(-2y)) if ``finite[r]``, and [s0, inf)
+    under s = s0 + exp(y) if not, s* = s0 = p[_KINK]. w = ds/dtau * exp(-s)
+    is 0 at a node that rounds onto s = 0; where it is 0, so is omega.
+    """
+    y = 0.5 * np.pi * np.sinh(tau)
+    dy = 0.5 * np.pi * np.cosh(tau)
+    ey = np.exp(y)
+    kink = p[_KINK]
+    s = np.where(finite, kink / (1.0 + np.exp(-2.0 * y)), kink + ey)
+    ds = np.where(finite, kink * dy / (2.0 * np.cosh(y) ** 2), dy * ey)
+    w = np.where(s > 0.0, ds * np.exp(-s), 0.0)
+    g = _gain_at(s, p[_MU], p[_GAMMA], p[_THETA])
+    return np.where(w > 0.0, fn(p[_RHO] * g), 0.0), w
 
 
 def _pu_point(metric: CompositeMetric, pd: PerceptualDistribution,
@@ -186,16 +192,16 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
              budget: int = DEFAULT_BUDGET) -> list:
     """Perceptual utility of every ``(metric, pd, value_params)`` point.
 
-    Points whose metrics share ``of`` share one interval table, each row
-    recording the point it belongs to, and each pass refines every
-    unfinished point in one array program. Each point meets ``tol``
-    within its own ``budget`` exactly as it would alone. Returns, in the
-    order of ``points``, a PuResult whose ``abs_error`` is at most
+    Points whose metrics share ``of`` are integrated together: each level
+    of the double-exponential rule evaluates the new nodes of the pieces
+    of every unfinished point in the same array programs. Each point meets
+    ``tol`` within its own ``budget`` exactly as it would alone. Returns,
+    in the order of ``points``, a PuResult whose ``abs_error`` is at most
     ``tol`` and whose ``evaluations`` count integrand nodes, never more
     than ``budget``; or the point's PerceptError, a ToleranceNotMet
     carrying the best value, its error estimate and the evaluation count
     when the estimate cannot be certified within ``budget``. A tolerance
-    of inf accepts the first pass; a budget below it fails with
+    of inf accepts the first level; a budget below it fails with
     ToleranceNotMet.
     """
     try:
@@ -217,140 +223,93 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
 
 
 def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
-    """The adaptive G7/K15 rule on one table; fills ``out`` per member.
+    """The double-exponential rule on one family; fills ``out`` per member.
 
     Each member is (index into ``out``, metric, pd, value_params), and its
     metric's ``of`` is ``fn``.
     """
     n = len(members)
     par = np.zeros((_NPAR, n))
-    evals = np.zeros(n, dtype=np.int64)
+    kinked = np.zeros(n, dtype=bool)
     active = np.zeros(n, dtype=bool)
-    pieces = []
-    for j, (i, metric, pd, vp) in enumerate(members):
-        base, wp = pd.base, pd.weights
-        s_star = _crossing_coordinate(base, wp, metric.crossing)
-        # the semi-infinite piece starts at the kink, or at 0 without one
-        start = [(0.0, 1.0, 1.0, j)]
-        if 0.0 < s_star < math.inf:
-            start.insert(0, (0.0, s_star, 0.0, j))
-        first = _NODES * len(start)
+    for j, (i, *point) in enumerate(members):
+        kinked[j], par[:, j] = _column(*point)
+        first = (_STEPS + 1) * (2 if kinked[j] else 1)
         if first > budget:
             out[i] = ToleranceNotMet(
                 f"budget {budget} is below the {first} evaluations of one "
                 "pass", value=math.nan, abs_error=math.inf, evaluations=0)
-            continue
-        evals[j] = first
-        pieces += start
-        active[j] = True
-        par[:, j] = (s_star if math.isfinite(s_star) else 0.0, base.mu,
-                     wp.gamma, wp.theta, vp.alpha, vp.lambda_gain,
-                     vp.lambda_loss, metric.ref.x0, metric.rho)
-    if not pieces:
-        return
+        else:
+            active[j] = True
+    # the pieces: [0, s*] of each kinked member, then the semi-infinite
+    # piece of each member; a member alone keeps this order
+    owner = np.concatenate([np.flatnonzero(active & kinked),
+                            np.flatnonzero(active)])
+    finite = (np.arange(owner.size) < np.count_nonzero(active & kinked))
+    pieces = np.bincount(owner, minlength=n)
+    est, mass, diff = np.zeros((3, owner.size))
+    evals = np.zeros(n, dtype=np.int64)
 
-    def fail(owner, bad, check, x):
+    def fail(rows, bad, check, x):
         """Fail each member owning a ``bad`` row with ``check``'s error."""
-        for j in np.unique(owner[bad]).astype(np.intp):
+        for j in np.unique(owner[rows[bad]]):
             try:
-                check(x[owner == j])
+                check(x[owner[rows] == j])
             except DomainError as exc:
                 out[members[j][0]] = exc
                 active[j] = False
 
-    def rule(lo, hi, mapped, owner):
-        """Table rows of the given intervals (see _LO ... _SPLIT).
-
-        ``mapped`` is 1.0 for intervals of the semi-infinite piece, whose
-        coordinate is t, and 0.0 for intervals of [0, s*] in s itself. A
-        member whose metric leaves the value function's domain fails, and
-        so does one whose value or integral overflows.
-        """
-        p = par[:, owner.astype(np.intp), None]
-        half = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
-        on_t = mapped[:, None] > 0.0
-        # a node rounding to t = 1 sits at s = inf, where the integrand is 0
-        inside = ~on_t | (x < 1.0)
-        t = np.where(on_t & inside, x, 0.0)
-        s = np.where(on_t, p[_S_INF] + t / (1.0 - t), x)
-        jac = np.where(on_t, 1.0 / (1.0 - t) ** 2, 1.0)
-        omega = fn(p[_RHO] * _gain_at(s, p[_MU], p[_GAMMA], p[_THETA]))
+    def refine(rows, tau, level):
+        """Add the nodes ``tau`` of ``level`` to the pieces ``rows``."""
+        p = par[:, owner[rows], None]
+        omega, w = _terms(fn, p, finite[rows, None], tau)
         ok = (omega >= 0.0) & (omega < np.inf)
-        if not ok.all():
+        if not ok.all():  # the metric left the value function's domain
             bad = ~ok.all(axis=1)
-            fail(owner, bad, _check_quantity, omega)
-            # rows of failed members take no part in the arithmetic below
-            omega[bad] = 0.0
-        v = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS])
-        f = np.where(inside, v * np.exp(-s) * jac, 0.0)
-        kron = half * (f @ _WK)
-        floor = 50.0 * _EPS * half * (np.abs(f) @ _WK)
-        err = np.maximum(np.abs(kron - half * (f @ _WG)), floor)
-        if not np.isfinite(err).all():  # the value or its integral overflowed
-            fail(owner, ~np.isfinite(err), _check_value, err)
-        # splitting cannot shrink an error at its roundoff floor, nor an
-        # interval as narrow as the float spacing
-        split = (err > floor) & (hi - lo > 8.0 * _EPS * hi + _TINY)
-        return np.stack([lo, hi, mapped, kron, err, floor, owner, split])
+            fail(rows, bad, _check_quantity, omega)
+            omega[bad] = 0.0  # failed rows take no part below
+        wf = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS]) * w
+        h = _H0 / 2 ** level
+        # level 0 is compared with its own sum at step 2*h0
+        prev = 2.0 * h * wf[:, ::2].sum(axis=1) if level == 0 else est[rows]
+        keep = 0.0 if level == 0 else 0.5
+        est[rows] = keep * est[rows] + h * wf.sum(axis=1)
+        mass[rows] = keep * mass[rows] + h * np.abs(wf).sum(axis=1)
+        diff[rows] = np.abs(est[rows] - prev)
+        if not np.isfinite(mass[rows]).all():  # the value overflowed
+            fail(rows, ~np.isfinite(mass[rows]), _check_value, mass[rows])
 
-    iv = rule(*np.array(pieces).T)
-    target = 0.5 * tol
-    while True:
-        err, floor, owner = iv[_ERR], iv[_FLOOR], iv[_OWNER]
-        own = owner.astype(np.intp)
-        err_sum = np.bincount(own, err, n)
-        floor_sum = np.bincount(own, floor, n)
-        # a member stops when its target is met, when roundoff alone
-        # exceeds it and the tolerance is met, when none of its intervals
-        # can be split, or when its next pass would overrun the budget
-        active &= (target < err_sum) & ((floor_sum <= target)
-                                        | (tol < err_sum))
-        cand = np.flatnonzero(active[own] & (iv[_SPLIT] > 0.0))
-        # per member, largest errors first, as many as it takes to leave
-        # <= target, or <= the summed floors once those exceed it
-        cand = cand[np.lexsort((-err[cand], own[cand]))]
-        who = own[cand]
-        count = np.bincount(who, minlength=n)
-        rank = np.arange(cand.size) - (np.cumsum(count) - count)[who]
-        by_member = np.zeros((n, count.max(initial=0)))
-        by_member[who, rank] = err[cand]
-        left = err_sum[who] - np.cumsum(by_member, axis=1)[who, rank]
-        goal = np.maximum(target, floor_sum)[who]
-        need = np.bincount(who, left > goal, n).astype(np.int64) + 1
-        k = np.minimum(np.minimum(need, count),
-                       (min(budget, _INT64_MAX) - evals) // (2 * _NODES))
-        active &= k > 0
+    for level in range(_LAST_LEVEL + 1):
         if not active.any():
             break
-        pick = cand[rank < k[who]]
-        evals += 2 * _NODES * k
-        # the survivors keep their order, then all left halves, then all
-        # right halves: each member's rows stay in the order they have when
-        # it runs alone, which fixes its sums and its ties
-        halves = iv[:_OWNER + 1, np.concatenate([pick, pick])]
-        mid = 0.5 * (halves[_LO, :pick.size] + halves[_HI, :pick.size])
-        halves[_HI, :pick.size] = mid
-        halves[_LO, pick.size:] = mid
-        keep = np.ones(iv.shape[1], dtype=bool)
-        keep[pick] = False
-        iv = np.concatenate([iv[:, keep], rule(halves[_LO], halves[_HI],
-                                               halves[_MAPPED],
-                                               halves[_OWNER])], axis=1)
-    own = iv[_OWNER].astype(np.intp)
-    totals = np.bincount(own, iv[_VAL], n)
-    errors = np.bincount(own, iv[_ERR], n)
-    floors = np.bincount(own, iv[_FLOOR], n)
+        # the whole window on level 0, then the odd multiples of h
+        k = np.arange(1, _STEPS << level, 2) if level else np.arange(_STEPS + 1)
+        tau = _TAU_LO + _H0 / 2 ** level * k
+        live = np.flatnonzero(active[owner])
+        # a bounded slice of the pieces at a time keeps the working set
+        # small; each row's sums do not depend on the others
+        for rows in np.array_split(live, min(live.size, 1 + live.size
+                                             * tau.size // _SLICE)):
+            refine(rows, tau, level)
+        evals += np.where(active, pieces * tau.size, 0)
+        # a member stops when its tolerance is met, when its level
+        # difference is down to the roundoff floor, or when its next
+        # level would overrun the budget
+        d, floor = (np.bincount(owner, x, n) for x in (diff, 50 * _EPS * mass))
+        active &= ((tol < d + floor) & (floor < d)
+                   & (evals + pieces * (_STEPS << level)
+                      <= min(budget, _INT64_MAX)))
+    totals = np.bincount(owner, est, n)
     for j, (i, *_) in enumerate(members):
         if out[i] is not None:
             continue
-        total, total_err = float(totals[j]), float(errors[j])
+        total, total_err = float(totals[j]), float(d[j] + floor[j])
         if total_err <= tol:
             out[i] = PuResult(value=total, abs_error=total_err,
                               evaluations=int(evals[j]))
             continue
-        why = (f"is below the roundoff floor {floors[j]:g}"
-               if floors[j] > tol else "not certified")
+        why = (f"is below the roundoff floor {floor[j]:g}"
+               if floor[j] > tol else "not certified")
         out[i] = ToleranceNotMet(
             f"requested abs tolerance {tol:g} {why}: error estimate "
             f"{total_err:g} after {evals[j]} evaluations (budget {budget})",

@@ -121,15 +121,18 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 def _number(x, key: str, cast=float):
     """A JSON number coerced by ``cast``; a DomainError naming ``key``.
 
-    Strings, null, lists and objects are rejected, and so are numbers the
-    cast cannot hold (an int of inf or nan).
+    Strings, null, booleans, lists and objects are rejected, and so are
+    numbers the cast cannot hold: an int of inf or nan, or of a fraction.
     """
-    if not isinstance(x, numbers.Real):
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise DomainError(f"{key} must be a number, got {x!r}")
     try:
-        return cast(x)
+        out = cast(x)
     except (OverflowError, ValueError):
         raise DomainError(f"{key} must be a finite number, got {x!r}") from None
+    if cast is int and out != x:
+        raise DomainError(f"{key} must be an integer, got {x!r}")
+    return out
 
 
 def _parse_params(d: dict, block: str):

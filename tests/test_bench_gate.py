@@ -4,13 +4,16 @@ The mpmath catalogue (bench/catalogue.json, 30-digit references) is run
 whole and judged by the bench's own rules: every quadrature point lies
 within its reported abs_error of its reference, every CLI entry exits 0
 with values within the bench's bounds, and so does every preset. The
-bench's tracer rebinds names of the package at run time; its targets must
-still exist, and uninstalling it must leave every binding as it was.
+integrand nodes the quadrature points take are pinned. The bench's tracer
+rebinds names of the package at run time; its targets must still exist,
+and uninstalling it must leave every binding as it was.
 """
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+from percept.sweep import run_scenario, scenario_from_dict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -47,6 +50,19 @@ def test_every_quad_catalogue_point_is_within_its_abs_error():
     assert len(ops) == 320
     assert sum(len(op.refs) for _, op in ops) == 1280
     assert _failures(ops) == []
+
+
+# integrand nodes of the 1280 quad points, in all and at most per point.
+# The counts do not depend on the host, so a change to the engine has to
+# state what it costs here.
+QUAD_NODES, QUAD_NODES_MAX = 527_166, 1_090
+
+
+def test_quad_catalogue_node_counts_are_pinned():
+    counts = [row.n_eval for e in CAT["quad"]
+              for row in run_scenario(scenario_from_dict(e["doc"]))]
+    assert (len(counts), sum(counts), max(counts)) == (
+        1280, QUAD_NODES, QUAD_NODES_MAX)
 
 
 def test_every_cli_catalogue_entry_passes_the_bench_checks():

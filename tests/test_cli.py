@@ -12,6 +12,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -227,6 +228,13 @@ def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
     pytest.param({"metric": "weight_curve", "mc": {"samples": 10},
                   "axis": {"name": "p", "grid": [0.5]}},
                  id="mc-on-curve-metric"),
+    # a count must be integral, and no field may be a boolean
+    pytest.param({"budget": 100.7}, id="budget-fraction"),
+    pytest.param({"mc": {"samples": 1000.5}}, id="mc-samples-fraction"),
+    pytest.param({"mc": {"samples": 1000, "seed": 1.9}},
+                 id="mc-seed-fraction"),
+    pytest.param({"budget": True}, id="budget-true"),
+    pytest.param({"reference": True}, id="reference-true"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, bad):
     if isinstance(bad, dict):
@@ -241,18 +249,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, bad):
 
 # --- whole documents, drawn ---------------------------------------------------
 
-# every value drawn is cheap to run: no draw can spend a whole quadrature
-# budget, or ask for a count that passes the checks yet samples for hours
+# valid values of every key; no draw can ask for a count that passes the
+# checks yet samples for hours
 GOOD = {"alpha": (0.15, 0.5, 0.88), "lambda_gain": (0.5, 1.0),
         "lambda_loss": (2.0, 3.25), "gamma": (0.5, 1.0, 2.0),
         "theta": (0.3, 0.65, 0.8), "reference": (0.0, 4.0), "mu": (0.5, 1.0),
         "pt_over_n0": (0.0, 1.0, 100.0), "epsilon": (0.5, 1.0),
         "tolerance": (1e-8, 1e-4), "budget": (100, 2000),
         "x": (0.0, 2.0, 6.0), "p": (0.0, 0.25, 1.0), "s": (0.5, 1.0, 3.0)}
-# what may replace a value: a wrong type, a non-finite or out-of-range
-# number, a dropped key, or an unknown key beside it
+# huge and tiny finite values, which a grid may also run between
+HUGE = (1e300, 1e-300, 10**300)
+# what may replace a value: a wrong type, a non-finite, out-of-range, huge
+# or tiny number, a dropped key, or an unknown key beside it
 ODD = (None, "1", [1.0], {"k": 1}, True, -1.0, 0, math.nan, math.inf,
-       -math.inf, "drop", "typo")
+       -math.inf, *HUGE, "drop", "typo")
 
 
 def _slots(node):
@@ -275,8 +285,15 @@ def documents(draw):
 
     metric = draw(st.sampled_from(sorted(_AXES) + ["nope"]))
     name = draw(st.sampled_from(_AXES.get(metric, ("x",))))
-    grid = sorted(draw(st.sets(st.sampled_from(GOOD[name]), min_size=1,
-                               max_size=4)))
+    if draw(st.booleans()):
+        grid = sorted(draw(st.sets(st.sampled_from(GOOD[name]), min_size=1,
+                                   max_size=4)))
+    else:  # up to 50 points, evenly or geometrically spaced
+        lo, hi = sorted(float(x) for x in draw(st.lists(
+            st.sampled_from(GOOD[name] + HUGE), min_size=2, max_size=2)))
+        size = draw(st.integers(1, 50))
+        grid = (np.geomspace if lo > 0.0 else np.linspace)(lo, hi,
+                                                           size).tolist()
     doc = {"schema": SCHEMA, "metric": metric,
            "axis": {"name": name, "grid": grid},
            "value_params": {k: pick(k) for k in ("alpha", "lambda_gain",
@@ -314,10 +331,19 @@ ONE_E30_SAMPLES = {
     "mc": {"samples": 10**30, "seed": 0}}
 
 
+# 46 powers from 1e-20 to 1e300: the upper ones cannot meet an absolute
+# tolerance, and must give up at their roundoff floor, not at the budget
+HUGE_POWERS = dict(ONE_E30_SAMPLES, axis={
+    "name": "pt_over_n0", "grid": np.geomspace(1e-20, 1e300, 46).tolist()})
+del HUGE_POWERS["mc"]
+
+
 @settings(max_examples=150)
 @given(doc=documents())
 @example(doc=ONE_E30_SAMPLES)
 @example(doc=dict(ONE_E30_SAMPLES, mc={"samples": 1000, "seed": 0}))
+@example(doc=HUGE_POWERS)
+@example(doc=dict(HUGE_POWERS, budget=10**300))
 def test_any_document_exits_0_2_or_3_with_an_error_line(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")

@@ -1,4 +1,5 @@
 """Perceptual-utility quadrature, outage probability, and weighted outage."""
+import itertools
 import math
 import warnings
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
@@ -13,7 +16,8 @@ from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
                      ValueParams, WeightParams, mc_pop, outage_probability,
                      pop, pu_rate, pu_snr, rate_metric, snr_metric, value,
                      weight)
-from percept.metrics import DEFAULT_BUDGET, _gain_at, pu_batch, rate_gain
+from percept.metrics import (_H0, _STEPS, _TAU_LO, DEFAULT_BUDGET, _column,
+                             _gain_at, _terms, pu_batch, rate_gain)
 from percept.sweep import preset_scenario, run_scenario
 
 VP = ValueParams(0.5, 1.0, 2.0)
@@ -141,8 +145,8 @@ def test_tolerance_below_roundoff_raises_within_budget():
     err = exc.value
     assert 0 < err.evaluations <= DEFAULT_BUDGET
     assert err.abs_error > 1e-14
-    # the intervals above their floor are still refined, so the value
-    # carried is good to well below the default tolerance
+    # levels are added until their difference reaches the floor, so the
+    # value carried is good to well below the default tolerance
     assert abs(err.value - PU_SNR_R10) <= err.abs_error < 1e-10
     assert "below the roundoff floor" in str(err)
 
@@ -250,12 +254,91 @@ def test_pu_rate_far_tail_gain_against_mpmath():
 @pytest.mark.parametrize("fn", [pu_snr, pu_rate])
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
 def test_small_theta_in_strict_box(fn, tol):
-    # tol 1e-12 bisects deep into the logarithmic singularity at s = 0
+    # tol 1e-12 refines deep into the logarithmic singularity at s = 0
     res = fn(link(10.0), 4.0, VP, WeightParams(1.0, 0.01), tol=tol)
     ref = float(PU_THETA_001[fn.__name__])
     assert math.isfinite(res.value)
     assert res.abs_error <= tol
     assert abs(res.value - ref) <= res.abs_error
+
+
+# --- the fixed tau window ------------------------------------------------------
+
+def test_fixed_tau_window_loses_less_than_the_floor():
+    # at the corners of the strict box, |w*f| at the nodes one step h0
+    # beyond either end of the window, on every piece, stays below the
+    # point's roundoff floor 50 eps * integral |f| (taken at step h0/16)
+    inside = _TAU_LO + _H0 / 16 * np.arange(16 * _STEPS + 1)
+    beyond = np.array([_TAU_LO - _H0, _TAU_LO + (_STEPS + 1) * _H0])
+    over = []
+    for metric, far in ((snr_metric, 1e300), (rate_metric, 2000.0)):
+        for theta, alpha, rho, ref in itertools.product(
+                (0.01, 0.8), (0.15, 0.99), (0.0, 10.0, 1e300), (0.0, 4.0, far)):
+            point = (metric(link(rho), ref),
+                     PerceptualDistribution(ExponentialGain(1.0),
+                                            WeightParams(1.0, theta)),
+                     ValueParams(alpha, 1.0, 2.0))
+            kinked, column = _column(*point)
+            finite = np.array([[True], [False]][not kinked:])
+            p = np.array(column)[:, None, None]
+
+            def wf(tau):
+                with np.errstate(over="ignore"):
+                    omega, w = _terms(point[0].of, p, finite, tau)
+                return value(omega, point[0].ref, point[2]) * w
+
+            floor = 50 * np.finfo(float).eps * _H0 / 16 * np.abs(
+                wf(inside)).sum()
+            lost = np.abs(wf(beyond)).max()
+            if not (lost < floor or lost == 0.0):
+                over.append((metric.__name__, theta, alpha, rho, ref, lost,
+                             floor))
+    assert over == []
+
+
+# --- laws that need no reference value --------------------------------------
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def estimate(fn, *args):
+    """(value, abs_error) of a PU run, also when it misses its tolerance."""
+    try:
+        res = fn(*args)
+    except ToleranceNotMet as exc:
+        return exc.value, exc.abs_error
+    return res.value, res.abs_error
+
+
+SHAPE = {"alpha": st.floats(0.05, 0.95), "theta": st.floats(0.05, 0.95),
+         "rho": log_uniform(1e-2, 1e4), "mu": log_uniform(1e-2, 1e2),
+         "x0": log_uniform(1e-2, 1e3)}
+
+
+@settings(max_examples=100)
+@given(c=log_uniform(1e-3, 1e3), **SHAPE)
+def test_pu_snr_is_homogeneous_in_power_and_reference(c, alpha, theta, rho,
+                                                      mu, x0):
+    # v(c*x, c*x0) = c**alpha * v(x, x0), so PU_snr(c*rho, c*x0) is
+    # c**alpha * PU_snr(rho, x0), within the two runs' summed error
+    vp, wp = ValueParams(alpha, 1.0, 2.0), WeightParams(1.0, theta)
+    a, a_err = estimate(pu_snr, link(rho, mu), x0, vp, wp)
+    b, b_err = estimate(pu_snr, link(c * rho, mu), c * x0, vp, wp)
+    scale = c ** alpha
+    assert abs(b - scale * a) <= b_err + scale * a_err
+
+
+@pytest.mark.parametrize("fn", [pu_snr, pu_rate])
+@settings(max_examples=100)
+@given(**SHAPE)
+def test_pu_depends_on_power_and_mean_gain_through_their_product(
+        fn, alpha, theta, rho, mu, x0):
+    # rho * G with G ~ Exp(mu) is rho*mu * G' with G' ~ Exp(1)
+    vp, wp = ValueParams(alpha, 1.0, 2.0), WeightParams(1.0, theta)
+    a, a_err = estimate(fn, link(rho, mu), x0, vp, wp)
+    b, b_err = estimate(fn, link(rho * mu), x0, vp, wp)
+    assert abs(a - b) <= a_err + b_err
 
 
 # Points on which an earlier QUADPACK-based engine understated its error,
@@ -311,11 +394,9 @@ PRESET_REFS = {
 
 
 # integrand evaluations of the same presets; the counts are deterministic,
-# so any change to how the engine refines an interval shows here
-PRESET_EVALS = {
-    "fig5": [1380, 1500, 1560, 1560, 1560, 1560, 1560, 1530, 1500, 1500],
-    "fig6": [630, 960, 1170, 1230, 1260, 1290, 1290, 1290, 1260, 1260],
-}
+# so any change to how the engine refines a piece shows here. Every point
+# has two pieces and stops at level 3: 2 * (17 * 2**3 + 1) nodes
+PRESET_EVALS = {"fig5": [274] * 10, "fig6": [274] * 10}
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,27 @@ def test_rejects_bad_grids():
         scenario_from_dict(doc(axis={"name": "pt_over_n0", "grid": [2.0, 1.0]}))
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"budget": 100.7}, "budget must be an integer, got 100.7"),
+    ({"mc": {"samples": 1000.5}}, "mc.samples must be an integer"),
+    ({"mc": {"samples": 1000, "seed": 1.9}}, "mc.seed must be an integer"),
+    ({"budget": True}, "budget must be a number, got True"),
+    ({"reference": True}, "reference must be a number, got True"),
+    ({"value_params": {"alpha": False, "lambda_gain": 1.0,
+                       "lambda_loss": 2.0}}, "value_params.alpha must be"),
+])
+def test_rejects_fractional_counts_and_booleans_naming_the_key(over,
+                                                               message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        scenario_from_dict(doc(**over))
+
+
+def test_integral_float_counts_are_counts():
+    s = scenario_from_dict(doc(budget=1e5, mc={"samples": 1e3, "seed": 2.0}))
+    assert (s.budget, s.mc.samples, s.mc.seed) == (100000, 1000, 2)
+    assert all(type(x) is int for x in (s.budget, s.mc.samples, s.mc.seed))
+
+
 def test_rejects_missing_required_params():
     d = doc()
     del d["weight_params"]
