@@ -21,10 +21,15 @@ turns the integral into
 with Finv the exponential quantile -mu * log(1 - u): an exponentially
 weighted integrand with a kink at the image s* of the reference crossing,
 and two endpoint singularities, log(1/s)**alpha at s = 0 (overweighted rare
-events) and |s - s*|**alpha at the kink. Double-exponential rules absorb
-both by construction (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005):
-tanh-sinh on [0, s*], s = s*/(1 + exp(-2y)), and exp-sinh on [s*, inf),
-s = s* + exp(y), or on [0, inf) alone without a kink; y = (pi/2) sinh(tau).
+events) and |s - s*|**alpha at the kink. For small theta nearly all of the
+law maps close to s = gamma, the image of F(g) = 1/e, where the gain falls
+steeply. Double-exponential rules crowd their nodes toward a piece's ends,
+so they absorb both singularities and resolve the step when a piece ends
+on each (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005): with the
+breakpoints 0 < b1 < ... < bk drawn from s* and gamma, tanh-sinh on each
+[lo, hi] of 0, b1, ..., bk, s = lo + (hi - lo)/(1 + exp(-2y)), and exp-sinh
+on [bk, inf), s = bk + exp(y); y = (pi/2) sinh(tau). A breakpoint past
+s = 745, where exp(-s) underflows, is left out.
 
 Every piece samples tau on one fixed window, at step h0 on level 0; each
 later level halves the step and adds only the odd nodes, for the pieces of
@@ -67,15 +72,16 @@ DEFAULT_BUDGET = 100_000
 # the double-exponential rule samples tau in [_TAU_LO, _TAU_LO + _STEPS*_H0]
 # at step _H0 / 2**L on level L = 0 ... _LAST_LEVEL
 _TAU_LO, _H0, _STEPS, _LAST_LEVEL = -4.5, 0.5, 17, 12
-_SLICE = 1 << 15  # nodes per array program, about; bounds the working set
 _EPS = float(np.finfo(float).eps)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
+# a breakpoint past this s is left out: exp(-s) underflows there
+_S_MAX = 745.0
 # below this z, log(1 - exp(-z)) = log z - z/2 to within z**2/24
 _SMALL_Z = 1e-8
-# per-member parameters, gathered per piece: the kink s* (0 without one),
-# the law, the weighting, the value function, the reference and the power
-_KINK, _MU, _GAMMA, _THETA, _ALPHA, _GAIN, _LOSS, _X0, _RHO = range(9)
-_NPAR = 9
+# per-piece parameters: the piece [lo, hi] (hi = inf on the last piece),
+# then its point's law, weighting, value function, reference and power
+_LO, _HI, _MU, _GAMMA, _THETA, _ALPHA, _GAIN, _LOSS, _X0, _RHO = range(10)
+_NPAR = 10
 
 
 @dataclass(frozen=True)
@@ -142,37 +148,37 @@ def _gain_at(s, mu, gamma, theta):
     return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
 
 
-def _column(metric: CompositeMetric, pd: PerceptualDistribution,
-            value_params: ValueParams):
-    """Whether a point has a kink, and its parameters (_KINK ... _RHO).
+def _pieces(metric: CompositeMetric, pd: PerceptualDistribution,
+            value_params: ValueParams) -> list:
+    """A point's pieces [0, b1], ..., [bk, inf), as rows _LO ... _RHO.
 
-    The kink s* is the image of the reference crossing g*. A point without
-    one, all gain or all loss, is a single piece from s = 0.
+    The breakpoints are the kink s* and gamma, where each lies in (0, 745].
     """
     base, wp, vp = pd.base, pd.weights, value_params
-    s_star = 0.0
+    breaks = {wp.gamma}
     if 0.0 < metric.crossing < math.inf:  # inf if F(g*) underflows to 0
-        s_star = wp.gamma * (-base.log_cdf(metric.crossing)) ** wp.theta
-    kinked = 0.0 < s_star < math.inf
-    return kinked, (s_star if kinked else 0.0, base.mu, wp.gamma, wp.theta,
-                    vp.alpha, vp.lambda_gain, vp.lambda_loss, metric.ref.x0,
-                    metric.rho)
+        breaks.add(wp.gamma * (-base.log_cdf(metric.crossing)) ** wp.theta)
+    ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
+    return [(lo, hi, base.mu, wp.gamma, wp.theta, vp.alpha, vp.lambda_gain,
+             vp.lambda_loss, metric.ref.x0, metric.rho)
+            for lo, hi in zip(ends, ends[1:])]
 
 
-def _terms(fn, p, finite, tau):
+def _terms(fn, p, tau):
     """The metric omega and the weight w at nodes ``tau`` of some pieces.
 
     Piece r has parameters ``p[:, r]``. With y = (pi/2) sinh(tau), it is
-    [0, s*] under s = s*/(1 + exp(-2y)) if ``finite[r]``, and [s0, inf)
-    under s = s0 + exp(y) if not, s* = s0 = p[_KINK]. w = ds/dtau * exp(-s)
-    is 0 at a node that rounds onto s = 0; where it is 0, so is omega.
+    [lo, hi] under s = lo + (hi - lo)/(1 + exp(-2y)) if hi is finite, and
+    [lo, inf) under s = lo + exp(y) if not. w = ds/dtau * exp(-s) is 0 at
+    a node that rounds onto s = 0; where it is 0, so is omega.
     """
     y = 0.5 * np.pi * np.sinh(tau)
     dy = 0.5 * np.pi * np.cosh(tau)
     ey = np.exp(y)
-    kink = p[_KINK]
-    s = np.where(finite, kink / (1.0 + np.exp(-2.0 * y)), kink + ey)
-    ds = np.where(finite, kink * dy / (2.0 * np.cosh(y) ** 2), dy * ey)
+    lo, finite = p[_LO], p[_HI] < np.inf
+    width = np.where(finite, p[_HI] - lo, 0.0)
+    s = np.where(finite, lo + width / (1.0 + np.exp(-2.0 * y)), lo + ey)
+    ds = np.where(finite, width * dy / (2.0 * np.cosh(y) ** 2), dy * ey)
     w = np.where(s > 0.0, ds * np.exp(-s), 0.0)
     g = _gain_at(s, p[_MU], p[_GAMMA], p[_THETA])
     return np.where(w > 0.0, fn(p[_RHO] * g), 0.0), w
@@ -194,7 +200,7 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
 
     Points whose metrics share ``of`` are integrated together: each level
     of the double-exponential rule evaluates the new nodes of the pieces
-    of every unfinished point in the same array programs. Each point meets
+    of every unfinished point in one array program. Each point meets
     ``tol`` within its own ``budget`` exactly as it would alone. Returns,
     in the order of ``points``, a PuResult whose ``abs_error`` is at most
     ``tol`` and whose ``evaluations`` count integrand nodes, never more
@@ -229,23 +235,23 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
     metric's ``of`` is ``fn``.
     """
     n = len(members)
-    par = np.zeros((_NPAR, n))
-    kinked = np.zeros(n, dtype=bool)
     active = np.zeros(n, dtype=bool)
+    # the pieces of each member in turn, so a member alone sums its
+    # pieces in the same order
+    par, owner = [], []
     for j, (i, *point) in enumerate(members):
-        kinked[j], par[:, j] = _column(*point)
-        first = (_STEPS + 1) * (2 if kinked[j] else 1)
+        rows = _pieces(*point)
+        first = (_STEPS + 1) * len(rows)
         if first > budget:
             out[i] = ToleranceNotMet(
                 f"budget {budget} is below the {first} evaluations of one "
                 "pass", value=math.nan, abs_error=math.inf, evaluations=0)
-        else:
-            active[j] = True
-    # the pieces: [0, s*] of each kinked member, then the semi-infinite
-    # piece of each member; a member alone keeps this order
-    owner = np.concatenate([np.flatnonzero(active & kinked),
-                            np.flatnonzero(active)])
-    finite = (np.arange(owner.size) < np.count_nonzero(active & kinked))
+            continue
+        active[j] = True
+        par += rows
+        owner += [j] * len(rows)
+    par = np.array(par, dtype=float).reshape(-1, _NPAR).T
+    owner = np.array(owner, dtype=np.intp)
     pieces = np.bincount(owner, minlength=n)
     est, mass, diff = np.zeros((3, owner.size))
     evals = np.zeros(n, dtype=np.int64)
@@ -261,8 +267,8 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
 
     def refine(rows, tau, level):
         """Add the nodes ``tau`` of ``level`` to the pieces ``rows``."""
-        p = par[:, owner[rows], None]
-        omega, w = _terms(fn, p, finite[rows, None], tau)
+        p = par[:, rows, None]
+        omega, w = _terms(fn, p, tau)
         ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():  # the metric left the value function's domain
             bad = ~ok.all(axis=1)
@@ -285,12 +291,7 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
         # the whole window on level 0, then the odd multiples of h
         k = np.arange(1, _STEPS << level, 2) if level else np.arange(_STEPS + 1)
         tau = _TAU_LO + _H0 / 2 ** level * k
-        live = np.flatnonzero(active[owner])
-        # a bounded slice of the pieces at a time keeps the working set
-        # small; each row's sums do not depend on the others
-        for rows in np.array_split(live, min(live.size, 1 + live.size
-                                             * tau.size // _SLICE)):
-            refine(rows, tau, level)
+        refine(np.flatnonzero(active[owner]), tau, level)
         evals += np.where(active, pieces * tau.size, 0)
         # a member stops when its tolerance is met, when its level
         # difference is down to the roundoff floor, or when its next

@@ -55,7 +55,7 @@ def test_every_quad_catalogue_point_is_within_its_abs_error():
 # integrand nodes of the 1280 quad points, in all and at most per point.
 # The counts do not depend on the host, so a change to the engine has to
 # state what it costs here.
-QUAD_NODES, QUAD_NODES_MAX = 527_166, 1_090
+QUAD_NODES, QUAD_NODES_MAX = 744_958, 819
 
 
 def test_quad_catalogue_node_counts_are_pinned():

@@ -45,7 +45,7 @@ CALLS = {
     "ReferencePoint": (ReferencePoint, (4.0,)),
     "validate_value_params": (validate_value_params, (0.5, 0.5, 1.0, 2.0)),
     "as_reference": (as_reference, (4.0,)),
-    # two levels at most (36 + 34 nodes), so a tiny tolerance stays cheap
+    # one level at most (54 nodes), so a tiny tolerance stays cheap
     "pu_snr-tol": (lambda tol: pu_snr(LINK, 4.0, VP, WP, tol=tol, budget=90),
                    (1e-8,)),
     "pu_snr-budget": (lambda budget: pu_snr(LINK, 4.0, VP, WP, budget=budget),
@@ -180,7 +180,7 @@ def test_scalar_messages_name_the_field(call, name):
 
 def test_tolerance_and_budget_keep_their_accepted_range():
     first_pass = pu_snr(LINK, 4.0, VP, WP, tol=float("inf"))
-    assert first_pass.evaluations == 36  # level 0: 18 nodes per piece
+    assert first_pass.evaluations == 54  # level 0: 3 pieces of 18 nodes
     # a budget below one pass is a tolerance failure, not a domain error
     with pytest.raises(ToleranceNotMet, match="budget -1 is below"):
         pu_snr(LINK, 4.0, VP, WP, budget=-1)
