@@ -32,26 +32,34 @@ on [bk, inf), s = bk + exp(y); y = (pi/2) sinh(tau). A breakpoint past
 s = 745, where exp(-s) underflows, is left out.
 
 Every piece samples tau on one fixed window, at step h0 on level 0; each
-later level halves the step and adds only the odd nodes, for the pieces of
-every unfinished point of a sweep together. A piece's estimate is the sum
-I_L = h * sum(w * f), and its error |I_L - I_{L-1}| (on level 0, against
-the sum over every other node) plus a roundoff floor of 50 machine epsilons
-of h * sum(|w * f|). As halving the step roughly squares the rule's error,
-the level difference is pessimistic for I_L. A node one step h0 beyond
-either end of the window weighs less than the floor (tests/test_metrics.py).
+later level halves the step and adds only the odd nodes. A piece's
+estimate is the sum I_L = h * sum(w * f), and its error |I_L - I_{L-1}|
+(on level 0, against the sum over every other node) plus a roundoff floor
+of 50 machine epsilons of h * sum(|w * f|). As halving the step roughly
+squares the rule's error, the level difference is pessimistic for I_L. A
+node one step h0 beyond either end of the window weighs less than the
+floor (tests/test_metrics.py).
+
+Each level's nodes are one array program for the pieces of every
+unfinished point of a sweep together. The first program takes levels 0,
+1 and 2 at once: the whole window at step h0/4, 69 nodes per piece, whose
+strided columns give I_0, I_1 and I_2 by the same recursion, as no point
+stops before level 2 on ordinary traffic. The factors of the nodes that
+do not depend on the piece are built once per level, on first use.
 
 The stopping rule is per point, so each point gets the value and the
-evaluation count it would get alone: it stops when its error meets tol,
-when its level difference is down to its floor, when its next level would
-overrun its budget, or at the last level, of step h0/4096. A tolerance
-below the floor cannot be certified; ToleranceNotMet then carries the
-refined value.
+evaluation count it would get alone: it stops, from level 2 on, when its
+error meets tol, when its level difference is down to its floor, when its
+next level would overrun its budget, or at the last level, of step
+h0/4096. A tolerance below the floor cannot be certified; ToleranceNotMet
+then carries the refined value.
 
 Rate thresholds (2**r - 1) / rho are formed in log space past the float
 range of 2**r, where they overflow to inf (an unreachable rate).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -70,8 +78,12 @@ DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
 
 # the double-exponential rule samples tau in [_TAU_LO, _TAU_LO + _STEPS*_H0]
-# at step _H0 / 2**L on level L = 0 ... _LAST_LEVEL
-_TAU_LO, _H0, _STEPS, _LAST_LEVEL = -4.5, 0.5, 17, 12
+# at step _H0 / 2**L on level L = 0 ... _LAST_LEVEL; the first array
+# program takes levels 0 ... _FIRST at once
+_TAU_LO, _H0, _STEPS, _FIRST, _LAST_LEVEL = -4.5, 0.5, 17, 2, 12
+# the columns of the first program's grid, of step h0/4, that levels 0, 1
+# and 2 add: every 4th node, the nodes 2 mod 4 and the odd ones
+_FIRST_COLS = (slice(0, None, 4), slice(2, None, 4), slice(1, None, 2))
 _EPS = float(np.finfo(float).eps)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # a breakpoint past this s is left out: exp(-s) underflows there
@@ -148,37 +160,72 @@ def _gain_at(s, mu, gamma, theta):
     return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
 
 
-def _pieces(metric: CompositeMetric, pd: PerceptualDistribution,
-            value_params: ValueParams) -> list:
-    """A point's pieces [0, b1], ..., [bk, inf), as rows _LO ... _RHO.
+def _pieces(points) -> list:
+    """Each point's pieces [0, b1], ..., [bk, inf), as rows _LO ... _RHO.
 
-    The breakpoints are the kink s* and gamma, where each lies in (0, 745].
+    The breakpoints are the kink s* = gamma * (-log F(g*))**theta and
+    gamma, where each lies in (0, 745]. log F(g*) of every point is taken
+    in one array call.
     """
-    base, wp, vp = pd.base, pd.weights, value_params
-    breaks = {wp.gamma}
-    if 0.0 < metric.crossing < math.inf:  # inf if F(g*) underflows to 0
-        breaks.add(wp.gamma * (-base.log_cdf(metric.crossing)) ** wp.theta)
-    ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
-    return [(lo, hi, base.mu, wp.gamma, wp.theta, vp.alpha, vp.lambda_gain,
-             vp.lambda_loss, metric.ref.x0, metric.rho)
-            for lo, hi in zip(ends, ends[1:])]
+    crossing = np.array([metric.crossing for metric, _, _ in points])
+    mu = np.array([pd.base.mu for _, pd, _ in points])
+    with np.errstate(over="ignore"):  # g*/mu = inf is the limit log F = 0
+        log_f = _log1mexp(crossing / mu)
+    out = []
+    for (metric, pd, vp), lf in zip(points, log_f):
+        wp = pd.weights
+        breaks = {wp.gamma}
+        if 0.0 < metric.crossing < math.inf:  # inf if F(g*) underflows to 0
+            breaks.add(wp.gamma * (-float(lf)) ** wp.theta)
+        ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
+        out.append([(lo, hi, pd.base.mu, wp.gamma, wp.theta, vp.alpha,
+                     vp.lambda_gain, vp.lambda_loss, metric.ref.x0, metric.rho)
+                    for lo, hi in zip(ends, ends[1:])])
+    return out
 
 
-def _terms(fn, p, tau):
-    """The metric omega and the weight w at nodes ``tau`` of some pieces.
+def _node_factors(tau):
+    """The factors of the nodes ``tau`` that do not depend on the piece.
 
-    Piece r has parameters ``p[:, r]``. With y = (pi/2) sinh(tau), it is
-    [lo, hi] under s = lo + (hi - lo)/(1 + exp(-2y)) if hi is finite, and
-    [lo, inf) under s = lo + exp(y) if not. w = ds/dtau * exp(-s) is 0 at
-    a node that rounds onto s = 0; where it is 0, so is omega.
+    With y = (pi/2) sinh(tau): 1 + exp(-2y), dy/dtau, 2 cosh(y)**2,
+    exp(y) and dy/dtau * exp(y).
     """
     y = 0.5 * np.pi * np.sinh(tau)
     dy = 0.5 * np.pi * np.cosh(tau)
     ey = np.exp(y)
+    return 1.0 + np.exp(-2.0 * y), dy, 2.0 * np.cosh(y) ** 2, ey, dy * ey
+
+
+@functools.cache
+def _level_nodes(level: int) -> tuple:
+    """:func:`_node_factors` of the nodes a level's array program adds.
+
+    Level _FIRST takes the whole window at step h0 / 2**_FIRST, which
+    holds levels 0 ... _FIRST; each later level its odd multiples of
+    h0 / 2**level. Built on first use, read-only.
+    """
+    k = (np.arange((_STEPS << level) + 1) if level == _FIRST
+         else np.arange(1, _STEPS << level, 2))
+    nodes = _node_factors(_TAU_LO + _H0 / 2 ** level * k)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+def _terms(fn, p, nodes):
+    """The metric omega and the weight w at some nodes of some pieces.
+
+    Piece r has parameters ``p[:, r]``; ``nodes`` are the nodes'
+    :func:`_node_factors`. With y = (pi/2) sinh(tau), a piece is [lo, hi]
+    under s = lo + (hi - lo)/(1 + exp(-2y)) if hi is finite, and [lo, inf)
+    under s = lo + exp(y) if not. w = ds/dtau * exp(-s) is 0 at a node
+    that rounds onto s = 0; where it is 0, so is omega.
+    """
+    one_e2y, dy, two_cosh2, ey, dy_ey = nodes
     lo, finite = p[_LO], p[_HI] < np.inf
     width = np.where(finite, p[_HI] - lo, 0.0)
-    s = np.where(finite, lo + width / (1.0 + np.exp(-2.0 * y)), lo + ey)
-    ds = np.where(finite, width * dy / (2.0 * np.cosh(y) ** 2), dy * ey)
+    s = np.where(finite, lo + width / one_e2y, lo + ey)
+    ds = np.where(finite, width * dy / two_cosh2, dy_ey)
     w = np.where(s > 0.0, ds * np.exp(-s), 0.0)
     g = _gain_at(s, p[_MU], p[_GAMMA], p[_THETA])
     return np.where(w > 0.0, fn(p[_RHO] * g), 0.0), w
@@ -200,15 +247,16 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
 
     Points whose metrics share ``of`` are integrated together: each level
     of the double-exponential rule evaluates the new nodes of the pieces
-    of every unfinished point in one array program. Each point meets
-    ``tol`` within its own ``budget`` exactly as it would alone. Returns,
-    in the order of ``points``, a PuResult whose ``abs_error`` is at most
-    ``tol`` and whose ``evaluations`` count integrand nodes, never more
-    than ``budget``; or the point's PerceptError, a ToleranceNotMet
-    carrying the best value, its error estimate and the evaluation count
-    when the estimate cannot be certified within ``budget``. A tolerance
-    of inf accepts the first level; a budget below it fails with
-    ToleranceNotMet.
+    of every unfinished point in one array program, the first program
+    levels 0 to 2. Each point meets ``tol`` within its own ``budget``
+    exactly as it would alone. Returns, in the order of ``points``, a
+    PuResult whose ``abs_error`` is at most ``tol`` and whose
+    ``evaluations`` count integrand nodes, never more than ``budget``; or
+    the point's PerceptError, a ToleranceNotMet carrying the best value,
+    its error estimate and the evaluation count when the estimate cannot
+    be certified within ``budget``. A tolerance of inf accepts the first
+    program, 69 nodes per piece (levels 0 to 2); a budget below it fails
+    with ToleranceNotMet and no evaluations.
     """
     try:
         if tol != math.inf:
@@ -239,12 +287,12 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
     # the pieces of each member in turn, so a member alone sums its
     # pieces in the same order
     par, owner = [], []
-    for j, (i, *point) in enumerate(members):
-        rows = _pieces(*point)
-        first = (_STEPS + 1) * len(rows)
-        if first > budget:
+    for j, ((i, *_), rows) in enumerate(
+            zip(members, _pieces([point for _, *point in members]))):
+        need = ((_STEPS << _FIRST) + 1) * len(rows)
+        if need > budget:
             out[i] = ToleranceNotMet(
-                f"budget {budget} is below the {first} evaluations of one "
+                f"budget {budget} is below the {need} evaluations of one "
                 "pass", value=math.nan, abs_error=math.inf, evaluations=0)
             continue
         active[j] = True
@@ -265,34 +313,41 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
                 out[members[j][0]] = exc
                 active[j] = False
 
-    def refine(rows, tau, level):
-        """Add the nodes ``tau`` of ``level`` to the pieces ``rows``."""
+    def refine(rows, nodes, level):
+        """Add the ``nodes`` of ``level``'s array program to the pieces
+        ``rows``."""
         p = par[:, rows, None]
-        omega, w = _terms(fn, p, tau)
+        omega, w = _terms(fn, p, nodes)
         ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():  # the metric left the value function's domain
             bad = ~ok.all(axis=1)
             fail(rows, bad, _check_quantity, omega)
             omega[bad] = 0.0  # failed rows take no part below
         wf = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS]) * w
-        h = _H0 / 2 ** level
-        # level 0 is compared with its own sum at step 2*h0
-        prev = 2.0 * h * wf[:, ::2].sum(axis=1) if level == 0 else est[rows]
-        keep = 0.0 if level == 0 else 0.5
-        est[rows] = keep * est[rows] + h * wf.sum(axis=1)
-        mass[rows] = keep * mass[rows] + h * np.abs(wf).sum(axis=1)
-        diff[rows] = np.abs(est[rows] - prev)
-        if not np.isfinite(mass[rows]).all():  # the value overflowed
-            fail(rows, ~np.isfinite(mass[rows]), _check_value, mass[rows])
+        # the first program holds levels 0 ... _FIRST, each in its columns
+        first = level == _FIRST
+        levels, cols = ((range(_FIRST + 1), _FIRST_COLS) if first
+                        else ((level,), (slice(None),)))
+        sums = [wf[:, c].sum(axis=1) for c in cols]
+        coarse = wf[:, ::8].sum(axis=1) if first else None  # step 2*h0
+        np.abs(wf, out=wf)  # the signed sums are taken; wf is now |w*f|
+        e, m = est[rows], mass[rows]
+        for lv, c, x in zip(levels, cols, sums):
+            h = _H0 / 2 ** lv
+            # level 0 is compared with its own sum at step 2*h0
+            prev, keep = (2.0 * h * coarse, 0.0) if lv == 0 else (e, 0.5)
+            e = keep * e + h * x
+            m = keep * m + h * wf[:, c].sum(axis=1)
+        est[rows], mass[rows], diff[rows] = e, m, np.abs(e - prev)
+        if not np.isfinite(m).all():  # the value overflowed
+            fail(rows, ~np.isfinite(m), _check_value, m)
 
-    for level in range(_LAST_LEVEL + 1):
+    for level in range(_FIRST, _LAST_LEVEL + 1):
         if not active.any():
             break
-        # the whole window on level 0, then the odd multiples of h
-        k = np.arange(1, _STEPS << level, 2) if level else np.arange(_STEPS + 1)
-        tau = _TAU_LO + _H0 / 2 ** level * k
-        refine(np.flatnonzero(active[owner]), tau, level)
-        evals += np.where(active, pieces * tau.size, 0)
+        nodes = _level_nodes(level)
+        refine(np.flatnonzero(active[owner]), nodes, level)
+        evals += np.where(active, pieces * nodes[0].size, 0)
         # a member stops when its tolerance is met, when its level
         # difference is down to the roundoff floor, or when its next
         # level would overrun the budget

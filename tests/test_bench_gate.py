@@ -4,7 +4,8 @@ The mpmath catalogue (bench/catalogue.json, 30-digit references) is run
 whole and judged by the bench's own rules: every quadrature point lies
 within its reported abs_error of its reference, every CLI entry exits 0
 with values within the bench's bounds, and so does every preset. The
-integrand nodes the quadrature points take are pinned. The bench's tracer
+integrand nodes the quadrature points take, and the array programs that
+evaluate them, are pinned. The bench's tracer
 rebinds names of the package at run time; its targets must still exist,
 and uninstalling it must leave every binding as it was.
 """
@@ -13,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from percept.sweep import run_scenario, scenario_from_dict
+from percept import metrics
+from percept.sweep import preset_scenario, run_scenario, scenario_from_dict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -63,6 +65,31 @@ def test_quad_catalogue_node_counts_are_pinned():
               for row in run_scenario(scenario_from_dict(e["doc"]))]
     assert (len(counts), sum(counts), max(counts)) == (
         1280, QUAD_NODES, QUAD_NODES_MAX)
+
+
+# array programs (calls of metrics._terms) of fig5, of fig6 and of the 320
+# quad scenarios: the first program takes levels 0 ... 2 at once, and each
+# later level is one more
+PRESET_PROGRAMS, QUAD_PROGRAMS = 2, 810
+
+
+def test_array_program_counts_are_pinned(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return terms(*args)
+
+    terms = metrics._terms
+    monkeypatch.setattr(metrics, "_terms", counted)
+    for name in ("fig5", "fig6"):
+        calls.clear()
+        run_scenario(preset_scenario(name))
+        assert len(calls) == PRESET_PROGRAMS, name
+    calls.clear()
+    for e in CAT["quad"]:
+        run_scenario(scenario_from_dict(e["doc"]))
+    assert len(calls) == QUAD_PROGRAMS
 
 
 def test_every_cli_catalogue_entry_passes_the_bench_checks():

@@ -9,6 +9,14 @@ batches (3 * 2**19 + 1); the channel counts sit on both sides of the
 16384-draw chunk boundary, at five chunks and a short one with K=80, and
 below one chunk (n=3).
 
+The quadrature goldens (``golden/quad.json``) hold the value, the error
+estimate (both as ``float.hex``) and the evaluation count of every PU point
+of fig5, fig6 and every 8th ``quad`` scenario of the bench catalogue, at
+its own tolerance and at 1e-4, and of two ``pu-snr`` runs that fail with
+ToleranceNotMet. They were captured before the engine's first array
+program began evaluating three levels at once, so a change to the node
+order, the sums or the stopping rule shows here.
+
 The perceived-law goldens were captured before the sampler and the perceived
 CDF were rewritten around one log(1 - e^-x): ``perceptual_sample`` over
 uniforms at 2**-k, 1 - 2**-k and 4096 seeded draws, and ``pcdf`` and
@@ -24,14 +32,18 @@ import numpy as np
 import pytest
 
 from percept import (ExponentialGain, LinkBudget, McConfig, MultipathConfig,
-                     OutageSpec, PerceptualDistribution, ValueParams,
-                     WeightParams, gain_samples, mc_pop, mc_pu, rate_metric,
-                     snr_metric)
+                     OutageSpec, PerceptualDistribution, ToleranceNotMet,
+                     ValueParams, WeightParams, gain_samples, mc_pop, mc_pu,
+                     pu_snr, rate_metric, snr_metric)
 from percept.cli import build_parser
+from percept.sweep import preset_scenario, run_scenario, scenario_from_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 STREAMS = json.loads((GOLDEN / "streams.json").read_text())
 HELP = re.split(r"(?m)^(?=usage: )", (GOLDEN / "help.txt").read_text())[1:]
+QUAD = json.loads((GOLDEN / "quad.json").read_text())
+CATALOGUE = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                        / "catalogue.json").read_text(encoding="utf-8"))
 
 LINK = LinkBudget(10.0, ExponentialGain(1.3))
 VP = ValueParams(0.6, 1.0, 2.2)
@@ -115,3 +127,37 @@ def test_help_text_is_pinned(monkeypatch):
     assert len(texts) == len(HELP) == 11
     for got, want in zip(texts, HELP):
         assert got == want
+
+
+def _pinned(value, abs_error, evaluations):
+    return [float(value).hex(), float(abs_error).hex(), int(evaluations)]
+
+
+def _quad_outputs() -> dict:
+    """{key: per-point [value, abs_error, evaluations]} of golden/quad.json."""
+    out = {}
+    for name in ("fig5", "fig6"):
+        out[name] = [_pinned(r.value, r.err, r.n_eval)
+                     for r in run_scenario(preset_scenario(name))]
+    for i in range(0, len(CATALOGUE["quad"]), 8):
+        doc = CATALOGUE["quad"][i]["doc"]
+        for tol in (doc["tolerance"], 1e-4):
+            rows = run_scenario(scenario_from_dict(dict(doc, tolerance=tol)))
+            out[f"quad[{i}] tol={tol:g}"] = [
+                _pinned(r.value, r.err, r.n_eval) for r in rows]
+    # the CLI defaults: a roundoff floor above tol at 1e300, and a tol
+    # below the floor at 100
+    for key, rho, tol in (("pu-snr --ptn0 1e300", 1e300, 1e-8),
+                          ("pu-snr --tol 1e-14", 100.0, 1e-14)):
+        with pytest.raises(ToleranceNotMet) as info:
+            pu_snr(LinkBudget(rho, ExponentialGain(1.0)), 4.0,
+                   ValueParams(0.5, 1.0, 2.0), WeightParams(1.0, 0.8), tol)
+        exc = info.value
+        out[key] = [_pinned(exc.value, exc.abs_error, exc.evaluations)]
+    return out
+
+
+def test_quadrature_outputs_are_pinned():
+    got = _quad_outputs()
+    assert sorted(got) == sorted(QUAD)
+    assert [k for k in QUAD if got[k] != QUAD[k]] == []

@@ -17,7 +17,8 @@ from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
                      pop, pu_rate, pu_snr, rate_metric, snr_metric, value,
                      weight)
 from percept.metrics import (_H0, _STEPS, _TAU_LO, DEFAULT_BUDGET, _gain_at,
-                             _pieces, _terms, pu_batch, rate_gain)
+                             _node_factors, _pieces, _terms, pu_batch,
+                             rate_gain)
 from percept.sweep import preset_scenario, run_scenario
 
 VP = ValueParams(0.5, 1.0, 2.0)
@@ -132,9 +133,9 @@ def test_pu_result_reports_quadrature_health():
 
 def test_tolerance_not_met_raises_with_diagnostics():
     with pytest.raises(ToleranceNotMet) as exc:
-        pu_snr(link(10.0), 4.0, VP, WP, tol=1e-8, budget=100)
+        pu_snr(link(10.0), 4.0, VP, WP, tol=1e-8, budget=300)
     err = exc.value
-    assert 0 < err.evaluations <= 100
+    assert 0 < err.evaluations <= 300
     assert err.abs_error > 1e-8
     assert math.isfinite(err.value)
 
@@ -279,11 +280,11 @@ def test_fixed_tau_window_loses_less_than_the_floor():
                      PerceptualDistribution(ExponentialGain(1.0),
                                             WeightParams(gamma, theta)),
                      ValueParams(alpha, 1.0, 2.0))
-            p = np.array(_pieces(*point)).T[:, :, None]
+            p = np.array(_pieces([point])[0]).T[:, :, None]
 
             def wf(tau):
                 with np.errstate(over="ignore"):
-                    omega, w = _terms(point[0].of, p, tau)
+                    omega, w = _terms(point[0].of, p, _node_factors(tau))
                 return value(omega, point[0].ref, point[2]) * w
 
             floor = 50 * np.finfo(float).eps * _H0 / 16 * np.abs(

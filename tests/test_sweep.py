@@ -313,7 +313,7 @@ def test_point_failures_carry_grid_context():
 
 def test_starved_budget_surfaces_tolerance_failure():
     s = scenario_from_dict(doc(axis={"name": "pt_over_n0", "grid": [1.0]},
-                               budget=100))
+                               budget=300))
     with pytest.raises(ToleranceNotMet,
                        match="at grid point pt_over_n0=1") as exc:
         run_scenario(s)
