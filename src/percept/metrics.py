@@ -34,11 +34,10 @@ s = 745, where exp(-s) underflows, is left out.
 Every piece samples tau on one fixed window, at step h0 on level 0; each
 later level halves the step and adds only the odd nodes. A piece's
 estimate is the sum I_L = h * sum(w * f), and its error |I_L - I_{L-1}|
-(on level 0, against the sum over every other node) plus a roundoff floor
-of 50 machine epsilons of h * sum(|w * f|). As halving the step roughly
-squares the rule's error, the level difference is pessimistic for I_L. A
-node one step h0 beyond either end of the window weighs less than the
-floor (tests/test_metrics.py).
+plus a roundoff floor of 50 machine epsilons of h * sum(|w * f|). As
+halving the step roughly squares the rule's error, the level difference
+is pessimistic for I_L. A node one step h0 beyond either end of the
+window weighs less than the floor (tests/test_metrics.py).
 
 Each level's nodes are one array program for the pieces of every
 unfinished point of a sweep together. The first program takes levels 0,
@@ -81,9 +80,6 @@ DEFAULT_BUDGET = 100_000
 # at step _H0 / 2**L on level L = 0 ... _LAST_LEVEL; the first array
 # program takes levels 0 ... _FIRST at once
 _TAU_LO, _H0, _STEPS, _FIRST, _LAST_LEVEL = -4.5, 0.5, 17, 2, 12
-# the columns of the first program's grid, of step h0/4, that levels 0, 1
-# and 2 add: every 4th node, the nodes 2 mod 4 and the odd ones
-_FIRST_COLS = (slice(0, None, 4), slice(2, None, 4), slice(1, None, 2))
 _EPS = float(np.finfo(float).eps)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # a breakpoint past this s is left out: exp(-s) underflows there
@@ -93,7 +89,6 @@ _SMALL_Z = 1e-8
 # per-piece parameters: the piece [lo, hi] (hi = inf on the last piece),
 # then its point's law, weighting, value function, reference and power
 _LO, _HI, _MU, _GAMMA, _THETA, _ALPHA, _GAIN, _LOSS, _X0, _RHO = range(10)
-_NPAR = 10
 
 
 @dataclass(frozen=True)
@@ -160,28 +155,30 @@ def _gain_at(s, mu, gamma, theta):
     return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
 
 
-def _pieces(points) -> list:
-    """Each point's pieces [0, b1], ..., [bk, inf), as rows _LO ... _RHO.
+def _pieces(points) -> tuple:
+    """The pieces [0, b1], ..., [bk, inf) of every point, in point order.
 
-    The breakpoints are the kink s* = gamma * (-log F(g*))**theta and
-    gamma, where each lies in (0, 745]. log F(g*) of every point is taken
-    in one array call.
+    Returns the parameter table, one column per piece with rows _LO ...
+    _RHO, and each point's piece count. The breakpoints are the kink
+    s* = gamma * (-log F(g*))**theta and gamma, where each lies in
+    (0, 745]. log F(g*) of every point is taken in one array call.
     """
     crossing = np.array([metric.crossing for metric, _, _ in points])
     mu = np.array([pd.base.mu for _, pd, _ in points])
     with np.errstate(over="ignore"):  # g*/mu = inf is the limit log F = 0
         log_f = _log1mexp(crossing / mu)
-    out = []
+    rows, counts = [], []
     for (metric, pd, vp), lf in zip(points, log_f):
         wp = pd.weights
         breaks = {wp.gamma}
         if 0.0 < metric.crossing < math.inf:  # inf if F(g*) underflows to 0
             breaks.add(wp.gamma * (-float(lf)) ** wp.theta)
         ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
-        out.append([(lo, hi, pd.base.mu, wp.gamma, wp.theta, vp.alpha,
-                     vp.lambda_gain, vp.lambda_loss, metric.ref.x0, metric.rho)
-                    for lo, hi in zip(ends, ends[1:])])
-    return out
+        rows += [(lo, hi, pd.base.mu, wp.gamma, wp.theta, vp.alpha,
+                  vp.lambda_gain, vp.lambda_loss, metric.ref.x0, metric.rho)
+                 for lo, hi in zip(ends, ends[1:])]
+        counts.append(len(ends) - 1)
+    return np.array(rows, dtype=float).T, np.array(counts)
 
 
 def _node_factors(tau):
@@ -198,18 +195,27 @@ def _node_factors(tau):
 
 @functools.cache
 def _level_nodes(level: int) -> tuple:
-    """:func:`_node_factors` of the nodes a level's array program adds.
+    """The layout of a level's array program: its nodes'
+    :func:`_node_factors` and the ``(level, columns)`` pairs it completes.
 
-    Level _FIRST takes the whole window at step h0 / 2**_FIRST, which
-    holds levels 0 ... _FIRST; each later level its odd multiples of
-    h0 / 2**level. Built on first use, read-only.
+    Level _FIRST takes the whole window at step h0 / 2**_FIRST and
+    completes levels 0 ... _FIRST: level 0 from every 2**_FIRST-th node,
+    each later one from the odd multiples of its own step. A later level
+    takes only its own odd multiples of h0 / 2**level, in all columns.
+    Built on first use, read-only.
     """
-    k = (np.arange((_STEPS << level) + 1) if level == _FIRST
-         else np.arange(1, _STEPS << level, 2))
+    if level == _FIRST:
+        k = np.arange((_STEPS << level) + 1)
+        levels = ((0, slice(0, None, 1 << level)),
+                  *((lv, slice(1 << level - lv, None, 2 << level - lv))
+                    for lv in range(1, level + 1)))
+    else:
+        k = np.arange(1, _STEPS << level, 2)
+        levels = ((level, slice(None)),)
     nodes = _node_factors(_TAU_LO + _H0 / 2 ** level * k)
     for a in nodes:
         a.setflags(write=False)
-    return nodes
+    return nodes, levels
 
 
 def _terms(fn, p, nodes):
@@ -248,15 +254,15 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
     Points whose metrics share ``of`` are integrated together: each level
     of the double-exponential rule evaluates the new nodes of the pieces
     of every unfinished point in one array program, the first program
-    levels 0 to 2. Each point meets ``tol`` within its own ``budget``
-    exactly as it would alone. Returns, in the order of ``points``, a
-    PuResult whose ``abs_error`` is at most ``tol`` and whose
-    ``evaluations`` count integrand nodes, never more than ``budget``; or
-    the point's PerceptError, a ToleranceNotMet carrying the best value,
-    its error estimate and the evaluation count when the estimate cannot
-    be certified within ``budget``. A tolerance of inf accepts the first
-    program, 69 nodes per piece (levels 0 to 2); a budget below it fails
-    with ToleranceNotMet and no evaluations.
+    levels 0 to 2. Before each program a point checks that it fits in its
+    own ``budget``, so it meets ``tol`` exactly as it would alone. Returns,
+    in the order of ``points``, a PuResult whose ``abs_error`` is at most
+    ``tol`` and whose ``evaluations`` count integrand nodes, never more
+    than ``budget``; or the point's PerceptError, a ToleranceNotMet
+    carrying the best value, its error estimate and the evaluation count
+    when the estimate cannot be certified within ``budget``. A tolerance
+    of inf accepts the first program, 69 nodes per piece; a budget below
+    it fails with ToleranceNotMet and no evaluations.
     """
     try:
         if tol != math.inf:
@@ -267,55 +273,43 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
     out = [None] * len(points)
     families = {}
     for i, point in enumerate(points):
-        families.setdefault(point[0].of, []).append((i, *point))
+        families.setdefault(point[0].of, []).append(i)
     for fn, members in families.items():
         # an overflow fails its point (a non-finite metric or error
         # estimate), so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            _integrate(fn, members, tol, budget, out)
+            results = _integrate(fn, [points[i] for i in members], tol,
+                                 budget)
+        for i, res in zip(members, results):
+            out[i] = res
     return out
 
 
-def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
-    """The double-exponential rule on one family; fills ``out`` per member.
-
-    Each member is (index into ``out``, metric, pd, value_params), and its
-    metric's ``of`` is ``fn``.
-    """
-    n = len(members)
-    active = np.zeros(n, dtype=bool)
-    # the pieces of each member in turn, so a member alone sums its
-    # pieces in the same order
-    par, owner = [], []
-    for j, ((i, *_), rows) in enumerate(
-            zip(members, _pieces([point for _, *point in members]))):
-        need = ((_STEPS << _FIRST) + 1) * len(rows)
-        if need > budget:
-            out[i] = ToleranceNotMet(
-                f"budget {budget} is below the {need} evaluations of one "
-                "pass", value=math.nan, abs_error=math.inf, evaluations=0)
-            continue
-        active[j] = True
-        par += rows
-        owner += [j] * len(rows)
-    par = np.array(par, dtype=float).reshape(-1, _NPAR).T
-    owner = np.array(owner, dtype=np.intp)
-    pieces = np.bincount(owner, minlength=n)
+def _integrate(fn, points, tol: float, budget: int) -> list:
+    """The double-exponential rule on one family, whose metrics' ``of`` is
+    ``fn``; the result of each point, in order."""
+    par, pieces = _pieces(points)
+    n = len(points)
+    # the pieces of each point in turn, so a point alone sums its pieces
+    # in the same order
+    owner = np.repeat(np.arange(n), pieces)
+    out = [None] * n
+    active = np.ones(n, dtype=bool)
     est, mass, diff = np.zeros((3, owner.size))
     evals = np.zeros(n, dtype=np.int64)
 
     def fail(rows, bad, check, x):
-        """Fail each member owning a ``bad`` row with ``check``'s error."""
+        """Fail each point owning a ``bad`` row with ``check``'s error."""
         for j in np.unique(owner[rows[bad]]):
             try:
                 check(x[owner[rows] == j])
             except DomainError as exc:
-                out[members[j][0]] = exc
+                out[j] = exc
                 active[j] = False
 
-    def refine(rows, nodes, level):
-        """Add the ``nodes`` of ``level``'s array program to the pieces
-        ``rows``."""
+    def refine(rows, nodes, levels):
+        """Add the ``nodes`` of an array program to the pieces ``rows``;
+        each ``(level, columns)`` of ``levels`` completes that level."""
         p = par[:, rows, None]
         omega, w = _terms(fn, p, nodes)
         ok = (omega >= 0.0) & (omega < np.inf)
@@ -324,52 +318,52 @@ def _integrate(fn, members, tol: float, budget: int, out: list) -> None:
             fail(rows, bad, _check_quantity, omega)
             omega[bad] = 0.0  # failed rows take no part below
         wf = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS]) * w
-        # the first program holds levels 0 ... _FIRST, each in its columns
-        first = level == _FIRST
-        levels, cols = ((range(_FIRST + 1), _FIRST_COLS) if first
-                        else ((level,), (slice(None),)))
-        sums = [wf[:, c].sum(axis=1) for c in cols]
-        coarse = wf[:, ::8].sum(axis=1) if first else None  # step 2*h0
+        sums = [wf[:, c].sum(axis=1) for _, c in levels]
         np.abs(wf, out=wf)  # the signed sums are taken; wf is now |w*f|
         e, m = est[rows], mass[rows]
-        for lv, c, x in zip(levels, cols, sums):
+        for (lv, c), x in zip(levels, sums):
             h = _H0 / 2 ** lv
-            # level 0 is compared with its own sum at step 2*h0
-            prev, keep = (2.0 * h * coarse, 0.0) if lv == 0 else (e, 0.5)
-            e = keep * e + h * x
-            m = keep * m + h * wf[:, c].sum(axis=1)
+            prev, e = e, 0.5 * e + h * x
+            m = 0.5 * m + h * wf[:, c].sum(axis=1)
         est[rows], mass[rows], diff[rows] = e, m, np.abs(e - prev)
         if not np.isfinite(m).all():  # the value overflowed
             fail(rows, ~np.isfinite(m), _check_value, m)
 
     for level in range(_FIRST, _LAST_LEVEL + 1):
+        nodes, levels = _level_nodes(level)
+        cost = pieces * nodes[0].size
+        # a point runs a program only if it fits in its budget
+        active &= evals + cost <= min(budget, _INT64_MAX)
         if not active.any():
             break
-        nodes = _level_nodes(level)
-        refine(np.flatnonzero(active[owner]), nodes, level)
-        evals += np.where(active, pieces * nodes[0].size, 0)
-        # a member stops when its tolerance is met, when its level
-        # difference is down to the roundoff floor, or when its next
-        # level would overrun the budget
+        refine(np.flatnonzero(active[owner]), nodes, levels)
+        evals += np.where(active, cost, 0)
+        # a point stops when its tolerance is met or when its level
+        # difference is down to the roundoff floor
         d, floor = (np.bincount(owner, x, n) for x in (diff, 50 * _EPS * mass))
-        active &= ((tol < d + floor) & (floor < d)
-                   & (evals + pieces * (_STEPS << level)
-                      <= min(budget, _INT64_MAX)))
+        active &= (tol < d + floor) & (floor < d)
     totals = np.bincount(owner, est, n)
-    for j, (i, *_) in enumerate(members):
-        if out[i] is not None:
+    for j in range(n):
+        if out[j] is not None:
+            continue
+        if not evals[j]:  # stopped before its first program
+            need = pieces[j] * _level_nodes(_FIRST)[0][0].size
+            out[j] = ToleranceNotMet(
+                f"budget {budget} is below the {need} evaluations of one "
+                "pass", value=math.nan, abs_error=math.inf, evaluations=0)
             continue
         total, total_err = float(totals[j]), float(d[j] + floor[j])
         if total_err <= tol:
-            out[i] = PuResult(value=total, abs_error=total_err,
+            out[j] = PuResult(value=total, abs_error=total_err,
                               evaluations=int(evals[j]))
             continue
         why = (f"is below the roundoff floor {floor[j]:g}"
                if floor[j] > tol else "not certified")
-        out[i] = ToleranceNotMet(
+        out[j] = ToleranceNotMet(
             f"requested abs tolerance {tol:g} {why}: error estimate "
             f"{total_err:g} after {evals[j]} evaluations (budget {budget})",
             value=total, abs_error=total_err, evaluations=int(evals[j]))
+    return out
 
 
 def rate_gain(rate: float, rho: float) -> float:

@@ -232,7 +232,7 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
         return SweepRow(x, pd.pcdf(x), 0.0, 1)
     if metric == "ppdf":
         return SweepRow(x, pd.ppdf(x), 0.0, 1)
-    link = LinkBudget(eff.pt_over_n0, ExponentialGain(eff.mu))
+    link = LinkBudget(eff.pt_over_n0, pd.base)
     config = None if eff.mc is None else McConfig(eff.mc.samples, mc_seed)
     if metric == "pop":
         spec = OutageSpec(eff.epsilon)

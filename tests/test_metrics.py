@@ -195,6 +195,33 @@ def test_value_overflow_fails_only_its_own_point():
         pu_snr(link(10.0), 4.0, huge, WP)
 
 
+def test_budget_stops_each_point_of_a_batch_as_alone():
+    # 1, 2 and 3 pieces (gamma = 1000 lies past s = 745; rho = 0 has no
+    # kink) against a budget of 150: the first program is 69 nodes per
+    # piece and level 3 adds 68
+    def point(rho, gamma):
+        pd = PerceptualDistribution(ExponentialGain(1.0),
+                                    WeightParams(gamma, 0.8))
+        return snr_metric(link(rho), 4.0), pd, VP
+
+    def outcome(res):
+        return (type(res), str(res) if isinstance(res, Exception) else None,
+                repr(res.value), res.evaluations)
+
+    points = [point(0.0, 1000.0), point(0.0, 1.0), point(10.0, 1.0)]
+    out = pu_batch(points, 1e-8, 150)
+    assert [outcome(res) for res in out] == [
+        outcome(pu_batch([p], 1e-8, 150)[0]) for p in points]
+    certified, uncertified, starved = out
+    assert certified.evaluations == 137 and certified.abs_error <= 1e-8
+    assert isinstance(uncertified, ToleranceNotMet)
+    assert uncertified.evaluations == 138
+    assert "not certified" in str(uncertified)
+    assert isinstance(starved, ToleranceNotMet)
+    assert "below the 207 evaluations of one pass" in str(starved)
+    assert starved.evaluations == 0
+
+
 # --- perceptual utility: shape ----------------------------------------------
 
 def test_pu_increases_with_power():
@@ -280,7 +307,7 @@ def test_fixed_tau_window_loses_less_than_the_floor():
                      PerceptualDistribution(ExponentialGain(1.0),
                                             WeightParams(gamma, theta)),
                      ValueParams(alpha, 1.0, 2.0))
-            p = np.array(_pieces([point])[0]).T[:, :, None]
+            p = _pieces([point])[0][:, :, None]
 
             def wf(tau):
                 with np.errstate(over="ignore"):

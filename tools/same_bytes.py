@@ -1,0 +1,120 @@
+"""Compare the outputs of two checkouts of this repository byte for byte.
+
+    python tools/same_bytes.py PARENT [CHANGE]
+
+PARENT and CHANGE are checkout directories; CHANGE defaults to the
+checkout that holds this script. Each checkout runs in its own Python
+subprocess with its own ``src/`` first on the path, and both take the
+same inputs, read from CHANGE's ``bench/catalogue.json``:
+
+- ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of five edge cases:
+  ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
+  1e-14``, ``pu-snr --budget 100`` and ``pu-rate --tol 1e-2``;
+- ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
+  catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
+
+Prints the number of outputs and of differences, and the first few
+differences; exits 1 if any output differs, 0 if none does.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
+              ["pu-snr", "--tol", "1e-14"], ["pu-snr", "--budget", "100"],
+              ["pu-rate", "--tol", "1e-2"]]
+TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
+SHOW = 5  # differences printed in full
+
+
+def jobs(catalogue: dict) -> list:
+    """Every input, as ("cli", argv) or ("quad", scenario document)."""
+    argvs = [e["argv"] for e in catalogue["cli"]]
+    argvs += [["sweep", f"fig{k}"] for k in range(2, 9)] + EDGE_ARGVS
+    out = [("cli", argv) for argv in argvs]
+    for tol in TOLERANCES:
+        out += [("quad", e["doc"] if tol is None else dict(e["doc"],
+                                                           tolerance=tol))
+                for e in catalogue["quad"]]
+    return out
+
+
+def collect(todo: list) -> list:
+    """The output of every job, run with the ``percept`` on the path."""
+    from percept import cli
+    from percept.errors import PerceptError
+    from percept.sweep import run_scenario, scenario_from_dict, sweep_csv
+
+    out = []
+    for kind, arg in todo:
+        if kind == "cli":
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(stderr)):
+                try:
+                    code = cli.main(list(arg))
+                except SystemExit as exc:
+                    code = exc.code
+            out.append([arg, code, stdout.getvalue(), stderr.getvalue()])
+            continue
+        try:
+            text = sweep_csv(run_scenario(scenario_from_dict(arg)))
+        except PerceptError as exc:  # the error is the output
+            text = repr(exc)
+        out.append([arg, text])
+    return out
+
+
+def run_checkout(root: Path, todo: list) -> list:
+    """:func:`collect` in a subprocess importing ``root/src``."""
+    src = str((root / "src").resolve())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, __file__, "--collect", src],
+        input=json.dumps(todo), capture_output=True, text=True, env=env,
+        check=False)
+    if proc.returncode != 0:
+        sys.exit(f"{root}: collecting failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def child(src: str) -> int:
+    """The subprocess side: jobs on stdin, outputs on stdout."""
+    import percept
+    if not Path(percept.__file__).resolve().is_relative_to(src):
+        sys.exit(f"imported {percept.__file__}, not from {src}")
+    json.dump(collect(json.load(sys.stdin)), sys.stdout)
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path, nargs="?",
+                        default=Path(__file__).resolve().parent.parent)
+    args = parser.parse_args(argv)
+    catalogue = json.loads(
+        (args.change / "bench" / "catalogue.json").read_text(encoding="utf-8"))
+    todo = jobs(catalogue)
+    before = run_checkout(args.parent, todo)
+    after = run_checkout(args.change, todo)
+    diffs = [(a, b) for a, b in zip(before, after) if a != b]
+    print(f"{len(diffs)} of {len(todo)} outputs differ")
+    for a, b in diffs[:SHOW]:
+        print(f"- parent: {json.dumps(a)}\n+ change: {json.dumps(b)}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(child(sys.argv[2]) if sys.argv[1:2] == ["--collect"]
+             else main())
