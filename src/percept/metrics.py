@@ -65,8 +65,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (ExponentialGain, PerceptualDistribution,
-                            _log1mexp)
+from .distributions import ExponentialGain, _log1mexp
 from .errors import (DomainError, PerceptError, ToleranceNotMet,
                      _check_count, _real)
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
@@ -146,13 +145,27 @@ def _gain_at(s, mu, gamma, theta):
     The base survival probability q = 1 - exp(-z), z = (s/gamma)**(1/theta),
     underflows to 0 for tiny s when theta is small, although its logarithm
     is an ordinary number. So log q is formed from log z there, and by
-    :func:`_log1mexp` elsewhere. The gain is the exponential law's quantile
-    at survival q, -mu * log q. The parameters broadcast against ``s``.
+    :func:`_log1mexp` elsewhere; log z is (log s - log gamma) / theta
+    where s / gamma underflows (gamma past about 8e292). The gain is the
+    exponential law's quantile at survival q, -mu * log q. The parameters
+    broadcast against ``s``.
     """
     with np.errstate(divide="ignore", over="ignore"):
         log_z = np.log(s / gamma) / theta
+        if np.min(log_z) == -np.inf:
+            log_z = np.where(log_z == -np.inf,
+                             (np.log(s) - np.log(gamma)) / theta, log_z)
         z = np.exp(log_z)
     return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
+
+
+def _point(metric: CompositeMetric, mu: float, value_params: ValueParams,
+           weight_params: WeightParams) -> tuple:
+    """A point of :func:`pu_batch` as a flat row of floats: rows _MU ...
+    _RHO of the piece table, then the metric's crossing gain g*."""
+    return (mu, weight_params.gamma, weight_params.theta, value_params.alpha,
+            value_params.lambda_gain, value_params.lambda_loss,
+            metric.ref.x0, metric.rho, metric.crossing)
 
 
 def _pieces(points) -> tuple:
@@ -163,20 +176,17 @@ def _pieces(points) -> tuple:
     s* = gamma * (-log F(g*))**theta and gamma, where each lies in
     (0, 745]. log F(g*) of every point is taken in one array call.
     """
-    crossing = np.array([metric.crossing for metric, _, _ in points])
-    mu = np.array([pd.base.mu for _, pd, _ in points])
+    mu, g_star = np.array([(p[0], p[-1]) for p in points]).T
     with np.errstate(over="ignore"):  # g*/mu = inf is the limit log F = 0
-        log_f = _log1mexp(crossing / mu)
+        log_f = _log1mexp(g_star / mu)
     rows, counts = [], []
-    for (metric, pd, vp), lf in zip(points, log_f):
-        wp = pd.weights
-        breaks = {wp.gamma}
-        if 0.0 < metric.crossing < math.inf:  # inf if F(g*) underflows to 0
-            breaks.add(wp.gamma * (-float(lf)) ** wp.theta)
+    for point, lf in zip(points, log_f):
+        gamma, theta, crossing = point[1], point[2], point[-1]
+        breaks = {gamma}
+        if 0.0 < crossing < math.inf:  # inf if F(g*) underflows to 0
+            breaks.add(gamma * (-float(lf)) ** theta)
         ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
-        rows += [(lo, hi, pd.base.mu, wp.gamma, wp.theta, vp.alpha,
-                  vp.lambda_gain, vp.lambda_loss, metric.ref.x0, metric.rho)
-                 for lo, hi in zip(ends, ends[1:])]
+        rows += [(lo, hi, *point[:-1]) for lo, hi in zip(ends, ends[1:])]
         counts.append(len(ends) - 1)
     return np.array(rows, dtype=float).T, np.array(counts)
 
@@ -237,28 +247,29 @@ def _terms(fn, p, nodes):
     return np.where(w > 0.0, fn(p[_RHO] * g), 0.0), w
 
 
-def _pu_point(metric: CompositeMetric, pd: PerceptualDistribution,
-              value_params: ValueParams, tol: float,
-              budget: int) -> PuResult:
+def _pu_point(metric, mu, value_params, weight_params, tol, budget):
     """:func:`pu_batch` of one point; raises the point's PerceptError."""
-    (out,) = pu_batch([(metric, pd, value_params)], tol, budget)
+    point = _point(metric, mu, value_params, weight_params)
+    (out,) = pu_batch(metric.of, [point], tol, budget)
     if isinstance(out, PerceptError):
         raise out
     return out
 
 
-def pu_batch(points, tol: float = DEFAULT_TOL,
+# an overflow fails its point, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
+def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
              budget: int = DEFAULT_BUDGET) -> list:
-    """Perceptual utility of every ``(metric, pd, value_params)`` point.
+    """Perceptual utility of every :func:`_point` row of ``points``, whose
+    metrics all map the SNR by ``of``.
 
-    Points whose metrics share ``of`` are integrated together: each level
-    of the double-exponential rule evaluates the new nodes of the pieces
-    of every unfinished point in one array program, the first program
-    levels 0 to 2. Before each program a point checks that it fits in its
-    own ``budget``, so it meets ``tol`` exactly as it would alone. Returns,
-    in the order of ``points``, a PuResult whose ``abs_error`` is at most
-    ``tol`` and whose ``evaluations`` count integrand nodes, never more
-    than ``budget``; or the point's PerceptError, a ToleranceNotMet
+    Each level of the double-exponential rule evaluates the new nodes of
+    the pieces of every unfinished point in one array program, the first
+    program levels 0 to 2. Before each program a point checks that it fits
+    in its own ``budget``, so it meets ``tol`` exactly as it would alone.
+    Returns, in the order of ``points``, a PuResult whose ``abs_error`` is
+    at most ``tol`` and whose ``evaluations`` count integrand nodes, never
+    more than ``budget``; or the point's PerceptError, a ToleranceNotMet
     carrying the best value, its error estimate and the evaluation count
     when the estimate cannot be certified within ``budget``. A tolerance
     of inf accepts the first program, 69 nodes per piece; a budget below
@@ -270,24 +281,6 @@ def pu_batch(points, tol: float = DEFAULT_TOL,
         _check_count("budget", budget, -math.inf)
     except DomainError as exc:
         return [exc] * len(points)
-    out = [None] * len(points)
-    families = {}
-    for i, point in enumerate(points):
-        families.setdefault(point[0].of, []).append(i)
-    for fn, members in families.items():
-        # an overflow fails its point (a non-finite metric or error
-        # estimate), so numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            results = _integrate(fn, [points[i] for i in members], tol,
-                                 budget)
-        for i, res in zip(members, results):
-            out[i] = res
-    return out
-
-
-def _integrate(fn, points, tol: float, budget: int) -> list:
-    """The double-exponential rule on one family, whose metrics' ``of`` is
-    ``fn``; the result of each point, in order."""
     par, pieces = _pieces(points)
     n = len(points)
     # the pieces of each point in turn, so a point alone sums its pieces
@@ -311,7 +304,7 @@ def _integrate(fn, points, tol: float, budget: int) -> list:
         """Add the ``nodes`` of an array program to the pieces ``rows``;
         each ``(level, columns)`` of ``levels`` completes that level."""
         p = par[:, rows, None]
-        omega, w = _terms(fn, p, nodes)
+        omega, w = _terms(of, p, nodes)
         ok = (omega >= 0.0) & (omega < np.inf)
         if not ok.all():  # the metric left the value function's domain
             bad = ~ok.all(axis=1)
@@ -409,16 +402,16 @@ def pu_snr(link: LinkBudget, ref, value_params: ValueParams,
            weight_params: WeightParams, tol: float = DEFAULT_TOL,
            budget: int = DEFAULT_BUDGET) -> PuResult:
     """Average perceived value of the instantaneous SNR."""
-    pd = PerceptualDistribution(link.channel, weight_params)
-    return _pu_point(snr_metric(link, ref), pd, value_params, tol, budget)
+    return _pu_point(snr_metric(link, ref), link.channel.mu, value_params,
+                     weight_params, tol, budget)
 
 
 def pu_rate(link: LinkBudget, ref, value_params: ValueParams,
             weight_params: WeightParams, tol: float = DEFAULT_TOL,
             budget: int = DEFAULT_BUDGET) -> PuResult:
     """Average perceived value of the instantaneous transmission rate."""
-    pd = PerceptualDistribution(link.channel, weight_params)
-    return _pu_point(rate_metric(link, ref), pd, value_params, tol, budget)
+    return _pu_point(rate_metric(link, ref), link.channel.mu, value_params,
+                     weight_params, tol, budget)
 
 
 def outage_probability(link: LinkBudget, spec: OutageSpec) -> float:

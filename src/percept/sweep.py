@@ -11,6 +11,7 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .distributions import ExponentialGain, PerceptualDistribution
 from .errors import ConstraintViolation, DomainError, PerceptError, ToleranceNotMet
 from .metrics import (DEFAULT_BUDGET, DEFAULT_TOL, LinkBudget, OutageSpec,
-                      pop, pu_batch, rate_metric, snr_metric)
+                      _point, pop, pu_batch, rate_metric, snr_metric)
 from .montecarlo import McConfig, mc_pop, mc_pu
 from .prospect import ValueParams, WeightParams, value, weight
 
@@ -201,15 +202,16 @@ def _with_point(exc: PerceptError, axis_name: str, x: float) -> PerceptError:
     return DomainError(f"{note}: {exc}")
 
 
-def _point_scenario(s: Scenario, x: float) -> Scenario:
-    """Substitute the axis value into the scenario's fixed parameters."""
+def _point_scenario(s: Scenario, x: float):
+    """The scenario's fields with the axis value substituted. A parameter
+    block holding the axis is rebuilt, which checks the value."""
     if s.metric in _CURVE_AXIS:
         return s
     for block, keys in _KEYS.items():
         if s.axis_name in keys:
             params = dataclasses.replace(getattr(s, block), **{s.axis_name: x})
-            return dataclasses.replace(s, **{block: params})
-    return dataclasses.replace(s, **{s.axis_name: x})
+            return SimpleNamespace(**{**vars(s), block: params})
+    return SimpleNamespace(**{**vars(s), s.axis_name: x})
 
 
 def _point_seeds(seed: int, count: int):
@@ -220,7 +222,7 @@ def _point_seeds(seed: int, count: int):
 
 def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
     """The row of a closed-form or Monte Carlo point; for a quadrature
-    point, its ``(metric, pd, value_params)`` for :func:`pu_batch`."""
+    point, its metric's ``of`` and its row for :func:`pu_batch`."""
     eff = _point_scenario(s, x)
     metric = s.metric
     if metric == "value_curve":
@@ -243,7 +245,8 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
         composite = (snr_metric if metric == "pu_snr" else rate_metric)(
             link, eff.reference)
         if config is None:
-            return composite, pd, eff.value_params
+            return composite.of, _point(composite, eff.mu, eff.value_params,
+                                        eff.weight_params)
         est = mc_pu(composite, pd, eff.value_params, config)
     return SweepRow(x, est.mean, est.std_error, est.samples)
 
@@ -267,11 +270,13 @@ def run_scenario(s: Scenario) -> list:
             rows.append(exc)
             break  # only a quadrature point before it can fail first
     quad = [i for i, r in enumerate(rows) if isinstance(r, tuple)]
-    results = pu_batch([rows[i] for i in quad], s.tolerance, s.budget)
-    for i, res in zip(quad, results):
-        rows[i] = (res if isinstance(res, PerceptError) else
-                   SweepRow(s.grid[i], res.value, res.abs_error,
-                            res.evaluations))
+    if quad:
+        results = pu_batch(rows[quad[0]][0], [rows[i][1] for i in quad],
+                           s.tolerance, s.budget)
+        for i, res in zip(quad, results):
+            rows[i] = (res if isinstance(res, PerceptError) else
+                       SweepRow(s.grid[i], res.value, res.abs_error,
+                                res.evaluations))
     for x, row in zip(s.grid, rows):
         if isinstance(row, PerceptError):
             raise _with_point(row, s.axis_name, x) from row

@@ -16,9 +16,9 @@ from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
                      ValueParams, WeightParams, mc_pop, outage_probability,
                      pop, pu_rate, pu_snr, rate_metric, snr_metric, value,
                      weight)
-from percept.metrics import (_H0, _STEPS, _TAU_LO, DEFAULT_BUDGET, _gain_at,
-                             _node_factors, _pieces, _terms, pu_batch,
-                             rate_gain)
+from percept.metrics import (_H0, _HI, _LO, _MU, _STEPS, _TAU_LO,
+                             DEFAULT_BUDGET, _gain_at, _node_factors, _pieces,
+                             _point, _snr, _terms, pu_batch, rate_gain)
 from percept.sweep import preset_scenario, run_scenario
 
 VP = ValueParams(0.5, 1.0, 2.0)
@@ -172,19 +172,17 @@ def test_generic_composite_map_may_return_one_constant():
     # its reference everywhere and every node values 0
     m = snr_metric(link(0.0), 0.0)
     assert m.map(np.array([0.0, 1.0, 1e300])).tolist() == [0.0, 0.0, 0.0]
-    pd = PerceptualDistribution(ExponentialGain(1.0), WP)
-    (res,) = pu_batch([(m, pd, VP)])
+    (res,) = pu_batch(m.of, [_point(m, 1.0, VP, WP)])
     assert (res.value, res.abs_error) == (0.0, 0.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_value_overflow_fails_only_its_own_point():
-    pd = PerceptualDistribution(ExponentialGain(1.0), WP)
     huge = ValueParams(0.5, 1.0, 1e308)
-    points = [(snr_metric(link(10.0), 4.0), pd, VP),
-              (snr_metric(link(10.0), 4.0), pd, huge),
-              (snr_metric(link(100.0), 4.0), pd, VP)]
-    out = pu_batch(points)
+    points = [_point(snr_metric(link(10.0), 4.0), 1.0, VP, WP),
+              _point(snr_metric(link(10.0), 4.0), 1.0, huge, WP),
+              _point(snr_metric(link(100.0), 4.0), 1.0, VP, WP)]
+    out = pu_batch(_snr, points)
     assert isinstance(out[1], DomainError)
     assert "overflows the float range" in str(out[1])
     for res, rho in ((out[0], 10.0), (out[2], 100.0)):
@@ -200,18 +198,17 @@ def test_budget_stops_each_point_of_a_batch_as_alone():
     # kink) against a budget of 150: the first program is 69 nodes per
     # piece and level 3 adds 68
     def point(rho, gamma):
-        pd = PerceptualDistribution(ExponentialGain(1.0),
-                                    WeightParams(gamma, 0.8))
-        return snr_metric(link(rho), 4.0), pd, VP
+        return _point(snr_metric(link(rho), 4.0), 1.0, VP,
+                      WeightParams(gamma, 0.8))
 
     def outcome(res):
         return (type(res), str(res) if isinstance(res, Exception) else None,
                 repr(res.value), res.evaluations)
 
     points = [point(0.0, 1000.0), point(0.0, 1.0), point(10.0, 1.0)]
-    out = pu_batch(points, 1e-8, 150)
+    out = pu_batch(_snr, points, 1e-8, 150)
     assert [outcome(res) for res in out] == [
-        outcome(pu_batch([p], 1e-8, 150)[0]) for p in points]
+        outcome(pu_batch(_snr, [p], 1e-8, 150)[0]) for p in points]
     certified, uncertified, starved = out
     assert certified.evaluations == 137 and certified.abs_error <= 1e-8
     assert isinstance(uncertified, ToleranceNotMet)
@@ -290,6 +287,28 @@ def test_small_theta_in_strict_box(fn, tol):
     assert abs(res.value - ref) <= res.abs_error
 
 
+# --- pieces -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rho, ref, gamma, theta, ends", [
+    # -log F(g*) is exactly 1, so the kink s* falls on gamma
+    (1.0, 0.4586751453870819, 1.3, 0.7, [0.0, 1.3, math.inf]),
+    (0.0, 0.0, 1.3, 0.7, [0.0, 1.3, math.inf]),  # no kink
+    (10.0, 4.0, 1000.0, 0.8, [0.0, math.inf]),  # both past s = 745
+    (1e300, 1.0, 2.0, 0.99, [0.0, 2.0, math.inf]),  # the kink past 745
+    (10.0, 4.0, 1.0, 0.8,  # the kink past gamma
+     [0.0, 1.0, (-math.log(-math.expm1(-0.4))) ** 0.8, math.inf]),
+])
+def test_pieces_end_at_gamma_and_the_kink_up_to_745(rho, ref, gamma, theta,
+                                                    ends):
+    point = _point(snr_metric(link(rho), ref), 1.0, VP,
+                   WeightParams(gamma, theta))
+    par, counts = _pieces([point])
+    assert counts.tolist() == [len(ends) - 1]
+    assert par[_LO].tolist() == pytest.approx(ends[:-1], rel=1e-15)
+    assert par[_HI].tolist() == pytest.approx(ends[1:], rel=1e-15)
+    assert (par[_MU:].T == point[:-1]).all()
+
+
 # --- the fixed tau window ------------------------------------------------------
 
 def test_fixed_tau_window_loses_less_than_the_floor():
@@ -303,16 +322,14 @@ def test_fixed_tau_window_loses_less_than_the_floor():
         for theta, alpha, rho, ref, gamma in itertools.product(
                 (1e-4, 0.01, 0.8), (0.15, 0.99), (0.0, 10.0, 1e300),
                 (0.0, 4.0, far), (1e-30, 1.0, 1e30)):
-            point = (metric(link(rho), ref),
-                     PerceptualDistribution(ExponentialGain(1.0),
-                                            WeightParams(gamma, theta)),
-                     ValueParams(alpha, 1.0, 2.0))
-            p = _pieces([point])[0][:, :, None]
+            m, vp = metric(link(rho), ref), ValueParams(alpha, 1.0, 2.0)
+            wp = WeightParams(gamma, theta)
+            p = _pieces([_point(m, 1.0, vp, wp)])[0][:, :, None]
 
             def wf(tau):
                 with np.errstate(over="ignore"):
-                    omega, w = _terms(point[0].of, p, _node_factors(tau))
-                return value(omega, point[0].ref, point[2]) * w
+                    omega, w = _terms(m.of, p, _node_factors(tau))
+                return value(omega, m.ref, vp) * w
 
             floor = 50 * np.finfo(float).eps * _H0 / 16 * np.abs(
                 wf(inside)).sum()
@@ -376,7 +393,10 @@ def test_pu_depends_on_power_and_mean_gain_through_their_product(
 # references from bench/catalogue.json (lambda_gain = 1 throughout). The
 # last four, at theta = 1e-3 and 1e-4 and at gamma = 1e25, are points on
 # which an adaptive Gauss-Kronrod engine certified a wrong value; their
-# mpmath references split the integral at many points about gamma.
+# mpmath references split the integral at many points about gamma. The
+# last two, at gamma = 1e300, are points where s / gamma underflows at the
+# smallest exp-sinh node; their references split at 1e-40, 1e-10, 0.01, 1,
+# 4, 16, 64 and 256 and agree with the substitution q = exp(-s) to 1e-33.
 # metric, rho, ref, alpha, lambda_loss, gamma, theta, mu, tol, reference
 HARD_POINTS = [
     ("pu_snr", 2.09046, 5.34596, 0.347988, 1.79406, 1.41174, 0.599264, 1.62999,
@@ -407,6 +427,10 @@ HARD_POINTS = [
      "10.7615357875227338345943648618"),
     ("pu_rate", 1.0, 0.459, 0.5, 2.0, 1e25, 0.5, 1.0, 1e-08,
      "2.53268256661536333588838100643"),
+    ("pu_snr", 100.0, 4.0, 0.5, 2.0, 1e300, 0.8, 1.0, 1e-08,
+     "293.964315295370589259660385283"),
+    ("pu_rate", 100.0, 4.0, 0.5, 2.0, 1e300, 0.8, 1.0, 1e-08,
+     "3.52123224724112857397186344567"),
 ]
 
 # the fig5 and fig6 presets, point by point in grid order

@@ -337,8 +337,8 @@ def test_batched_points_match_points_run_alone(metric, fn, axis, grid):
         alone = fn(LinkBudget(fixed["pt_over_n0"], ExponentialGain(1.0)),
                    fixed["reference"], ValueParams(0.5, 1.0, 2.0),
                    WeightParams(1.0, 0.8), budget=2000)
-        assert r.n_eval == alone.evaluations, r.axis
-        assert abs(r.value - alone.value) <= 1e-12 * abs(alone.value), r.axis
+        assert (r.value, r.err, r.n_eval) == (
+            alone.value, alone.abs_error, alone.evaluations), r.axis
 
 
 def test_first_failing_point_is_reported():

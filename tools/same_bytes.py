@@ -13,6 +13,10 @@ same inputs, read from CHANGE's ``bench/catalogue.json``:
   1e-14``, ``pu-snr --budget 100`` and ``pu-rate --tol 1e-2``;
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
+  As the CSV rounds to 12 digits, each such output also holds the
+  ``float.hex`` of every row's value and err with its n_eval, or, for a
+  ToleranceNotMet, of the value and abs_error it carries with its
+  evaluation count.
 
 Prints the number of outputs and of differences, and the first few
 differences; exits 1 if any output differs, 0 if none does.
@@ -50,7 +54,7 @@ def jobs(catalogue: dict) -> list:
 def collect(todo: list) -> list:
     """The output of every job, run with the ``percept`` on the path."""
     from percept import cli
-    from percept.errors import PerceptError
+    from percept.errors import PerceptError, ToleranceNotMet
     from percept.sweep import run_scenario, scenario_from_dict, sweep_csv
 
     out = []
@@ -66,10 +70,15 @@ def collect(todo: list) -> list:
             out.append([arg, code, stdout.getvalue(), stderr.getvalue()])
             continue
         try:
-            text = sweep_csv(run_scenario(scenario_from_dict(arg)))
+            rows = run_scenario(scenario_from_dict(arg))
+            text = sweep_csv(rows)
+            exact = [[r.value.hex(), r.err.hex(), r.n_eval] for r in rows]
         except PerceptError as exc:  # the error is the output
-            text = repr(exc)
-        out.append([arg, text])
+            text, exact = repr(exc), None
+            if isinstance(exc, ToleranceNotMet):
+                exact = [exc.value.hex(), exc.abs_error.hex(),
+                         exc.evaluations]
+        out.append([arg, text, exact])
     return out
 
 
