@@ -40,14 +40,14 @@ is pessimistic for I_L. A node one step h0 beyond either end of the
 window weighs less than the floor (tests/test_metrics.py).
 
 Each level's nodes are one array program for the pieces of every
-unfinished point of a sweep together. The first program takes levels 0,
-1 and 2 at once: the whole window at step h0/4, 69 nodes per piece, whose
-strided columns give I_0, I_1 and I_2 by the same recursion, as no point
-stops before level 2 on ordinary traffic. The factors of the nodes that
-do not depend on the piece are built once per level, on first use.
+unfinished point of a sweep together. The first program takes levels 0
+to 3 at once: the whole window at step h0/8, 137 nodes per piece, whose
+strided columns give I_0 ... I_3 by the same recursion, as no point stops
+before level 3 on ordinary traffic. The factors of the nodes that do not
+depend on the piece are built once per level, on first use.
 
 The stopping rule is per point, so each point gets the value and the
-evaluation count it would get alone: it stops, from level 2 on, when its
+evaluation count it would get alone: it stops, from level 3 on, when its
 error meets tol, when its level difference is down to its floor, when its
 next level would overrun its budget, or at the last level, of step
 h0/4096. A tolerance below the floor cannot be certified; ToleranceNotMet
@@ -78,7 +78,7 @@ DEFAULT_BUDGET = 100_000
 # the double-exponential rule samples tau in [_TAU_LO, _TAU_LO + _STEPS*_H0]
 # at step _H0 / 2**L on level L = 0 ... _LAST_LEVEL; the first array
 # program takes levels 0 ... _FIRST at once
-_TAU_LO, _H0, _STEPS, _FIRST, _LAST_LEVEL = -4.5, 0.5, 17, 2, 12
+_TAU_LO, _H0, _STEPS, _FIRST, _LAST_LEVEL = -4.5, 0.5, 17, 3, 12
 _EPS = float(np.finfo(float).eps)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # a breakpoint past this s is left out: exp(-s) underflows there
@@ -265,14 +265,14 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
 
     Each level of the double-exponential rule evaluates the new nodes of
     the pieces of every unfinished point in one array program, the first
-    program levels 0 to 2. Before each program a point checks that it fits
+    program levels 0 to 3. Before each program a point checks that it fits
     in its own ``budget``, so it meets ``tol`` exactly as it would alone.
     Returns, in the order of ``points``, a PuResult whose ``abs_error`` is
     at most ``tol`` and whose ``evaluations`` count integrand nodes, never
     more than ``budget``; or the point's PerceptError, a ToleranceNotMet
     carrying the best value, its error estimate and the evaluation count
     when the estimate cannot be certified within ``budget``. A tolerance
-    of inf accepts the first program, 69 nodes per piece; a budget below
+    of inf accepts the first program, 137 nodes per piece; a budget below
     it fails with ToleranceNotMet and no evaluations.
     """
     try:

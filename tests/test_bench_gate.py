@@ -68,9 +68,9 @@ def test_quad_catalogue_node_counts_are_pinned():
 
 
 # array programs (calls of metrics._terms) of fig5, of fig6 and of the 320
-# quad scenarios: the first program takes levels 0 ... 2 at once, and each
+# quad scenarios: the first program takes levels 0 ... 3 at once, and each
 # later level is one more
-PRESET_PROGRAMS, QUAD_PROGRAMS = 2, 810
+PRESET_PROGRAMS, QUAD_PROGRAMS = 1, 490
 
 
 def test_array_program_counts_are_pinned(monkeypatch):
@@ -90,6 +90,25 @@ def test_array_program_counts_are_pinned(monkeypatch):
     for e in CAT["quad"]:
         run_scenario(scenario_from_dict(e["doc"]))
     assert len(calls) == QUAD_PROGRAMS
+
+
+def test_first_program_depth_keeps_every_bit(monkeypatch):
+    # levels formed from the strided columns of one program give the bits
+    # and node counts of the same levels run one program at a time
+    scenarios = [preset_scenario("fig5"), preset_scenario("fig6"),
+                 *(scenario_from_dict(e["doc"]) for e in CAT["quad"][::40])]
+
+    def outputs(first):
+        monkeypatch.setattr(metrics, "_FIRST", first)
+        metrics._level_nodes.cache_clear()  # its layouts follow _FIRST
+        return [[(r.value.hex(), r.err.hex(), r.n_eval)
+                 for r in run_scenario(s)] for s in scenarios]
+
+    try:
+        assert outputs(2) == outputs(3)
+    finally:
+        monkeypatch.undo()
+        metrics._level_nodes.cache_clear()
 
 
 def test_every_cli_catalogue_entry_passes_the_bench_checks():

@@ -132,11 +132,12 @@ def test_pu_result_reports_quadrature_health():
 
 
 def test_tolerance_not_met_raises_with_diagnostics():
+    # the first program (411 nodes) leaves 5.4e-10; 1e-10 needs 819
     with pytest.raises(ToleranceNotMet) as exc:
-        pu_snr(link(10.0), 4.0, VP, WP, tol=1e-8, budget=300)
+        pu_snr(link(10.0), 4.0, VP, WP, tol=1e-10, budget=600)
     err = exc.value
-    assert 0 < err.evaluations <= 300
-    assert err.abs_error > 1e-8
+    assert 0 < err.evaluations <= 600
+    assert err.abs_error > 1e-10
     assert math.isfinite(err.value)
 
 
@@ -195,8 +196,8 @@ def test_value_overflow_fails_only_its_own_point():
 
 def test_budget_stops_each_point_of_a_batch_as_alone():
     # 1, 2 and 3 pieces (gamma = 1000 lies past s = 745; rho = 0 has no
-    # kink) against a budget of 150: the first program is 69 nodes per
-    # piece and level 3 adds 68
+    # kink) against a budget of 300 at tol 1e-10: the first program is 137
+    # nodes per piece, which certifies none of them, and level 4 adds 136
     def point(rho, gamma):
         return _point(snr_metric(link(rho), 4.0), 1.0, VP,
                       WeightParams(gamma, 0.8))
@@ -206,16 +207,16 @@ def test_budget_stops_each_point_of_a_batch_as_alone():
                 repr(res.value), res.evaluations)
 
     points = [point(0.0, 1000.0), point(0.0, 1.0), point(10.0, 1.0)]
-    out = pu_batch(_snr, points, 1e-8, 150)
+    out = pu_batch(_snr, points, 1e-10, 300)
     assert [outcome(res) for res in out] == [
-        outcome(pu_batch(_snr, [p], 1e-8, 150)[0]) for p in points]
+        outcome(pu_batch(_snr, [p], 1e-10, 300)[0]) for p in points]
     certified, uncertified, starved = out
-    assert certified.evaluations == 137 and certified.abs_error <= 1e-8
+    assert certified.evaluations == 273 and certified.abs_error <= 1e-10
     assert isinstance(uncertified, ToleranceNotMet)
-    assert uncertified.evaluations == 138
+    assert uncertified.evaluations == 274
     assert "not certified" in str(uncertified)
     assert isinstance(starved, ToleranceNotMet)
-    assert "below the 207 evaluations of one pass" in str(starved)
+    assert "below the 411 evaluations of one pass" in str(starved)
     assert starved.evaluations == 0
 
 

@@ -312,8 +312,9 @@ def test_point_failures_carry_grid_context():
 
 
 def test_starved_budget_surfaces_tolerance_failure():
+    # the first program (411 nodes) leaves 5.9e-10; 1e-10 needs 819
     s = scenario_from_dict(doc(axis={"name": "pt_over_n0", "grid": [1.0]},
-                               budget=300))
+                               tolerance=1e-10, budget=600))
     with pytest.raises(ToleranceNotMet,
                        match="at grid point pt_over_n0=1") as exc:
         run_scenario(s)

@@ -45,11 +45,11 @@ CALLS = {
     "ReferencePoint": (ReferencePoint, (4.0,)),
     "validate_value_params": (validate_value_params, (0.5, 0.5, 1.0, 2.0)),
     "as_reference": (as_reference, (4.0,)),
-    # one level at most (207 nodes), so a tiny tolerance stays cheap
-    "pu_snr-tol": (lambda tol: pu_snr(LINK, 4.0, VP, WP, tol=tol, budget=210),
+    # one array program at most (411 nodes), so a tiny tolerance stays cheap
+    "pu_snr-tol": (lambda tol: pu_snr(LINK, 4.0, VP, WP, tol=tol, budget=420),
                    (1e-8,)),
     "pu_snr-budget": (lambda budget: pu_snr(LINK, 4.0, VP, WP, budget=budget),
-                      (300,)),
+                      (420,)),
 }
 SLOTS = [pytest.param(fn, args, i, id=f"{name}-{i}")
          for name, (fn, args) in CALLS.items() for i in range(len(args))]
@@ -180,8 +180,8 @@ def test_scalar_messages_name_the_field(call, name):
 
 def test_tolerance_and_budget_keep_their_accepted_range():
     first_pass = pu_snr(LINK, 4.0, VP, WP, tol=float("inf"))
-    # levels 0 ... 2: 3 pieces of 69 nodes
-    assert first_pass.evaluations == 207
+    # levels 0 ... 3: 3 pieces of 137 nodes
+    assert first_pass.evaluations == 411
     # a budget below one pass is a tolerance failure, not a domain error
     with pytest.raises(ToleranceNotMet, match="budget -1 is below"):
         pu_snr(LINK, 4.0, VP, WP, budget=-1)
