@@ -13,9 +13,12 @@ The quadrature goldens (``golden/quad.json``) hold the value, the error
 estimate (both as ``float.hex``) and the evaluation count of every PU point
 of fig5, fig6 and every 8th ``quad`` scenario of the bench catalogue, at
 its own tolerance and at 1e-4, and of two ``pu-snr`` runs that fail with
-ToleranceNotMet. They were captured before the engine's first array
-program began evaluating three levels at once, so a change to the node
-order, the sums or the stopping rule shows here.
+ToleranceNotMet. The entries at a scenario's own tolerance and the two
+failures were captured before the engine's first array program began
+evaluating several levels at once, and each deepening of that program
+has kept them, so a change to the node order, the sums or the stopping
+rule shows here. The 1e-4 entries were captured again when the first
+program grew to levels 0 to 3: those points used to stop at level 2.
 
 The perceived-law goldens were captured before the sampler and the perceived
 CDF were rewritten around one log(1 - e^-x): ``perceptual_sample`` over
