@@ -18,14 +18,17 @@ same inputs, read from CHANGE's ``bench/catalogue.json``:
   ToleranceNotMet, of the value and abs_error it carries with its
   evaluation count.
 
-Prints the number of outputs and of differences, and the first few
-differences; exits 1 if any output differs, 0 if none does.
+Prints the number of outputs and of differences, in all and per group
+of inputs (CLI entries, presets, edge cases, and ``quad`` at each
+tolerance), and the first few differences; exits 1 if any output
+differs, 0 if none does.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -39,15 +42,17 @@ TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 SHOW = 5  # differences printed in full
 
 
-def jobs(catalogue: dict) -> list:
-    """Every input, as ("cli", argv) or ("quad", scenario document)."""
-    argvs = [e["argv"] for e in catalogue["cli"]]
-    argvs += [["sweep", f"fig{k}"] for k in range(2, 9)] + EDGE_ARGVS
-    out = [("cli", argv) for argv in argvs]
+def jobs(catalogue: dict) -> dict:
+    """Every input by group name, as ("cli", argv) or ("quad", scenario
+    document)."""
+    out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
+           "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
+           "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
     for tol in TOLERANCES:
-        out += [("quad", e["doc"] if tol is None else dict(e["doc"],
-                                                           tolerance=tol))
-                for e in catalogue["quad"]]
+        out["quad at " + ("own tol" if tol is None else f"tol {tol:g}")] = [
+            ("quad", e["doc"] if tol is None else dict(e["doc"],
+                                                      tolerance=tol))
+            for e in catalogue["quad"]]
     return out
 
 
@@ -114,11 +119,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     catalogue = json.loads(
         (args.change / "bench" / "catalogue.json").read_text(encoding="utf-8"))
-    todo = jobs(catalogue)
+    groups = jobs(catalogue)
+    todo = [job for group in groups.values() for job in group]
     before = run_checkout(args.parent, todo)
     after = run_checkout(args.change, todo)
-    diffs = [(a, b) for a, b in zip(before, after) if a != b]
+    differ = [a != b for a, b in zip(before, after)]
+    diffs = [(a, b) for a, b, d in zip(before, after, differ) if d]
     print(f"{len(diffs)} of {len(todo)} outputs differ")
+    flags = iter(differ)
+    for name, group in groups.items():
+        print(f"  {name}: {sum(itertools.islice(flags, len(group)))} of "
+              f"{len(group)} differ")
     for a, b in diffs[:SHOW]:
         print(f"- parent: {json.dumps(a)}\n+ change: {json.dumps(b)}")
     return 1 if diffs else 0
