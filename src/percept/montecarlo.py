@@ -11,9 +11,10 @@ Philox generator, so the merged estimate is reproducible bit for bit and
 independent of how batches are scheduled. Batches run on up to one thread
 per CPU the process may use (numpy releases the interpreter lock in its
 ufuncs and generator fills), and within a batch the elementwise work runs
-in cache-sized slices; each output element comes from the same operations
-on the same inputs, and each batch is reduced and merged in the same order,
-whatever the thread count.
+in cache-sized slices, each reduced to its moments as soon as it is drawn;
+each output element comes from the same operations on the same inputs, and
+the slices and batches are merged in the same order, whatever the thread
+count.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ import numpy as np
 from .distributions import PerceptualDistribution
 from .errors import DomainError, _check_count, _check_size
 from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
-from .prospect import (ValueParams, WeightParams, _check_quantity,
-                       _check_value, _value_kernel, weight, weight_derivative)
+from .prospect import (ValueParams, WeightParams, _check_value, value, weight,
+                       weight_derivative)
 
 RNG_ALGORITHM = "philox4x64"
 _BATCH = 1 << 19
@@ -133,41 +134,29 @@ def _merge(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
 
 def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
           value_params: ValueParams, config: McConfig) -> McEstimate:
-    """Sample-mean estimate of the perceptual utility of ``metric``."""
+    """Sample-mean estimate of the perceptual utility of ``metric``.
+
+    Each slice of draws is valued by :func:`value`, so a bad quantity or
+    an overflowing value raises its DomainError, and its (n, mean, M2) is
+    merged into the batch's in draw order.
+    """
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
-    vp = value_params
-    blocks = -(-config.samples // _BATCH)
-    # one batch-sized array per thread, allocated here, so the worker
-    # threads' malloc arenas hold only slice temporaries after the call
-    spare = [np.empty(min(config.samples, _BATCH))
-             for _ in range(min(blocks, _cpus()))]
 
     def batch(i, rng, m):
-        """(m, mean, M2) of one batch; checks in the order ``value`` runs."""
-        # as many batches run at once as there are buffers, unless the
-        # affinity set grew since they were made
-        buf = spare.pop() if spare else np.empty(m)
-        try:
-            vals = buf[:m]
-            for lo in range(0, m, _SLICE):
-                # consecutive draws read the same stream as one draw of m
-                u = rng.random(min(_SLICE, m - lo))
-                np.fmax(u, _U_FLOOR, out=u)
-                vals[lo:lo + _SLICE] = metric.map(pd.perceptual_sample(u))
-            _check_quantity(vals)
-            with np.errstate(over="ignore"):
-                for lo in range(0, m, _SLICE):
-                    vals[lo:lo + _SLICE] = _value_kernel(
-                        vals[lo:lo + _SLICE], metric.ref.x0, vp.alpha,
-                        vp.lambda_gain, vp.lambda_loss)
-            _check_value(vals)
+        """(m, mean, M2) of one batch, merged slice by slice."""
+        acc = 0, 0.0, 0.0
+        for lo in range(0, m, _SLICE):
+            # consecutive draws read the same stream as one draw of m
+            u = rng.random(min(_SLICE, m - lo))
+            np.fmax(u, _U_FLOOR, out=u)
+            vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
+                                         u.shape), metric.ref, value_params)
             with np.errstate(over="ignore", invalid="ignore"):
                 mean = float(vals.mean())
-                np.subtract(vals, mean, out=vals)
-                return m, mean, float(np.square(vals, out=vals).sum())
-        finally:
-            spare.append(buf)
+                m2 = float(np.square(vals - mean).sum())
+                acc = _merge(*acc, u.size, mean, m2)
+        return acc
 
     n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
     for n_b, mean_b, m2_b in _map_substreams(batch, config.seed,

@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
-                     McEstimate, MultipathConfig, OutageSpec,
-                     PerceptualDistribution, ValueParams, WeightParams,
-                     gain_samples, mc_pop, mc_pu, outage_probability, pu_snr,
-                     snr_metric, value, weight)
+from percept import (CompositeMetric, DomainError, ExponentialGain,
+                     LinkBudget, McConfig, McEstimate, MultipathConfig,
+                     OutageSpec, PerceptualDistribution, ReferencePoint,
+                     ValueParams, WeightParams, gain_samples, mc_pop, mc_pu,
+                     outage_probability, pu_snr, snr_metric, value, weight)
 from percept import montecarlo
 from percept.montecarlo import (_BATCH, _U_FLOOR, RNG_ALGORITHM,
                                 _map_substreams)
@@ -65,14 +65,18 @@ def test_pu_needs_two_samples_for_an_error_bar():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("lambda_loss", [
-    1e308,  # a single perceived value overflows
-    1e306,  # every value is finite, but their sum overflows
+@pytest.mark.parametrize("rho, ref, vp, wp", [
+    # a single perceived value overflows
+    pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e308), WP, id="1e+308"),
+    # every value is finite, but their sum overflows
+    pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e306), WP, id="1e+306"),
+    # every value is finite, but their squared deviations overflow
+    pytest.param(1e200, 0.0, VP_ID, WP_ID, id="squared-deviations"),
 ])
-def test_pu_overflow_is_a_domain_error(lambda_loss):
+def test_pu_overflow_is_a_domain_error(rho, ref, vp, wp):
     with pytest.raises(DomainError, match="overflows the float range"):
-        mc_pu(snr_metric(link(10.0), 4.0), make_pd(),
-              ValueParams(0.5, 1.0, lambda_loss), McConfig(samples=1000))
+        mc_pu(snr_metric(link(rho), ref), make_pd(wp), vp,
+              McConfig(samples=1000))
 
 
 def test_estimate_carries_generator_name():
@@ -92,15 +96,18 @@ def test_constant_metric_has_zero_error():
     assert est.std_error <= 1e-15  # roundoff of the mean reduction only
 
 
-@pytest.mark.parametrize("n", [1000, _BATCH + 5])
+@pytest.mark.parametrize("n", [1000, (1 << 15) + 1, _BATCH + 5])
 def test_map_returning_one_constant_is_broadcast(n):
-    # a reference of 0 at zero power values every draw 0; past one batch
-    # the merge of zero-variance batches must stay exact
-    est = mc_pu(snr_metric(link(0.0), 0.0), make_pd(), VP,
-                McConfig(samples=n))
-    assert est.mean == value(0.0, 0.0, VP) == 0.0
-    assert est.std_error == 0.0
-    assert est.samples == n
+    # a reference of 0 at zero power values every draw 0, and a map that
+    # returns one float values every draw value(3, 4) = -2; past one slice
+    # or batch the merge of zero-variance moments must stay exact
+    three = CompositeMetric(lambda snr: 3.0, 10.0, ReferencePoint(4.0),
+                            math.inf)
+    for metric, want in ((snr_metric(link(0.0), 0.0), 0.0), (three, -2.0)):
+        est = mc_pu(metric, make_pd(), VP, McConfig(samples=n))
+        assert est.mean == value(metric.map(1.0), metric.ref, VP) == want
+        assert est.std_error == 0.0
+        assert est.samples == n
 
 
 def test_oracle_covers_theta_near_zero():
