@@ -7,7 +7,11 @@ even when two runs of the new code agree with each other. The MC counts
 sit on both sides of the 2**19-sample batch boundary and at four uneven
 batches (3 * 2**19 + 1); the channel counts sit on both sides of the
 16384-draw chunk boundary, at five chunks and a short one with K=80, and
-below one chunk (n=3).
+below one chunk (n=3). The ``mc_pu`` entries past one 2**15-sample slice
+were captured again when each slice began to be reduced as it is drawn:
+its per-sample values are the same, but the sums group by slice, and 12
+of those 20 entries moved in their last bit. The one-slice (1000-sample)
+and ``mc_pop`` entries kept their bytes.
 
 The quadrature goldens (``golden/quad.json``) hold the value, the error
 estimate (both as ``float.hex``) and the evaluation count of every PU point
