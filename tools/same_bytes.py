@@ -5,7 +5,8 @@
 PARENT and CHANGE are checkout directories; CHANGE defaults to the
 checkout that holds this script. Each checkout runs in its own Python
 subprocess with its own ``src/`` first on the path, and both take the
-same inputs, read from CHANGE's ``bench/catalogue.json``:
+same inputs, read from CHANGE's ``bench/catalogue.json`` and, for fig8,
+CHANGE's ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
   ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of five edge cases:
@@ -16,11 +17,14 @@ same inputs, read from CHANGE's ``bench/catalogue.json``:
   As the CSV rounds to 12 digits, each such output also holds the
   ``float.hex`` of every row's value and err with its n_eval, or, for a
   ToleranceNotMet, of the value and abs_error it carries with its
-  evaluation count.
+  evaluation count;
+- the same ``run_scenario`` output of every 8th catalogue ``oracle``
+  document and of fig8, each with an ``mc`` block of 1000 samples (one
+  slice) and of 2**19 + 1 (past one batch), seed 0.
 
 Prints the number of outputs and of differences, in all and per group
-of inputs (CLI entries, presets, edge cases, and ``quad`` at each
-tolerance), and the first few differences; exits 1 if any output
+of inputs (CLI entries, presets, edge cases, ``quad`` at each
+tolerance, and ``mc`` at each sample count), and the first few differences; exits 1 if any output
 differs, 0 if none does.
 """
 from __future__ import annotations
@@ -39,20 +43,25 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pu-snr", "--tol", "1e-14"], ["pu-snr", "--budget", "100"],
               ["pu-rate", "--tol", "1e-2"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
+MC_SAMPLES = (1000, (1 << 19) + 1)
 SHOW = 5  # differences printed in full
 
 
-def jobs(catalogue: dict) -> dict:
-    """Every input by group name, as ("cli", argv) or ("quad", scenario
-    document)."""
+def jobs(catalogue: dict, fig8: dict) -> dict:
+    """Every input by group name, as ("cli", argv) or ("scenario",
+    scenario document); ``fig8`` is that preset's document."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
            "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
     for tol in TOLERANCES:
         out["quad at " + ("own tol" if tol is None else f"tol {tol:g}")] = [
-            ("quad", e["doc"] if tol is None else dict(e["doc"],
-                                                      tolerance=tol))
+            ("scenario", e["doc"] if tol is None else dict(e["doc"],
+                                                          tolerance=tol))
             for e in catalogue["quad"]]
+    mc_docs = [e["doc"] for e in catalogue["oracle"][::8]] + [fig8]
+    for n in MC_SAMPLES:
+        out[f"mc at {n} samples"] = [
+            ("scenario", dict(doc, mc={"samples": n})) for doc in mc_docs]
     return out
 
 
@@ -119,7 +128,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     catalogue = json.loads(
         (args.change / "bench" / "catalogue.json").read_text(encoding="utf-8"))
-    groups = jobs(catalogue)
+    sys.path.insert(0, str(args.change / "src"))
+    from percept.sweep import PRESETS
+    groups = jobs(catalogue, PRESETS["fig8"])
     todo = [job for group in groups.values() for job in group]
     before = run_checkout(args.parent, todo)
     after = run_checkout(args.change, todo)
