@@ -24,8 +24,8 @@ CHANGE's ``sweep.PRESETS``:
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, and ``mc`` at each sample count), and the first few differences; exits 1 if any output
-differs, 0 if none does.
+tolerance, and ``mc`` at each sample count), and the first few
+differences; exits 1 if any output differs, 0 if none does.
 """
 from __future__ import annotations
 
