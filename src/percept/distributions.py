@@ -124,7 +124,7 @@ class PerceptualDistribution:
             raise DomainError(
                 "ppdf: base CDF rounds to 0 or 1 here, only a limit exists")
         gp = self.weights
-        out = (gp.gamma * gp.theta * np.exp(-gp.gamma * neg_log_f ** gp.theta)
+        out = (gp.gamma * gp.theta * self.pcdf(s)
                * neg_log_f ** (gp.theta - 1.0)
                * self.base.pdf(s) / f_base)
         return scalar_out(out)

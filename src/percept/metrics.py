@@ -65,12 +65,12 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import ExponentialGain, _log1mexp
+from .distributions import ExponentialGain, PerceptualDistribution, _log1mexp
 from .errors import (DomainError, PerceptError, ToleranceNotMet,
                      _check_count, _real)
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
                        _check_quantity, _check_value, _value_kernel,
-                       as_reference, weight)
+                       as_reference)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
@@ -363,8 +363,10 @@ def rate_gain(rate: float, rho: float) -> float:
     """Gain (2**rate - 1) / rho at which log2(1 + rho*g) reaches ``rate``.
 
     Past the float range of 2**rate it is exp(rate*ln2 - ln rho), which is
-    inf where that overflows too. ``rho`` must be positive.
+    inf where that overflows too, as it is at zero power.
     """
+    if rho == 0.0:
+        return math.inf
     if rate < 1024.0:
         return (2.0 ** rate - 1.0) / rho
     with np.errstate(over="ignore"):
@@ -392,10 +394,9 @@ def rate_metric(link: LinkBudget, ref) -> CompositeMetric:
 
     The crossing solves log2(1 + rho*g) = ref, so g* = (2**ref - 1) / rho.
     """
-    rho = link.pt_over_n0
     ref = as_reference(ref)
-    crossing = math.inf if rho == 0.0 else rate_gain(ref.x0, rho)
-    return CompositeMetric(_rate, rho, ref, crossing)
+    return CompositeMetric(_rate, link.pt_over_n0, ref,
+                           rate_gain(ref.x0, link.pt_over_n0))
 
 
 def pu_snr(link: LinkBudget, ref, value_params: ValueParams,
@@ -417,16 +418,14 @@ def pu_rate(link: LinkBudget, ref, value_params: ValueParams,
 def outage_probability(link: LinkBudget, spec: OutageSpec) -> float:
     """Probability that the instantaneous rate falls below the threshold.
 
-    F_G((2**epsilon - 1) / pt_over_n0); defined as 1 at zero power, where
-    the threshold is unreachable.
+    F_G((2**epsilon - 1) / pt_over_n0); 1 at zero power, where the
+    threshold is unreachable.
     """
-    rho = link.pt_over_n0
-    if rho == 0.0:
-        return 1.0
-    return link.channel.cdf(rate_gain(spec.epsilon, rho))
+    return link.channel.cdf(rate_gain(spec.epsilon, link.pt_over_n0))
 
 
 def pop(link: LinkBudget, spec: OutageSpec,
         weight_params: WeightParams) -> float:
-    """Perceptual outage probability, the Prelec-weighted outage."""
-    return float(weight(outage_probability(link, spec), weight_params))
+    """Perceptual outage probability, the perceived CDF w(F(g_th))."""
+    return PerceptualDistribution(link.channel, weight_params).pcdf(
+        rate_gain(spec.epsilon, link.pt_over_n0))

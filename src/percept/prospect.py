@@ -52,9 +52,9 @@ def _check_exponent(constraint: str, name: str, x: float, mode: str) -> None:
             f"{name} must lie in (0, 1{')' if hi_open else ']'}, got {x}")
 
 
-def scalar_out(out: np.ndarray):
+def scalar_out(out):
     """A 0-d result as a Python float; arrays pass through unchanged."""
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

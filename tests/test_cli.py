@@ -108,6 +108,14 @@ def test_pop_point(capsys):
     assert out.splitlines()[1] == f"1,{POP_HALF},0,1"
 
 
+def test_pop_keeps_an_outage_that_rounds_to_1(capsys):
+    # F(g_th) = 1 - e^-40 rounds to 1, but w(F) is the perceived CDF at
+    # g_th = 40, which pcdf forms through log F
+    code, out, _ = run(capsys, ["pop", "--ptn0", "0.025", "--theta", "0.01"])
+    assert code == 0
+    assert out.splitlines()[1] == "0.025,0.511544833689,0,1"
+
+
 def test_points_keep_their_order_and_repeats(capsys):
     code, out, _ = run(capsys, ["weight", "0.9", "0.1", "0.1"])
     assert code == 0
