@@ -17,6 +17,7 @@ from .errors import DomainError, _real
 from .prospect import WeightParams, scalar_out
 
 _LOG2 = float(np.log(2.0))
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 def _log1mexp(x):
@@ -93,7 +94,8 @@ class PerceptualDistribution:
         """Perceived CDF, w(F(s)). A valid CDF spanning 0 to 1; NaN raises.
 
         Evaluated through log F so the upper tail keeps full precision
-        after F itself rounds to 1.
+        after F itself rounds to 1. Past s/mu ~ 708, where -log F =
+        exp(-s/mu) is subnormal or 0, (-log F)**theta is exp(-theta*s/mu).
         """
         s = np.asarray(s, dtype=float)
         if np.any(np.isnan(s)):
@@ -102,8 +104,10 @@ class PerceptualDistribution:
             x = np.maximum(s, 0.0) / self.base.mu
         # log F = -inf on s <= 0, where the perceived CDF is exp(-inf) = 0
         neg_log_f = -_log1mexp(x)
-        return scalar_out(
-            np.exp(-self.weights.gamma * neg_log_f ** self.weights.theta))
+        gamma, theta = self.weights.gamma, self.weights.theta
+        t = np.where(neg_log_f < _TINY, np.exp(-theta * x),
+                     neg_log_f ** theta)
+        return scalar_out(np.exp(-gamma * t))
 
     def ppdf(self, s):
         """Perceived density, the derivative of :meth:`pcdf`.

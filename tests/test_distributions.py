@@ -1,6 +1,7 @@
 """Exponential gain law and its perceived (weighted) counterpart."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -125,6 +126,17 @@ def test_gains_past_mu_times_the_float_range_take_their_limits():
     assert np.all(d.log_cdf(g) == 0.0)
     assert np.all(PerceptualDistribution(d, WeightParams(1.0, 0.5)).pcdf(g)
                   == 1.0)
+
+
+def test_pcdf_far_tail_against_mpmath():
+    # -log F = e^(-s) turns subnormal past s ~ 708.4 and 0 past s ~ 745;
+    # (-log F)**theta is e^(-theta*s) there
+    pd = make_pd(theta=0.01)
+    for s in (700.0, 708.0, 709.0, 720.0, 745.0, 746.0, 800.0, 3000.0):
+        with mpmath.workdps(50):
+            neg_log_f = -mpmath.log1p(-mpmath.exp(-mpmath.mpf(s)))
+            want = mpmath.exp(-neg_log_f ** mpmath.mpf(0.01))
+            assert abs(pd.pcdf(s) - want) <= 1e-15, s
 
 
 def test_pcdf_boundaries():

@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -515,6 +516,22 @@ def test_pop_identity_weighting_equals_outage():
 def test_pop_closed_form_composition():
     got = pop(link(1.0), OutageSpec(1.0), WeightParams(1.0, 0.5))
     assert got == pytest.approx(POP_HALF, abs=1e-13)
+
+
+def test_pop_against_mpmath():
+    # pop is w(F(1/rho)) at mu = epsilon = gamma = 1. At theta = 0.01 the
+    # outage rounds to 1 from rho = 0.027 down and its -log F = e^(-1/rho)
+    # to 0 below rho = 0.0014; the weight still differs from 1 there
+    errors = {}
+    for theta, rho in itertools.product(
+            (0.8, 0.65, 0.3, 0.1, 0.01),
+            (1.0, 0.1, 0.05, 0.027, 0.025, 0.01, 0.002, 0.001, 1e-4)):
+        with mpmath.workdps(50):
+            neg_log_f = -mpmath.log1p(-mpmath.exp(-1 / mpmath.mpf(rho)))
+            want = mpmath.exp(-neg_log_f ** mpmath.mpf(theta))
+            got = pop(link(rho), OutageSpec(1.0), WeightParams(1.0, theta))
+            errors[theta, rho] = float(abs(got - want))
+    assert max(errors.values()) <= 1e-15, errors
 
 
 def test_pop_overweights_rare_outages():
