@@ -19,6 +19,7 @@ count.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -123,13 +124,13 @@ def _map_substreams(fn, seed: int, total: int, size: int) -> list:
     return results
 
 
-def _merge(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
-    """Chan et al. pooled mean/M2 combine; order fixed by batch index."""
+def _merge(a, b):
+    """Chan et al. pooled (n, mean, M2) of two parts, ``a`` drawn first."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
     n = n_a + n_b
     delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
-    return n, mean, m2
+    return (n, mean_a + delta * (n_b / n),
+            m2_a + m2_b + delta * delta * (n_a * n_b / n))
 
 
 def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
@@ -138,35 +139,37 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
 
     Each slice of draws is valued by :func:`value`, so a bad quantity or
     an overflowing value raises its DomainError, and its (n, mean, M2) is
-    merged into the batch's in draw order.
+    merged into the batch's in draw order, from the first slice's; the
+    batches are merged the same way. A finite mean whose squared
+    deviations overflow raises a DomainError that names the standard error.
     """
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
 
-    def batch(i, rng, m):
-        """(m, mean, M2) of one batch, merged slice by slice."""
-        acc = 0, 0.0, 0.0
-        for lo in range(0, m, _SLICE):
-            # consecutive draws read the same stream as one draw of m
-            u = rng.random(min(_SLICE, m - lo))
-            np.fmax(u, _U_FLOOR, out=u)
-            vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
-                                         u.shape), metric.ref, value_params)
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = float(vals.mean())
-                m2 = float(np.square(vals - mean).sum())
-                acc = _merge(*acc, u.size, mean, m2)
-        return acc
+    def moments(rng, m):
+        """(m, mean, M2) of the next m draws of ``rng``."""
+        u = rng.random(m)
+        np.fmax(u, _U_FLOOR, out=u)
+        vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
+                                     u.shape), metric.ref, value_params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(vals.mean())
+            return m, mean, float(np.square(vals - mean).sum())
 
-    n_acc, mean_acc, m2_acc = 0, 0.0, 0.0
-    for n_b, mean_b, m2_b in _map_substreams(batch, config.seed,
-                                             config.samples, _BATCH):
-        n_acc, mean_acc, m2_acc = _merge(n_acc, mean_acc, m2_acc,
-                                         n_b, mean_b, m2_b)
-    variance = m2_acc / (n_acc - 1)
-    std_error = math.sqrt(max(variance, 0.0) / n_acc)
-    _check_value((mean_acc, std_error))  # finite values may sum past the range
-    return McEstimate(mean=mean_acc, std_error=std_error, samples=n_acc)
+    def batch(i, rng, m):
+        """(m, mean, M2) of one batch; consecutive draws read the same
+        stream as one draw of m."""
+        return functools.reduce(_merge, (moments(rng, min(_SLICE, m - lo))
+                                         for lo in range(0, m, _SLICE)))
+
+    n, mean, m2 = functools.reduce(_merge, _map_substreams(
+        batch, config.seed, config.samples, _BATCH))
+    _check_value(mean)  # finite values may sum past the range
+    std_error = math.sqrt(max(m2 / (n - 1), 0.0) / n)
+    if not math.isfinite(std_error):
+        raise DomainError(
+            "Monte Carlo standard error overflows the float range")
+    return McEstimate(mean=mean, std_error=std_error, samples=n)
 
 
 def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,

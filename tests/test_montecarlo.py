@@ -65,16 +65,20 @@ def test_pu_needs_two_samples_for_an_error_bar():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rho, ref, vp, wp", [
+@pytest.mark.parametrize("rho, ref, vp, wp, message", [
     # a single perceived value overflows
-    pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e308), WP, id="1e+308"),
+    pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e308), WP,
+                 "perceived value overflows the float range", id="1e+308"),
     # every value is finite, but their sum overflows
-    pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e306), WP, id="1e+306"),
-    # every value is finite, but their squared deviations overflow
-    pytest.param(1e200, 0.0, VP_ID, WP_ID, id="squared-deviations"),
+    pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e306), WP,
+                 "perceived value overflows the float range", id="1e+306"),
+    # the mean is finite, but the squared deviations overflow
+    pytest.param(1e200, 0.0, VP_ID, WP_ID,
+                 "Monte Carlo standard error overflows the float range",
+                 id="squared-deviations"),
 ])
-def test_pu_overflow_is_a_domain_error(rho, ref, vp, wp):
-    with pytest.raises(DomainError, match="overflows the float range"):
+def test_pu_overflow_is_a_domain_error(rho, ref, vp, wp, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         mc_pu(snr_metric(link(rho), ref), make_pd(wp), vp,
               McConfig(samples=1000))
 
@@ -100,12 +104,17 @@ def test_constant_metric_has_zero_error():
 def test_map_returning_one_constant_is_broadcast(n):
     # a reference of 0 at zero power values every draw 0, and a map that
     # returns one float values every draw value(3, 4) = -2; past one slice
-    # or batch the merge of zero-variance moments must stay exact
+    # or batch the merge of zero-variance moments must stay exact. So must
+    # a constant 2**531 ~ 1.4e160 (a power of two, so its means are exact),
+    # whose square overflows: the fold starts from the first moments
     three = CompositeMetric(lambda snr: 3.0, 10.0, ReferencePoint(4.0),
                             math.inf)
-    for metric, want in ((snr_metric(link(0.0), 0.0), 0.0), (three, -2.0)):
-        est = mc_pu(metric, make_pd(), VP, McConfig(samples=n))
-        assert est.mean == value(metric.map(1.0), metric.ref, VP) == want
+    huge = CompositeMetric(lambda snr: 2.0 ** 531, 10.0, ReferencePoint(0.0),
+                           0.0)
+    for metric, vp, want in ((snr_metric(link(0.0), 0.0), VP, 0.0),
+                             (three, VP, -2.0), (huge, VP_ID, 2.0 ** 531)):
+        est = mc_pu(metric, make_pd(), vp, McConfig(samples=n))
+        assert est.mean == value(metric.map(1.0), metric.ref, vp) == want
         assert est.std_error == 0.0
         assert est.samples == n
 
