@@ -9,9 +9,11 @@ same inputs, read from CHANGE's ``bench/catalogue.json`` and, for fig8,
 CHANGE's ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
-  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of five edge cases:
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of seven edge cases:
   ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
-  1e-14``, ``pu-snr --budget 100`` and ``pu-rate --tol 1e-2``;
+  1e-14``, ``pu-snr --budget 100``, ``pu-rate --tol 1e-2``, ``pop
+  --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1) and ``pcdf
+  300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0);
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
   As the CSV rounds to 12 digits, each such output also holds the
@@ -41,7 +43,9 @@ from pathlib import Path
 
 EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pu-snr", "--tol", "1e-14"], ["pu-snr", "--budget", "100"],
-              ["pu-rate", "--tol", "1e-2"]]
+              ["pu-rate", "--tol", "1e-2"],
+              ["pop", "--ptn0", "0.025", "--theta", "0.01"],
+              ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
 SHOW = 5  # differences printed in full
