@@ -146,21 +146,20 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
 
-    def moments(rng, m):
-        """(m, mean, M2) of the next m draws of ``rng``."""
-        u = rng.random(m)
-        np.fmax(u, _U_FLOOR, out=u)
-        vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
-                                     u.shape), metric.ref, value_params)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(vals.mean())
-            return m, mean, float(np.square(vals - mean).sum())
-
     def batch(i, rng, m):
-        """(m, mean, M2) of one batch; consecutive draws read the same
-        stream as one draw of m."""
-        return functools.reduce(_merge, (moments(rng, min(_SLICE, m - lo))
-                                         for lo in range(0, m, _SLICE)))
+        """(m, mean, M2) of one batch, merged slice by slice."""
+        acc = None
+        for lo in range(0, m, _SLICE):
+            # consecutive draws read the same stream as one draw of m
+            u = rng.random(min(_SLICE, m - lo))
+            np.fmax(u, _U_FLOOR, out=u)
+            vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
+                                         u.shape), metric.ref, value_params)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(vals.mean())
+                part = u.size, mean, float(np.square(vals - mean).sum())
+            acc = part if acc is None else _merge(acc, part)
+        return acc
 
     n, mean, m2 = functools.reduce(_merge, _map_substreams(
         batch, config.seed, config.samples, _BATCH))
