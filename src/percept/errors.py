@@ -42,12 +42,15 @@ def _real(name: str, x, low: float = -math.inf, above: bool = False) -> float:
     """``x`` as a finite float, at least ``low`` (above it if ``above``);
     a DomainError naming ``name`` for anything else, NaN, +-inf and ints
     past the float range included. numpy scalars and bools are real."""
-    if not isinstance(x, numbers.Real):
+    if type(x) is float:  # the common case, before the slower ABC check
+        v = x
+    elif not isinstance(x, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {x!r}")
-    try:
-        v = float(x)
-    except OverflowError:  # str() may refuse such an int: over 4300 digits
-        v, x = math.inf, "an integer past the float range"
+    else:
+        try:
+            v = float(x)
+        except OverflowError:  # str() may refuse such an int: 4300+ digits
+            v, x = math.inf, "an integer past the float range"
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {x}")
     if not (v > low if above else v >= low):
@@ -58,7 +61,7 @@ def _real(name: str, x, low: float = -math.inf, above: bool = False) -> float:
 
 def _check_count(name: str, value, least: float) -> None:
     """Raise DomainError unless ``value`` is a float-range int >= ``least``."""
-    if not isinstance(value, numbers.Integral):
+    if type(value) is not int and not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     _real(name, value, least)
 

@@ -148,14 +148,14 @@ def _gain_at(s, mu, gamma, theta):
     :func:`_log1mexp` elsewhere; log z is (log s - log gamma) / theta
     where s / gamma underflows (gamma past about 8e292). The gain is the
     exponential law's quantile at survival q, -mu * log q. The parameters
-    broadcast against ``s``.
+    broadcast against ``s``. Called under :func:`pu_batch`'s error state,
+    as log(0) and exp overflows are expected here.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        log_z = np.log(s / gamma) / theta
-        if np.min(log_z) == -np.inf:
-            log_z = np.where(log_z == -np.inf,
-                             (np.log(s) - np.log(gamma)) / theta, log_z)
-        z = np.exp(log_z)
+    log_z = np.log(s / gamma) / theta
+    if log_z.min() == -np.inf:
+        log_z = np.where(log_z == -np.inf,
+                         (np.log(s) - np.log(gamma)) / theta, log_z)
+    z = np.exp(log_z)
     return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
 
 
@@ -174,21 +174,28 @@ def _pieces(points) -> tuple:
     Returns the parameter table, one column per piece with rows _LO ...
     _RHO, and each point's piece count. The breakpoints are the kink
     s* = gamma * (-log F(g*))**theta and gamma, where each lies in
-    (0, 745]. log F(g*) of every point is taken in one array call.
+    (0, 745]. log F(g*) of every point is taken in one array call, and
+    rows _MU ... _RHO are each point's row repeated once per piece; only
+    the ends are formed point by point. Called under :func:`pu_batch`'s
+    error state: g*/mu may overflow to inf, the limit log F = 0.
     """
-    mu, g_star = np.array([(p[0], p[-1]) for p in points]).T
-    with np.errstate(over="ignore"):  # g*/mu = inf is the limit log F = 0
-        log_f = _log1mexp(g_star / mu)
-    rows, counts = [], []
+    table = np.array(points, dtype=float)
+    log_f = _log1mexp(table[:, -1] / table[:, 0]).tolist()
+    lo, hi, counts = [], [], []
     for point, lf in zip(points, log_f):
         gamma, theta, crossing = point[1], point[2], point[-1]
         breaks = {gamma}
         if 0.0 < crossing < math.inf:  # inf if F(g*) underflows to 0
-            breaks.add(gamma * (-float(lf)) ** theta)
+            breaks.add(gamma * (-lf) ** theta)
         ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
-        rows += [(lo, hi, *point[:-1]) for lo, hi in zip(ends, ends[1:])]
+        lo += ends[:-1]
+        hi += ends[1:]
         counts.append(len(ends) - 1)
-    return np.array(rows, dtype=float).T, np.array(counts)
+    counts = np.array(counts)
+    par = np.empty((_RHO + 1, len(lo)))
+    par[_LO], par[_HI] = lo, hi
+    par[_MU:] = np.repeat(table[:, :-1].T, counts, axis=1)
+    return par, counts
 
 
 def _node_factors(tau):
@@ -256,8 +263,9 @@ def _pu_point(metric, mu, value_params, weight_params, tol, budget):
     return out
 
 
-# an overflow fails its point, so numpy's warnings would only repeat it
-@np.errstate(over="ignore", invalid="ignore")
+# an overflow fails its point, so numpy's warnings would only repeat it;
+# log(0) = -inf is a limit the integrand takes (_gain_at, _log1mexp)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
              budget: int = DEFAULT_BUDGET) -> list:
     """Perceptual utility of every :func:`_point` row of ``points``, whose
@@ -288,8 +296,11 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
     owner = np.repeat(np.arange(n), pieces)
     out = [None] * n
     active = np.ones(n, dtype=bool)
-    est, mass, diff = np.zeros((3, owner.size))
+    # per piece: its estimate and its mass h * sum(|w * f|) at the last
+    # level, and its last level difference
+    est_mass, diff = np.zeros((2, owner.size)), np.zeros(owner.size)
     evals = np.zeros(n, dtype=np.int64)
+    cap = min(budget, _INT64_MAX)
 
     def fail(rows, bad, check, x):
         """Fail each point owning a ``bad`` row with ``check``'s error."""
@@ -305,37 +316,39 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
         each ``(level, columns)`` of ``levels`` completes that level."""
         p = par[:, rows, None]
         omega, w = _terms(of, p, nodes)
-        ok = (omega >= 0.0) & (omega < np.inf)
-        if not ok.all():  # the metric left the value function's domain
-            bad = ~ok.all(axis=1)
+        # a NaN omega fails these comparisons, as it fails the check
+        if not 0.0 <= omega.min() <= omega.max() < np.inf:
+            # the metric left the value function's domain
+            bad = ~((omega >= 0.0) & (omega < np.inf)).all(axis=1)
             fail(rows, bad, _check_quantity, omega)
             omega[bad] = 0.0  # failed rows take no part below
-        wf = _value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN], p[_LOSS]) * w
-        sums = [wf[:, c].sum(axis=1) for _, c in levels]
-        np.abs(wf, out=wf)  # the signed sums are taken; wf is now |w*f|
-        e, m = est[rows], mass[rows]
-        for (lv, c), x in zip(levels, sums):
-            h = _H0 / 2 ** lv
-            prev, e = e, 0.5 * e + h * x
-            m = 0.5 * m + h * wf[:, c].sum(axis=1)
-        est[rows], mass[rows], diff[rows] = e, m, np.abs(e - prev)
-        if not np.isfinite(m).all():  # the value overflowed
-            fail(rows, ~np.isfinite(m), _check_value, m)
+        wf = np.empty((2, *w.shape))  # w * f and |w * f|
+        np.multiply(_value_kernel(omega, p[_X0], p[_ALPHA], p[_GAIN],
+                                  p[_LOSS]), w, out=wf[0])
+        np.abs(wf[0], out=wf[1])
+        em = est_mass[:, rows]
+        for lv, c in levels:
+            prev = em[0]
+            em = 0.5 * em + _H0 / 2 ** lv * wf[:, :, c].sum(axis=2)
+        est_mass[:, rows], diff[rows] = em, np.abs(em[0] - prev)
+        if not np.isfinite(em[1]).all():  # the value overflowed
+            fail(rows, ~np.isfinite(em[1]), _check_value, em[1])
 
     for level in range(_FIRST, _LAST_LEVEL + 1):
         nodes, levels = _level_nodes(level)
         cost = pieces * nodes[0].size
         # a point runs a program only if it fits in its budget
-        active &= evals + cost <= min(budget, _INT64_MAX)
+        active &= evals + cost <= cap
         if not active.any():
             break
-        refine(np.flatnonzero(active[owner]), nodes, levels)
-        evals += np.where(active, cost, 0)
+        refine(active[owner].nonzero()[0], nodes, levels)
+        np.add(evals, cost, out=evals, where=active)
         # a point stops when its tolerance is met or when its level
         # difference is down to the roundoff floor
-        d, floor = (np.bincount(owner, x, n) for x in (diff, 50 * _EPS * mass))
+        d = np.bincount(owner, diff, n)
+        floor = np.bincount(owner, 50 * _EPS * est_mass[1], n)
         active &= (tol < d + floor) & (floor < d)
-    totals = np.bincount(owner, est, n)
+    totals = np.bincount(owner, est_mass[0], n)
     for j in range(n):
         if out[j] is not None:
             continue

@@ -12,7 +12,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -125,7 +125,8 @@ def _number(x, key: str, cast=float):
     Strings, null, booleans, lists and objects are rejected, and so are
     numbers the cast cannot hold: an int of inf or nan, or of a fraction.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if type(x) not in (float, int) and (isinstance(x, bool)
+                                        or not isinstance(x, numbers.Real)):
         raise DomainError(f"{key} must be a number, got {x!r}")
     try:
         out = cast(x)
@@ -220,30 +221,50 @@ def _point_seeds(seed: int, count: int):
             for ss in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
+def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
     """The row of a closed-form or Monte Carlo point; for a quadrature
-    point, its metric's ``of`` and its row for :func:`pu_batch`."""
+    point, its metric's ``of`` and its row for :func:`pu_batch`.
+
+    ``kept`` passes objects from the first point of a sweep to the later
+    ones. The first point builds, and so checks, every object in the
+    order below; a later point rebuilds only those that read the axis
+    value, which checks it, and takes the others from ``kept``.
+    """
     eff = _point_scenario(s, x)
     metric = s.metric
     if metric == "value_curve":
         return SweepRow(x, value(x, eff.reference, eff.value_params), 0.0, 1)
     if metric == "weight_curve":
         return SweepRow(x, weight(x, eff.weight_params), 0.0, 1)
-    pd = PerceptualDistribution(ExponentialGain(eff.mu), eff.weight_params)
+
+    def build(name: str, fields: tuple, make: Callable):
+        """``make()``, kept for the later points if it reads none of the
+        scenario ``fields`` that may hold the axis."""
+        if name in kept:
+            return kept[name]
+        obj = make()
+        if s.axis_name not in fields:
+            kept[name] = obj
+        return obj
+
+    channel = build("channel", ("mu",), lambda: ExponentialGain(eff.mu))
+    pd = PerceptualDistribution(channel, eff.weight_params)
     if metric == "pcdf":
         return SweepRow(x, pd.pcdf(x), 0.0, 1)
     if metric == "ppdf":
         return SweepRow(x, pd.ppdf(x), 0.0, 1)
-    link = LinkBudget(eff.pt_over_n0, pd.base)
+    link = build("link", ("mu", "pt_over_n0"),
+                 lambda: LinkBudget(eff.pt_over_n0, channel))
     config = None if eff.mc is None else McConfig(eff.mc.samples, mc_seed)
     if metric == "pop":
-        spec = OutageSpec(eff.epsilon)
+        spec = build("spec", ("epsilon",), lambda: OutageSpec(eff.epsilon))
         if config is None:
             return SweepRow(x, pop(link, spec, eff.weight_params), 0.0, 1)
         est = mc_pop(link, spec, eff.weight_params, config)
     else:
-        composite = (snr_metric if metric == "pu_snr" else rate_metric)(
-            link, eff.reference)
+        composite = build("composite", ("pt_over_n0", "reference"), lambda: (
+            snr_metric if metric == "pu_snr" else rate_metric)(
+                link, eff.reference))
         if config is None:
             return composite.of, _point(composite, eff.mu, eff.value_params,
                                         eff.weight_params)
@@ -258,14 +279,16 @@ def run_scenario(s: Scenario) -> list:
     and pop its closed form, unless the scenario carries an mc config, in
     which case the metric's Monte Carlo estimator is used and rows report
     its standard error and sample count instead. The error raised is that
-    of the first failing grid point.
+    of the first failing grid point; an invalid field other than the axis
+    fails the first one. The objects built from such fields are built
+    once per call and held by none after it.
     """
     seeds = (_point_seeds(s.mc.seed, len(s.grid)) if s.mc is not None
              else [None] * len(s.grid))
-    rows = []
+    rows, kept = [], {}
     for x, seed in zip(s.grid, seeds):
         try:
-            rows.append(_eval_point(s, x, seed))
+            rows.append(_eval_point(s, x, seed, kept))
         except PerceptError as exc:
             rows.append(exc)
             break  # only a quadrature point before it can fail first
