@@ -117,7 +117,8 @@ class PerceptualDistribution:
         themselves only (integrable) limits exist and a DomainError is
         raised. The density is unbounded near the lower endpoint for
         theta < 1: overweighting of rare events piles perceived mass onto
-        the far left tail.
+        the far left tail. Past s/mu ~ 708, where -log F = exp(-s/mu) is
+        subnormal, (-log F)**(theta-1) * f/F is exp(-theta*s/mu)/mu.
         """
         s = np.asarray(s, dtype=float)
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
@@ -128,9 +129,13 @@ class PerceptualDistribution:
             raise DomainError(
                 "ppdf: base CDF rounds to 0 or 1 here, only a limit exists")
         gp = self.weights
-        out = (gp.gamma * gp.theta * self.pcdf(s)
-               * neg_log_f ** (gp.theta - 1.0)
-               * self.base.pdf(s) / f_base)
+        head = gp.gamma * gp.theta * self.pcdf(s)
+        # the power of a subnormal -log F could overflow, and is not used
+        out = np.where(neg_log_f < _TINY,
+                       head * np.exp(-gp.theta * (s / self.base.mu))
+                       / self.base.mu,
+                       head * np.maximum(neg_log_f, _TINY) ** (gp.theta - 1.0)
+                       * self.base.pdf(s) / f_base)
         return scalar_out(out)
 
     def perceptual_sample(self, u):

@@ -139,6 +139,27 @@ def test_pcdf_far_tail_against_mpmath():
             assert abs(pd.pcdf(s) - want) <= 1e-15, s
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [0.3, 1.0, 1e5])
+@pytest.mark.parametrize("gamma", [0.001, 1.0, 3.0])
+@pytest.mark.parametrize("theta", [0.01, 0.5, 0.9])
+def test_ppdf_far_tail_against_mpmath(mu, gamma, theta):
+    # -log F = e^(-s/mu) is subnormal for s/mu in (708.4, 745]; there
+    # (-log F)**(theta-1) * f/F is e^(-theta*s/mu)/mu
+    pd = make_pd(mu, gamma, theta)
+    s = np.array([700.0, 710.0, 720.0, 740.0, 744.0, 745.0]) * mu
+    with mpmath.workdps(50):
+        g, t = mpmath.mpf(gamma), mpmath.mpf(theta)
+        for si, got in zip(s, pd.ppdf(s)):
+            x = mpmath.mpf(si) / mu
+            neg_log_f = -mpmath.log1p(-mpmath.exp(-x))
+            want = (g * t * mpmath.exp(-g * neg_log_f ** t)
+                    * neg_log_f ** (t - 1) * mpmath.exp(-x) / mu
+                    / -mpmath.expm1(-x))
+            for value in (got, pd.ppdf(float(si))):
+                assert abs(value - want) <= 1e-13 * want, si
+
+
 def test_pcdf_boundaries():
     pd = make_pd()
     assert pd.pcdf(0.0) == 0.0
