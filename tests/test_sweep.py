@@ -2,16 +2,17 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from percept import (ConstraintViolation, DomainError, ExponentialGain,
-                     LinkBudget, McConfig, PerceptualDistribution,
-                     ToleranceNotMet, ValueParams, WeightParams, cross_check,
-                     cross_check_csv, load_scenario, pop, preset_scenario,
-                     pu_rate, pu_snr, run_scenario, scenario_from_dict,
-                     sweep_csv, weight)
+                     LinkBudget, McConfig, PerceptError,
+                     PerceptualDistribution, ToleranceNotMet, ValueParams,
+                     WeightParams, cross_check, cross_check_csv,
+                     load_scenario, pop, preset_scenario, pu_rate, pu_snr,
+                     run_scenario, scenario_from_dict, sweep_csv, weight)
 from percept.sweep import _AXES, PRESET_NOTES, PRESETS, SCHEMA, Scenario
 
 WEIGHT_SNAPSHOT = ("axis,value,err,n_eval\n"
@@ -364,6 +365,81 @@ def test_later_domain_error_does_not_hide_an_earlier_failure(later):
         with pytest.raises(ToleranceNotMet,
                            match="at grid point pt_over_n0=1:"):
             run_scenario(scenario_from_dict(doc(axis=axis, budget=100)))
+
+
+INF = float("inf")
+# an axis, its grid, the fixed fields that differ from doc(pt_over_n0=10)
+# and the error run_scenario raises: an invalid value on each PU axis,
+# then invalid fixed fields, which fail the first grid point. A fixed mu
+# is checked before a pt_over_n0 or reference value, as the gain law is
+# built before the link budget and the reference point.
+AXIS_ERRORS = [
+    ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
+     "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
+    ("reference", [0.0, 4.0, INF], {}, "DomainError('at grid point "
+     "reference=inf: reference must be finite, got inf')"),
+    ("mu", [0.0, 1.0, 2.0], {},
+     "DomainError('at grid point mu=0: mu must be > 0, got 0.0')"),
+    ("alpha", [0.3, 0.5, 1.0], {}, "ConstraintViolation('concavity: at "
+     "grid point alpha=1: alpha must lie in (0, 1), got 1.0')"),
+    ("lambda_gain", [0.5, 1.0, 2.0], {}, "ConstraintViolation("
+     "'loss_aversion: at grid point lambda_gain=2: strict mode requires "
+     "lambda_gain < lambda_loss, got 2.0 >= 2.0')"),
+    ("lambda_loss", [1.0, 2.0, 3.0], {}, "ConstraintViolation("
+     "'loss_aversion: at grid point lambda_loss=1: strict mode requires "
+     "lambda_gain < lambda_loss, got 1.0 >= 1.0')"),
+    ("gamma", [0.5, 1.0, INF], {}, "DomainError('at grid point gamma=inf: "
+     "gamma must be finite, got inf')"),
+    ("theta", [0.5, 0.8, 1.0], {}, "ConstraintViolation('inverse_s: at "
+     "grid point theta=1: theta must lie in (0, 1), got 1.0')"),
+    ("pt_over_n0", [1.0, 10.0], {"mu": 0.0}, "DomainError('at grid point "
+     "pt_over_n0=1: mu must be > 0, got 0.0')"),
+    ("mu", [1.0, 2.0], {"pt_over_n0": -1.0}, "DomainError('at grid point "
+     "mu=1: pt_over_n0 must be >= 0, got -1.0')"),
+    ("pt_over_n0", [1.0, 10.0], {"reference": -1.0}, "ConstraintViolation("
+     "'reference: at grid point pt_over_n0=1: reference point must be "
+     ">= 0, got -1.0')"),
+    ("reference", [-1.0, 4.0], {"mu": INF}, "DomainError('at grid point "
+     "reference=-1: mu must be finite, got inf')"),
+    ("pt_over_n0", [-1.0, 10.0], {"mu": -1.0}, "DomainError('at grid "
+     "point pt_over_n0=-1: mu must be > 0, got -1.0')"),
+]
+
+
+@pytest.mark.parametrize("metric", ["pu_snr", "pu_rate"])
+@pytest.mark.parametrize("axis, grid, fixed, error", AXIS_ERRORS, ids=[
+    f"{axis}-{'-'.join(fixed) or 'grid'}" for axis, _, fixed, _ in AXIS_ERRORS
+])
+def test_invalid_axis_values_and_fixed_fields_keep_their_errors(
+        metric, axis, grid, fixed, error):
+    s = scenario_from_dict(doc(metric=metric,
+                               axis={"name": axis, "grid": grid},
+                               **{"pt_over_n0": 10.0, **fixed}))
+    with pytest.raises(PerceptError) as exc:
+        run_scenario(s)
+    assert repr(exc.value) == error
+
+
+def test_run_scenario_keeps_nothing_between_calls():
+    # the objects a sweep builds from its fixed fields live for one call;
+    # each run shifts fig5's grid, so a cache keyed by value would grow
+    fig5 = preset_scenario("fig5")
+
+    def runs(first, stop):
+        for k in range(first, stop):
+            run_scenario(dataclasses.replace(
+                fig5, grid=tuple(x * (1.0 + k / 1024) for x in fig5.grid)))
+
+    runs(0, 10)
+    tracemalloc.start()
+    try:
+        runs(10, 20)
+        after_10 = tracemalloc.get_traced_memory()[0]
+        runs(20, 210)
+        after_200 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_200 - after_10 < 4096
 
 
 def test_mc_rows_report_sampling_statistics():

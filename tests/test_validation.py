@@ -5,6 +5,7 @@ accepts it or raises a PerceptError that names the parameter.
 """
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
                      ToleranceNotMet, ValueParams, WeightParams, as_reference,
                      draw_channel, pu_snr, validate_value_params)
 from percept.errors import _check_count, _check_size, _real
+from percept.sweep import _number
 
 VP = ValueParams(0.5, 1.0, 2.0)
 WP = WeightParams(1.0, 0.8)
@@ -111,6 +113,65 @@ def test_count_keeps_its_messages_and_the_float_range():
         _check_count("n", 2.5, 1)
     with pytest.raises(DomainError, match=f"^n {PAST_FLOAT}$"):
         _check_count("n", 10**400, 1)
+
+
+# an input, then what _real, _check_count (at least 1), _number and _number
+# to int make of it: the repr of the value returned, or "!" and the
+# DomainError's message
+PAST = 10**400
+TYPED = [
+    (2.5, "2.5", "!n must be an integer, got 2.5", "2.5",
+     "!k must be an integer, got 2.5"),
+    (3, "3.0", "None", "3.0", "3"),
+    (True, "1.0", "None", "!k must be a number, got True",
+     "!k must be a number, got True"),
+    (np.float64(2.5), "2.5", "!n must be an integer, got np.float64(2.5)",
+     "2.5", "!k must be an integer, got np.float64(2.5)"),
+    (np.float32(0.5), "0.5", "!n must be an integer, got np.float32(0.5)",
+     "0.5", "!k must be an integer, got np.float32(0.5)"),
+    (np.int64(3), "3.0", "None", "3.0", "3"),
+    (Fraction(1, 4), "0.25", "!n must be an integer, got Fraction(1, 4)",
+     "0.25", "!k must be an integer, got Fraction(1, 4)"),
+    (PAST, f"!x {PAST_FLOAT}", f"!n {PAST_FLOAT}",
+     f"!k must be a finite number, got {PAST!r}", repr(PAST)),
+    (math.nan, "!x must be finite, got nan", "!n must be an integer, got nan",
+     "nan", "!k must be a finite number, got nan"),
+    (math.inf, "!x must be finite, got inf", "!n must be an integer, got inf",
+     "inf", "!k must be a finite number, got inf"),
+    (-math.inf, "!x must be finite, got -inf",
+     "!n must be an integer, got -inf", "-inf",
+     "!k must be a finite number, got -inf"),
+    ("4", "!x must be a real number, got '4'",
+     "!n must be an integer, got '4'", "!k must be a number, got '4'",
+     "!k must be a number, got '4'"),
+    (None, "!x must be a real number, got None",
+     "!n must be an integer, got None", "!k must be a number, got None",
+     "!k must be a number, got None"),
+    (1 + 2j, "!x must be a real number, got (1+2j)",
+     "!n must be an integer, got (1+2j)", "!k must be a number, got (1+2j)",
+     "!k must be a number, got (1+2j)"),
+    (Decimal("2.5"), "!x must be a real number, got Decimal('2.5')",
+     "!n must be an integer, got Decimal('2.5')",
+     "!k must be a number, got Decimal('2.5')",
+     "!k must be a number, got Decimal('2.5')"),
+]
+
+
+@pytest.mark.parametrize("x, real, count, number, integer", TYPED, ids=[
+    "float", "int", "bool", "np.float64", "np.float32", "np.int64",
+    "fraction", "10**400", "nan", "inf", "-inf", "str", "None", "complex",
+    "decimal"])
+def test_scalar_checks_pin_each_type(x, real, count, number, integer):
+    def outcome(call):
+        try:
+            return repr(call())
+        except DomainError as exc:
+            return f"!{exc}"
+
+    assert outcome(lambda: _real("x", x)) == real
+    assert outcome(lambda: _check_count("n", x, 1)) == count
+    assert outcome(lambda: _number(x, "k")) == number
+    assert outcome(lambda: _number(x, "k", int)) == integer
 
 
 def test_size_must_fit_an_array_index():

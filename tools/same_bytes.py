@@ -22,11 +22,15 @@ CHANGE's ``sweep.PRESETS``:
   evaluation count;
 - the same ``run_scenario`` output of every 8th catalogue ``oracle``
   document and of fig8, each with an ``mc`` block of 1000 samples (one
-  slice) and of 2**19 + 1 (past one batch), seed 0.
+  slice) and of 2**19 + 1 (past one batch), seed 0;
+- the repr of the error ``run_scenario`` raises on ``pu_snr`` and
+  ``pu_rate`` documents that each fail at one grid point: an invalid
+  value on each PU axis, or an invalid fixed ``mu``, ``pt_over_n0`` or
+  ``reference``, alone or next to an invalid first grid value.
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, and ``mc`` at each sample count), and the first few
+tolerance, ``mc`` at each sample count, and errors), and the first few
 differences; exits 1 if any output differs, 0 if none does.
 """
 from __future__ import annotations
@@ -48,7 +52,37 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
+ERROR_BASE = {"schema": "percept-scenario/1",
+              "value_params": {"alpha": 0.5, "lambda_gain": 1.0,
+                               "lambda_loss": 2.0},
+              "weight_params": {"gamma": 1.0, "theta": 0.8},
+              "reference": 4.0, "mu": 1.0, "pt_over_n0": 10.0}
+INF = float("inf")  # a document's 1e400
+# an axis, its grid and the fixed fields that differ from ERROR_BASE; each
+# document fails at the one grid point or fixed field that is invalid
+ERROR_CASES = [
+    ("pt_over_n0", [1.0, 10.0, INF], {}),
+    ("reference", [0.0, 4.0, INF], {}),
+    ("mu", [0.0, 1.0, 2.0], {}),
+    ("alpha", [0.3, 0.5, 1.0], {}),
+    ("lambda_gain", [0.5, 1.0, 2.0], {}),
+    ("lambda_loss", [1.0, 2.0, 3.0], {}),
+    ("gamma", [0.5, 1.0, INF], {}),
+    ("theta", [0.5, 0.8, 1.0], {}),
+    ("pt_over_n0", [1.0, 10.0], {"mu": 0.0}),
+    ("mu", [1.0, 2.0], {"pt_over_n0": -1.0}),
+    ("pt_over_n0", [1.0, 10.0], {"reference": -1.0}),
+    ("reference", [-1.0, 4.0], {"mu": INF}),
+    ("pt_over_n0", [-1.0, 10.0], {"mu": -1.0}),
+]
 SHOW = 5  # differences printed in full
+
+
+def error_doc(metric: str, axis: str, grid: list, fixed: dict) -> dict:
+    """A scenario document of ERROR_CASES; a parameter block keeps its
+    value of the axis field as a placeholder."""
+    return dict(ERROR_BASE, metric=metric, axis={"name": axis, "grid": grid},
+                **fixed)
 
 
 def jobs(catalogue: dict, fig8: dict) -> dict:
@@ -66,6 +100,9 @@ def jobs(catalogue: dict, fig8: dict) -> dict:
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(doc, mc={"samples": n})) for doc in mc_docs]
+    out["errors"] = [("scenario", error_doc(metric, *case))
+                     for metric in ("pu_snr", "pu_rate")
+                     for case in ERROR_CASES]
     return out
 
 
