@@ -156,7 +156,9 @@ def _gain_at(s, mu, gamma, theta):
         log_z = np.where(log_z == -np.inf,
                          (np.log(s) - np.log(gamma)) / theta, log_z)
     z = np.exp(log_z)
-    return -mu * np.where(z < _SMALL_Z, log_z - 0.5 * z, _log1mexp(z))
+    log_q = _log1mexp(z)
+    np.subtract(log_z, 0.5 * z, out=log_q, where=z < _SMALL_Z)
+    return -mu * log_q
 
 
 def _point(metric: CompositeMetric, mu: float, value_params: ValueParams,
@@ -247,9 +249,11 @@ def _terms(fn, p, nodes):
     one_e2y, dy, two_cosh2, ey, dy_ey = nodes
     lo, finite = p[_LO], p[_HI] < np.inf
     width = np.where(finite, p[_HI] - lo, 0.0)
-    s = np.where(finite, lo + width / one_e2y, lo + ey)
+    s = lo + ey
+    np.add(lo, width / one_e2y, out=s, where=finite)
     ds = np.where(finite, width * dy / two_cosh2, dy_ey)
-    w = np.where(s > 0.0, ds * np.exp(-s), 0.0)
+    w = ds * np.exp(-s)
+    np.copyto(w, 0.0, where=s <= 0.0)
     g = _gain_at(s, p[_MU], p[_GAMMA], p[_THETA])
     return np.where(w > 0.0, fn(p[_RHO] * g), 0.0), w
 
@@ -301,6 +305,7 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
     est_mass, diff = np.zeros((2, owner.size)), np.zeros(owner.size)
     evals = np.zeros(n, dtype=np.int64)
     cap = min(budget, _INT64_MAX)
+    d = floor = np.zeros(n)  # each point's level difference and floor
 
     def fail(rows, bad, check, x):
         """Fail each point owning a ``bad`` row with ``check``'s error."""
@@ -331,7 +336,7 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
             prev = em[0]
             em = 0.5 * em + _H0 / 2 ** lv * wf[:, :, c].sum(axis=2)
         est_mass[:, rows], diff[rows] = em, np.abs(em[0] - prev)
-        if not np.isfinite(em[1]).all():  # the value overflowed
+        if not math.isfinite(em[1].sum()):  # the value overflowed
             fail(rows, ~np.isfinite(em[1]), _check_value, em[1])
 
     for level in range(_FIRST, _LAST_LEVEL + 1):
@@ -348,27 +353,27 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
         d = np.bincount(owner, diff, n)
         floor = np.bincount(owner, 50 * _EPS * est_mass[1], n)
         active &= (tol < d + floor) & (floor < d)
-    totals = np.bincount(owner, est_mass[0], n)
-    for j in range(n):
+    rows = zip(np.bincount(owner, est_mass[0], n).tolist(),
+               (d + floor).tolist(), floor.tolist(), evals.tolist())
+    for j, (total, total_err, fl, ev) in enumerate(rows):
         if out[j] is not None:
             continue
-        if not evals[j]:  # stopped before its first program
+        if not ev:  # stopped before its first program
             need = pieces[j] * _level_nodes(_FIRST)[0][0].size
             out[j] = ToleranceNotMet(
                 f"budget {budget} is below the {need} evaluations of one "
                 "pass", value=math.nan, abs_error=math.inf, evaluations=0)
             continue
-        total, total_err = float(totals[j]), float(d[j] + floor[j])
         if total_err <= tol:
             out[j] = PuResult(value=total, abs_error=total_err,
-                              evaluations=int(evals[j]))
+                              evaluations=ev)
             continue
-        why = (f"is below the roundoff floor {floor[j]:g}"
-               if floor[j] > tol else "not certified")
+        why = (f"is below the roundoff floor {fl:g}" if fl > tol
+               else "not certified")
         out[j] = ToleranceNotMet(
             f"requested abs tolerance {tol:g} {why}: error estimate "
-            f"{total_err:g} after {evals[j]} evaluations (budget {budget})",
-            value=total, abs_error=total_err, evaluations=int(evals[j]))
+            f"{total_err:g} after {ev} evaluations (budget {budget})",
+            value=total, abs_error=total_err, evaluations=ev)
     return out
 
 

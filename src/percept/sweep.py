@@ -21,7 +21,7 @@ from .errors import ConstraintViolation, DomainError, PerceptError, ToleranceNot
 from .metrics import (DEFAULT_BUDGET, DEFAULT_TOL, LinkBudget, OutageSpec,
                       _point, pop, pu_batch, rate_metric, snr_metric)
 from .montecarlo import McConfig, mc_pop, mc_pu
-from .prospect import ValueParams, WeightParams, value, weight
+from .prospect import ValueParams, WeightParams, as_reference, value, weight
 
 SCHEMA = "percept-scenario/1"
 
@@ -248,11 +248,9 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
         return obj
 
     channel = build("channel", ("mu",), lambda: ExponentialGain(eff.mu))
-    pd = PerceptualDistribution(channel, eff.weight_params)
-    if metric == "pcdf":
-        return SweepRow(x, pd.pcdf(x), 0.0, 1)
-    if metric == "ppdf":
-        return SweepRow(x, pd.ppdf(x), 0.0, 1)
+    if metric in _CURVE_AXIS:  # pcdf or ppdf
+        pd = PerceptualDistribution(channel, eff.weight_params)
+        return SweepRow(x, getattr(pd, metric)(x), 0.0, 1)
     link = build("link", ("mu", "pt_over_n0"),
                  lambda: LinkBudget(eff.pt_over_n0, channel))
     config = None if eff.mc is None else McConfig(eff.mc.samples, mc_seed)
@@ -262,13 +260,14 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
             return SweepRow(x, pop(link, spec, eff.weight_params), 0.0, 1)
         est = mc_pop(link, spec, eff.weight_params, config)
     else:
+        ref = build("ref", ("reference",), lambda: as_reference(eff.reference))
         composite = build("composite", ("pt_over_n0", "reference"), lambda: (
-            snr_metric if metric == "pu_snr" else rate_metric)(
-                link, eff.reference))
+            snr_metric if metric == "pu_snr" else rate_metric)(link, ref))
         if config is None:
             return composite.of, _point(composite, eff.mu, eff.value_params,
                                         eff.weight_params)
-        est = mc_pu(composite, pd, eff.value_params, config)
+        est = mc_pu(composite, PerceptualDistribution(
+            channel, eff.weight_params), eff.value_params, config)
     return SweepRow(x, est.mean, est.std_error, est.samples)
 
 
