@@ -268,7 +268,7 @@ def _pu_point(metric, mu, value_params, weight_params, tol, budget):
 
 
 # an overflow fails its point, so numpy's warnings would only repeat it;
-# log(0) = -inf is a limit the integrand takes (_gain_at, _log1mexp)
+# log(0) = -inf is a limit the substitution takes (_gain_at)
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
              budget: int = DEFAULT_BUDGET) -> list:
@@ -353,9 +353,9 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
         d = np.bincount(owner, diff, n)
         floor = np.bincount(owner, 50 * _EPS * est_mass[1], n)
         active &= (tol < d + floor) & (floor < d)
-    rows = zip(np.bincount(owner, est_mass[0], n).tolist(),
-               (d + floor).tolist(), floor.tolist(), evals.tolist())
-    for j, (total, total_err, fl, ev) in enumerate(rows):
+    outcomes = zip(np.bincount(owner, est_mass[0], n).tolist(),
+                   (d + floor).tolist(), floor.tolist(), evals.tolist())
+    for j, (total, total_err, fl, ev) in enumerate(outcomes):
         if out[j] is not None:
             continue
         if not ev:  # stopped before its first program

@@ -185,7 +185,8 @@ def _check_value(v) -> None:
 def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss):
     """The value-function formula, unchecked; all arguments broadcast."""
     d = x - x0
-    return np.where(d >= 0.0, lambda_gain, -lambda_loss) * np.abs(d) ** alpha
+    mag = np.abs(d) ** alpha
+    return np.where(d >= 0.0, lambda_gain * mag, -lambda_loss * mag)
 
 
 def weight(p, params: WeightParams):
