@@ -188,10 +188,10 @@ def test_simulate_channel_scale_without_a_mean_gain_exits_2(capsys, scale):
 @pytest.mark.parametrize("argv, code", [
     (["pcdf", "1e306", "--mu", "0.001"], 0),
     (["ppdf", "1e306", "--mu", "0.001"], 2),
-    (["ppdf", "745", "--theta", "0.01"], 0),  # -log F is subnormal
     (["simulate-channel", "--k-paths", "8", "--scale", "1e154"], 2),
     (["simulate-channel", "--k-paths", "1", "--scale", "1.3e154"], 2),
     ("mc-sweep", 0),
+    (["ppdf", "745", "--theta", "0.01"], 0),  # -log F is subnormal
 ])
 def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
                                                     code):
