@@ -112,28 +112,30 @@ class PerceptualDistribution:
     def ppdf(self, s):
         """Perceived density, the derivative of :meth:`pcdf`.
 
-        Defined strictly inside the support, wherever the base CDF is
-        distinguishable from 0 and 1 in floating point. At the endpoints
-        themselves only (integrable) limits exist and a DomainError is
-        raised. The density is unbounded near the lower endpoint for
-        theta < 1: overweighting of rare events piles perceived mass onto
-        the far left tail. Past s/mu ~ 708, where -log F = exp(-s/mu) is
-        subnormal, (-log F)**(theta-1) * f/F is exp(-theta*s/mu)/mu.
+        Defined strictly inside the support: at the endpoints themselves
+        only (integrable) limits exist and a DomainError is raised. The
+        density is unbounded near the lower endpoint for theta < 1:
+        overweighting of rare events piles perceived mass onto the far left
+        tail. Past s/mu ~ 708, where -log F = exp(-s/mu) is subnormal or 0,
+        (-log F)**(theta-1) * f/F is exp(-theta*s/mu)/mu; it is 0 where that
+        underflows or s/mu overflows. The one other refusal is where s/mu
+        underflows to 0, so that the base CDF rounds to 0.
         """
         s = np.asarray(s, dtype=float)
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
         f_base = self.base.cdf(s)
-        neg_log_f = -self.base.log_cdf(s)
-        if np.any(f_base <= 0.0) or np.any(neg_log_f <= 0.0):
+        if np.any(f_base <= 0.0):
             raise DomainError(
-                "ppdf: base CDF rounds to 0 or 1 here, only a limit exists")
+                "ppdf: base CDF rounds to 0 here, only a limit exists")
+        neg_log_f = -self.base.log_cdf(s)
         gp = self.weights
         head = gp.gamma * gp.theta * self.pcdf(s)
+        with np.errstate(over="ignore"):  # s/mu = inf is the limit 0
+            x = s / self.base.mu
         # the power of a subnormal -log F could overflow, and is not used
         out = np.where(neg_log_f < _TINY,
-                       head * np.exp(-gp.theta * (s / self.base.mu))
-                       / self.base.mu,
+                       head * np.exp(-gp.theta * x) / self.base.mu,
                        head * np.maximum(neg_log_f, _TINY) ** (gp.theta - 1.0)
                        * self.base.pdf(s) / f_base)
         return scalar_out(out)

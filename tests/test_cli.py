@@ -187,7 +187,7 @@ def test_simulate_channel_scale_without_a_mean_gain_exits_2(capsys, scale):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code", [
     (["pcdf", "1e306", "--mu", "0.001"], 0),
-    (["ppdf", "1e306", "--mu", "0.001"], 2),
+    (["ppdf", "1e306", "--mu", "0.001"], 0),  # e^(-theta*s/mu) = 0
     (["simulate-channel", "--k-paths", "8", "--scale", "1e154"], 2),
     (["simulate-channel", "--k-paths", "1", "--scale", "1.3e154"], 2),
     ("mc-sweep", 0),
@@ -585,7 +585,7 @@ def test_demo_runs(demo):
 # --- runtime dependencies ---------------------------------------------------------------
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: a fresh interpreter must not load it.
+    # percept depends on numpy alone: a fresh interpreter must not load scipy.
     # Nor does the import load concurrent.futures or start a thread: the
     # samplers start their threads per call, which keeps a cold start cheap.
     code = ("import sys, threading; before = threading.active_count(); "

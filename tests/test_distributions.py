@@ -4,10 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from percept import (DomainError, ExponentialGain, PerceptualDistribution,
                      WeightParams)
@@ -34,16 +32,21 @@ def test_base_closed_forms():
         2.0 * math.log(2.0), abs=1e-14)
 
 
-def test_base_matches_scipy_exponential():
+def test_base_matches_mpmath_exponential():
     mu = 1.7
     d = ExponentialGain(mu)
-    oracle = scipy.stats.expon(scale=mu)
     g = np.linspace(0.01, 20.0, 50)
-    assert np.allclose(d.cdf(g), oracle.cdf(g), rtol=1e-13, atol=0.0)
-    assert np.allclose(d.pdf(g), oracle.pdf(g), rtol=1e-13, atol=0.0)
     u = np.linspace(0.01, 0.99, 25)
-    assert np.allclose(d.inverse_cdf(u), oracle.ppf(u), rtol=1e-12)
-    assert np.allclose(d.inverse_survival(u), oracle.isf(u), rtol=1e-12)
+    with mpmath.workdps(30):  # the law's closed forms
+        m = mpmath.mpf(mu)
+        cdf = [float(-mpmath.expm1(-x / m)) for x in g.tolist()]
+        pdf = [float(mpmath.exp(-x / m) / m) for x in g.tolist()]
+        ppf = [float(-m * mpmath.log1p(-p)) for p in u.tolist()]
+        isf = [float(-m * mpmath.log(q)) for q in u.tolist()]
+    assert np.allclose(d.cdf(g), cdf, rtol=1e-13, atol=0.0)
+    assert np.allclose(d.pdf(g), pdf, rtol=1e-13, atol=0.0)
+    assert np.allclose(d.inverse_cdf(u), ppf, rtol=1e-12)
+    assert np.allclose(d.inverse_survival(u), isf, rtol=1e-12)
 
 
 def test_base_cdf_zero_below_support():
@@ -144,10 +147,11 @@ def test_pcdf_far_tail_against_mpmath():
 @pytest.mark.parametrize("gamma", [0.001, 1.0, 3.0])
 @pytest.mark.parametrize("theta", [0.01, 0.5, 0.9])
 def test_ppdf_far_tail_against_mpmath(mu, gamma, theta):
-    # -log F = e^(-s/mu) is subnormal for s/mu in (708.4, 745]; there
-    # (-log F)**(theta-1) * f/F is e^(-theta*s/mu)/mu
+    # -log F = e^(-s/mu) is subnormal for s/mu in (708.4, 745] and 0
+    # past it; there (-log F)**(theta-1) * f/F is e^(-theta*s/mu)/mu
     pd = make_pd(mu, gamma, theta)
-    s = np.array([700.0, 710.0, 720.0, 740.0, 744.0, 745.0]) * mu
+    s = np.array([700.0, 710.0, 720.0, 740.0, 744.0, 745.0, 746.0, 750.0,
+                  800.0]) * mu
     with mpmath.workdps(50):
         g, t = mpmath.mpf(gamma), mpmath.mpf(theta)
         for si, got in zip(s, pd.ppdf(s)):
@@ -156,8 +160,14 @@ def test_ppdf_far_tail_against_mpmath(mu, gamma, theta):
             want = (g * t * mpmath.exp(-g * neg_log_f ** t)
                     * neg_log_f ** (t - 1) * mpmath.exp(-x) / mu
                     / -mpmath.expm1(-x))
+            # at theta = 0.9, s/mu = 800 the density is subnormal: the
+            # subnormal e^(-theta*s/mu) and its product with
+            # gamma*theta*w(F) each round to a step of 2**-1074 before the
+            # division by mu, and the quotient rounds once more
+            bound = (1e-13 * want if want >= np.finfo(float).tiny
+                     else ((g * t + 1) / (2 * mu) + 0.5) * 2.0**-1074)
             for value in (got, pd.ppdf(float(si))):
-                assert abs(value - want) <= 1e-13 * want, si
+                assert abs(value - want) <= bound, si
 
 
 def test_pcdf_boundaries():
@@ -205,14 +215,13 @@ def test_ppdf_matches_finite_difference_of_pcdf():
 def test_ppdf_integrates_to_one():
     pd = make_pd(theta=0.8)
     mu = pd.base.mu
-    bulk, _ = quad(pd.ppdf, mu, 700.0 * mu, epsabs=1e-11, epsrel=0.0,
-                   limit=300)
+    bulk = mpmath.quad(lambda s: pd.ppdf(float(s)), [mu, 700.0 * mu])
     # left tail via s = mu * exp(-y); the perceived mass below exp(-y_max)
     # is exp(-gamma * y_max**theta) < 1e-13
     y_max = 30.0 ** (1.0 / 0.8)
-    left, _ = quad(lambda y: pd.ppdf(mu * math.exp(-y)) * mu * math.exp(-y),
-                   0.0, y_max, epsabs=1e-11, epsrel=0.0, limit=300)
-    assert bulk + left == pytest.approx(1.0, abs=1e-8)
+    left = mpmath.quad(
+        lambda y: pd.ppdf(mu * math.exp(-y)) * mu * math.exp(-y), [0.0, y_max])
+    assert float(bulk + left) == pytest.approx(1.0, abs=1e-8)
 
 
 @given(st.floats(min_value=1e-200, max_value=600.0),
@@ -231,7 +240,7 @@ def test_ppdf_domain_errors_at_edges():
     with pytest.raises(DomainError):
         pd.ppdf(-1.0)
     with pytest.raises(DomainError):
-        pd.ppdf(800.0)  # F rounds to 1 here; only the limit exists
+        make_pd(mu=1e300).ppdf(1e-30)  # s/mu underflows: F rounds to 0
 
 
 # --- perceptual sampling --------------------------------------------------
