@@ -119,25 +119,30 @@ class PerceptualDistribution:
         tail. Past s/mu ~ 708, where -log F = exp(-s/mu) is subnormal or 0,
         (-log F)**(theta-1) * f/F is exp(-theta*s/mu)/mu; it is 0 where that
         underflows or s/mu overflows. The one other refusal is where s/mu
-        underflows to 0, so that the base CDF rounds to 0.
+        underflows to 0, so that the base CDF rounds to 0, and where the
+        density itself overflows the float range.
         """
         s = np.asarray(s, dtype=float)
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
-        f_base = self.base.cdf(s)
+        mu, gp = self.base.mu, self.weights
+        with np.errstate(over="ignore"):  # s/mu = inf is the limit 0
+            x = s / mu
+        f_base = -np.expm1(-x)
         if np.any(f_base <= 0.0):
             raise DomainError(
                 "ppdf: base CDF rounds to 0 here, only a limit exists")
-        neg_log_f = -self.base.log_cdf(s)
-        gp = self.weights
+        neg_log_f = -_log1mexp(x)
         head = gp.gamma * gp.theta * self.pcdf(s)
-        with np.errstate(over="ignore"):  # s/mu = inf is the limit 0
-            x = s / self.base.mu
-        # the power of a subnormal -log F could overflow, and is not used
-        out = np.where(neg_log_f < _TINY,
-                       head * np.exp(-gp.theta * x) / self.base.mu,
-                       head * np.maximum(neg_log_f, _TINY) ** (gp.theta - 1.0)
-                       * self.base.pdf(s) / f_base)
+        # both branches are formed everywhere; the power of a subnormal
+        # -log F may overflow, and its product be NaN, where it is not used
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(neg_log_f < _TINY,
+                           head * np.exp(-gp.theta * x) / mu,
+                           head * np.maximum(neg_log_f, _TINY)
+                           ** (gp.theta - 1.0) * (np.exp(-x) / mu) / f_base)
+        if np.any(np.isinf(out)):
+            raise DomainError("perceived density overflows the float range")
         return scalar_out(out)
 
     def perceptual_sample(self, u):

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -203,18 +202,6 @@ def _with_point(exc: PerceptError, axis_name: str, x: float) -> PerceptError:
     return DomainError(f"{note}: {exc}")
 
 
-def _point_scenario(s: Scenario, x: float):
-    """The scenario's fields with the axis value substituted. A parameter
-    block holding the axis is rebuilt, which checks the value."""
-    if s.metric in _CURVE_AXIS:
-        return s
-    for block, keys in _KEYS.items():
-        if s.axis_name in keys:
-            params = dataclasses.replace(getattr(s, block), **{s.axis_name: x})
-            return SimpleNamespace(**{**vars(s), block: params})
-    return SimpleNamespace(**{**vars(s), s.axis_name: x})
-
-
 def _point_seeds(seed: int, count: int):
     """Independent per-point substream seeds with fixed assignment."""
     return [int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -225,17 +212,23 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
     """The row of a closed-form or Monte Carlo point; for a quadrature
     point, its metric's ``of`` and its row for :func:`pu_batch`.
 
-    ``kept`` passes objects from the first point of a sweep to the later
-    ones. The first point builds, and so checks, every object in the
-    order below; a later point rebuilds only those that read the axis
-    value, which checks it, and takes the others from ``kept``.
+    The axis value is substituted once: a parameter block holding the axis
+    is rebuilt first, which checks the value; a field that is the axis
+    reads ``x``. ``kept`` passes the objects of the first point of a sweep
+    to the later ones: the first builds, and so checks, every object in
+    the order below; a later one rebuilds only those that read the axis.
     """
-    eff = _point_scenario(s, x)
-    metric = s.metric
+    metric, axis = s.metric, s.axis_name
     if metric == "value_curve":
-        return SweepRow(x, value(x, eff.reference, eff.value_params), 0.0, 1)
+        return SweepRow(x, value(x, s.reference, s.value_params), 0.0, 1)
     if metric == "weight_curve":
-        return SweepRow(x, weight(x, eff.weight_params), 0.0, 1)
+        return SweepRow(x, weight(x, s.weight_params), 0.0, 1)
+    vp, wp = (dataclasses.replace(getattr(s, block), **{axis: x})
+              if axis in _KEYS[block] else getattr(s, block)
+              for block in ("value_params", "weight_params"))
+
+    def at(name: str):
+        return x if name == axis else getattr(s, name)
 
     def build(name: str, fields: tuple, make: Callable):
         """``make()``, kept for the later points if it reads none of the
@@ -243,31 +236,30 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
         if name in kept:
             return kept[name]
         obj = make()
-        if s.axis_name not in fields:
+        if axis not in fields:
             kept[name] = obj
         return obj
 
-    channel = build("channel", ("mu",), lambda: ExponentialGain(eff.mu))
+    channel = build("channel", ("mu",), lambda: ExponentialGain(at("mu")))
     if metric in _CURVE_AXIS:  # pcdf or ppdf
-        pd = PerceptualDistribution(channel, eff.weight_params)
+        pd = PerceptualDistribution(channel, wp)
         return SweepRow(x, getattr(pd, metric)(x), 0.0, 1)
     link = build("link", ("mu", "pt_over_n0"),
-                 lambda: LinkBudget(eff.pt_over_n0, channel))
-    config = None if eff.mc is None else McConfig(eff.mc.samples, mc_seed)
+                 lambda: LinkBudget(at("pt_over_n0"), channel))
+    config = None if s.mc is None else McConfig(s.mc.samples, mc_seed)
     if metric == "pop":
-        spec = build("spec", ("epsilon",), lambda: OutageSpec(eff.epsilon))
+        spec = build("spec", ("epsilon",), lambda: OutageSpec(at("epsilon")))
         if config is None:
-            return SweepRow(x, pop(link, spec, eff.weight_params), 0.0, 1)
-        est = mc_pop(link, spec, eff.weight_params, config)
+            return SweepRow(x, pop(link, spec, wp), 0.0, 1)
+        est = mc_pop(link, spec, wp, config)
     else:
-        ref = build("ref", ("reference",), lambda: as_reference(eff.reference))
+        ref = build("ref", ("reference",),
+                    lambda: as_reference(at("reference")))
         composite = build("composite", ("pt_over_n0", "reference"), lambda: (
             snr_metric if metric == "pu_snr" else rate_metric)(link, ref))
         if config is None:
-            return composite.of, _point(composite, eff.mu, eff.value_params,
-                                        eff.weight_params)
-        est = mc_pu(composite, PerceptualDistribution(
-            channel, eff.weight_params), eff.value_params, config)
+            return composite.of, _point(composite, at("mu"), vp, wp)
+        est = mc_pu(composite, PerceptualDistribution(channel, wp), vp, config)
     return SweepRow(x, est.mean, est.std_error, est.samples)
 
 

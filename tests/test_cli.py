@@ -192,6 +192,11 @@ def test_simulate_channel_scale_without_a_mean_gain_exits_2(capsys, scale):
     (["simulate-channel", "--k-paths", "1", "--scale", "1.3e154"], 2),
     ("mc-sweep", 0),
     (["ppdf", "745", "--theta", "0.01"], 0),  # -log F is subnormal
+    # the branch not taken overflows; then the density itself does
+    (["ppdf", "1", "--mu", "1e-300", "--gamma", "1e30", "--theta", "0.0001"],
+     0),
+    (["ppdf", "1e-320", "--mu", "1e-300", "--gamma", "0.01", "--theta",
+      "0.0001"], 2),
 ])
 def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
                                                     code):
@@ -244,8 +249,15 @@ def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
                  id="mc-seed-fraction"),
     pytest.param({"budget": True}, id="budget-true"),
     pytest.param({"reference": True}, id="reference-true"),
+    pytest.param({"weight_params": {"gamma": 1.0, "theta": 0.8,
+                                    "mode": "lenient"}}, id="mode-unknown"),
+    pytest.param("[]", id="document-list"),  # a raw document
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, bad):
+    if isinstance(bad, str):
+        path = tmp_path / "scenario.json"
+        path.write_text(bad)
+        bad = ["sweep", str(path)]
     if isinstance(bad, dict):
         path = Path(scenario_file(tmp_path, **bad))
         # json writes inf as Infinity; a document overflows a float as 1e400

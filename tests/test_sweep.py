@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from percept import (ConstraintViolation, DomainError, ExponentialGain,
-                     LinkBudget, McConfig, PerceptError,
+                     LinkBudget, McConfig, OutageSpec, PerceptError,
                      PerceptualDistribution, ToleranceNotMet, ValueParams,
                      WeightParams, cross_check, cross_check_csv,
                      load_scenario, pop, preset_scenario, pu_rate, pu_snr,
@@ -417,6 +417,65 @@ def test_invalid_axis_values_and_fixed_fields_keep_their_errors(
                                **{"pt_over_n0": 10.0, **fixed}))
     with pytest.raises(PerceptError) as exc:
         run_scenario(s)
+    assert repr(exc.value) == error
+
+
+# the fixed fields of pop_doc(), each of which a pop sweep may take as axis
+POP_FIXED = {"mu": 1.0, "pt_over_n0": 10.0, "epsilon": 1.0, "gamma": 1.0,
+             "theta": 0.8}
+
+
+def pop_doc(axis: str, grid: list, **over) -> dict:
+    return doc(metric="pop", axis={"name": axis, "grid": grid},
+               **{"pt_over_n0": 10.0, "epsilon": 1.0, **over})
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("epsilon", [0.25, 1.0, 4.0]), ("mu", [0.5, 1.0, 3.0]),
+    ("gamma", [0.5, 1.0, 2.0]), ("theta", [0.3, 0.65, 0.9]),
+    ("pt_over_n0", [0.0, 1.0, 100.0])])
+def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
+    rows = run_scenario(scenario_from_dict(pop_doc(axis, grid)))
+    assert [r.axis for r in rows] == grid
+    for r in rows:
+        p = dict(POP_FIXED, **{axis: r.axis})
+        want = pop(LinkBudget(p["pt_over_n0"], ExponentialGain(p["mu"])),
+                   OutageSpec(p["epsilon"]), WeightParams(p["gamma"],
+                                                          p["theta"]))
+        assert (r.value.hex(), r.err, r.n_eval) == (want.hex(), 0.0, 1)
+
+
+# as AXIS_ERRORS, for pop: an invalid value on each axis, then invalid fixed
+# fields. The weighting block is checked before the gain law, and the gain
+# law before the outage threshold.
+POP_AXIS_ERRORS = [
+    ("epsilon", [0.5, 1.0, INF], {}, "DomainError('at grid point "
+     "epsilon=inf: epsilon must be finite, got inf')"),
+    ("mu", [0.5, 1.0, INF], {}, "DomainError('at grid point mu=inf: mu "
+     "must be finite, got inf')"),
+    ("gamma", [0.5, 1.0, INF], {}, "DomainError('at grid point gamma=inf: "
+     "gamma must be finite, got inf')"),
+    ("theta", [0.5, 0.8, 1.0], {}, "ConstraintViolation('inverse_s: at "
+     "grid point theta=1: theta must lie in (0, 1), got 1.0')"),
+    ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
+     "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
+    ("pt_over_n0", [1.0, 10.0], {"epsilon": 0.0}, "DomainError('at grid "
+     "point pt_over_n0=1: epsilon must be > 0, got 0.0')"),
+    ("epsilon", [0.0, 1.0], {"mu": 0.0}, "DomainError('at grid point "
+     "epsilon=0: mu must be > 0, got 0.0')"),
+    ("theta", [1.0], {"mu": 0.0, "epsilon": 0.0}, "ConstraintViolation("
+     "'inverse_s: at grid point theta=1: theta must lie in (0, 1), got "
+     "1.0')"),
+]
+
+
+@pytest.mark.parametrize("axis, grid, fixed, error", POP_AXIS_ERRORS, ids=[
+    f"{axis}-{'-'.join(fixed) or 'grid'}"
+    for axis, _, fixed, _ in POP_AXIS_ERRORS])
+def test_invalid_pop_axis_values_and_fixed_fields_keep_their_errors(
+        axis, grid, fixed, error):
+    with pytest.raises(PerceptError) as exc:
+        run_scenario(scenario_from_dict(pop_doc(axis, grid, **fixed)))
     assert repr(exc.value) == error
 
 

@@ -9,11 +9,13 @@ same inputs, read from CHANGE's ``bench/catalogue.json`` and, for fig8,
 CHANGE's ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
-  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of seven edge cases:
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of nine edge cases:
   ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
   1e-14``, ``pu-snr --budget 100``, ``pu-rate --tol 1e-2``, ``pop
-  --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1) and ``pcdf
-  300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0);
+  --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1), ``pcdf
+  300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0), and
+  ``ppdf 216 --mu 0.3 --theta 0.9`` and ``ppdf 746`` (the far tail of the
+  perceived density, where -log F is subnormal or 0);
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
   As the CSV rounds to 12 digits, each such output also holds the
@@ -26,12 +28,17 @@ CHANGE's ``sweep.PRESETS``:
 - the repr of the error ``run_scenario`` raises on ``pu_snr`` and
   ``pu_rate`` documents that each fail at one grid point: an invalid
   value on each PU axis, or an invalid fixed ``mu``, ``pt_over_n0`` or
-  ``reference``, alone or next to an invalid first grid value.
+  ``reference``, alone or next to an invalid first grid value;
+- the same ``run_scenario`` output of ``pop`` sweeps along each of its
+  axes, in closed form and with an ``mc`` block of 1000 samples, and the
+  repr of the error it raises on ``pop`` documents that fail at one grid
+  point: an invalid value on each axis, or an invalid fixed ``epsilon``
+  or ``mu``.
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, ``mc`` at each sample count, and errors), and the first few
-differences; exits 1 if any output differs, 0 if none does.
+tolerance, ``mc`` at each sample count, errors, and ``pop`` axes), and
+the first few differences; exits 1 if any output differs, 0 if none does.
 """
 from __future__ import annotations
 
@@ -49,7 +56,9 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pu-snr", "--tol", "1e-14"], ["pu-snr", "--budget", "100"],
               ["pu-rate", "--tol", "1e-2"],
               ["pop", "--ptn0", "0.025", "--theta", "0.01"],
-              ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"]]
+              ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"],
+              ["ppdf", "216", "--mu", "0.3", "--theta", "0.9"],
+              ["ppdf", "746"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
 ERROR_BASE = {"schema": "percept-scenario/1",
@@ -74,6 +83,21 @@ ERROR_CASES = [
     ("pt_over_n0", [1.0, 10.0], {"reference": -1.0}),
     ("reference", [-1.0, 4.0], {"mu": INF}),
     ("pt_over_n0", [-1.0, 10.0], {"mu": -1.0}),
+]
+# as ERROR_CASES, for pop with epsilon 1: first a sweep along each axis,
+# then documents that fail at one grid point or fixed field
+POP_AXES = [("epsilon", [0.25, 1.0, 4.0], {}), ("mu", [0.5, 1.0, 3.0], {}),
+            ("gamma", [0.5, 1.0, 2.0], {}), ("theta", [0.3, 0.65, 0.9], {}),
+            ("pt_over_n0", [0.0, 1.0, 100.0], {})]
+POP_ERROR_CASES = [
+    ("epsilon", [0.5, 1.0, INF], {}),
+    ("mu", [0.5, 1.0, INF], {}),
+    ("gamma", [0.5, 1.0, INF], {}),
+    ("theta", [0.5, 0.8, 1.0], {}),
+    ("pt_over_n0", [1.0, 10.0, INF], {}),
+    ("pt_over_n0", [1.0, 10.0], {"epsilon": 0.0}),
+    ("epsilon", [0.0, 1.0], {"mu": 0.0}),
+    ("theta", [1.0], {"mu": 0.0, "epsilon": 0.0}),
 ]
 SHOW = 5  # differences printed in full
 
@@ -103,6 +127,11 @@ def jobs(catalogue: dict, fig8: dict) -> dict:
     out["errors"] = [("scenario", error_doc(metric, *case))
                      for metric in ("pu_snr", "pu_rate")
                      for case in ERROR_CASES]
+    pop_docs = [error_doc("pop", axis, grid, {"epsilon": 1.0, **fixed})
+                for axis, grid, fixed in POP_AXES + POP_ERROR_CASES]
+    out["pop axes"] = [("scenario", d) for d in pop_docs] + [
+        ("scenario", dict(d, mc={"samples": MC_SAMPLES[0]}))
+        for d in pop_docs[:len(POP_AXES)]]
     return out
 
 
