@@ -11,7 +11,8 @@ class ConstraintViolation(PerceptError, ValueError):
     """A parameter set breaks one of the behavioral-model constraints.
 
     The ``constraint`` attribute names the violated property: one of
-    ``concavity``, ``convexity``, ``loss_aversion``, or ``reference``.
+    ``concavity``, ``convexity``, ``loss_aversion``, ``reference``,
+    ``distortion`` or ``inverse_s``.
     """
 
     def __init__(self, constraint: str, message: str):

@@ -213,7 +213,8 @@ def weight_inverse(q, params: WeightParams):
     q = np.asarray(q, dtype=float)
     if not np.all((q >= 0.0) & (q <= 1.0)):  # NaN fails both
         raise DomainError("perceived probability must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
+    # -log(0) = inf, and a power past the float range, give the limit 0
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.exp(-((-np.log(q)) / params.gamma) ** (1.0 / params.theta))
     return scalar_out(out)
 
@@ -221,12 +222,16 @@ def weight_inverse(q, params: WeightParams):
 def weight_derivative(p, params: WeightParams):
     """dw/dp, used for error propagation through the weighting function.
 
-    Valid on the open interval (0, 1).
+    Valid on the open interval (0, 1); a derivative past the float range
+    is refused.
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both
         raise DomainError("derivative defined on (0, 1) only")
     neg_log = -np.log(p)
-    out = (params.gamma * params.theta * weight(p, params)
-           * neg_log ** (params.theta - 1.0) / p)
+    with np.errstate(over="ignore"):
+        out = (params.gamma * params.theta * weight(p, params)
+               * neg_log ** (params.theta - 1.0) / p)
+    if np.any(np.isinf(out)):
+        raise DomainError("weighting derivative overflows the float range")
     return scalar_out(out)

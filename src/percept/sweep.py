@@ -11,7 +11,7 @@ import dataclasses
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -208,15 +208,13 @@ def _point_seeds(seed: int, count: int):
             for ss in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
+def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
     """The row of a closed-form or Monte Carlo point; for a quadrature
     point, its metric's ``of`` and its row for :func:`pu_batch`.
 
     The axis value is substituted once: a parameter block holding the axis
     is rebuilt first, which checks the value; a field that is the axis
-    reads ``x``. ``kept`` passes the objects of the first point of a sweep
-    to the later ones: the first builds, and so checks, every object in
-    the order below; a later one rebuilds only those that read the axis.
+    reads ``x``. Each object is built, and so checked, in the order below.
     """
     metric, axis = s.metric, s.axis_name
     if metric == "value_curve":
@@ -230,33 +228,21 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int], kept: dict):
     def at(name: str):
         return x if name == axis else getattr(s, name)
 
-    def build(name: str, fields: tuple, make: Callable):
-        """``make()``, kept for the later points if it reads none of the
-        scenario ``fields`` that may hold the axis."""
-        if name in kept:
-            return kept[name]
-        obj = make()
-        if axis not in fields:
-            kept[name] = obj
-        return obj
-
-    channel = build("channel", ("mu",), lambda: ExponentialGain(at("mu")))
+    channel = ExponentialGain(at("mu"))
     if metric in _CURVE_AXIS:  # pcdf or ppdf
         pd = PerceptualDistribution(channel, wp)
         return SweepRow(x, getattr(pd, metric)(x), 0.0, 1)
-    link = build("link", ("mu", "pt_over_n0"),
-                 lambda: LinkBudget(at("pt_over_n0"), channel))
+    link = LinkBudget(at("pt_over_n0"), channel)
     config = None if s.mc is None else McConfig(s.mc.samples, mc_seed)
     if metric == "pop":
-        spec = build("spec", ("epsilon",), lambda: OutageSpec(at("epsilon")))
+        spec = OutageSpec(at("epsilon"))
         if config is None:
             return SweepRow(x, pop(link, spec, wp), 0.0, 1)
         est = mc_pop(link, spec, wp, config)
     else:
-        ref = build("ref", ("reference",),
-                    lambda: as_reference(at("reference")))
-        composite = build("composite", ("pt_over_n0", "reference"), lambda: (
-            snr_metric if metric == "pu_snr" else rate_metric)(link, ref))
+        ref = as_reference(at("reference"))
+        composite = (snr_metric if metric == "pu_snr"
+                     else rate_metric)(link, ref)
         if config is None:
             return composite.of, _point(composite, at("mu"), vp, wp)
         est = mc_pu(composite, PerceptualDistribution(channel, wp), vp, config)
@@ -271,15 +257,14 @@ def run_scenario(s: Scenario) -> list:
     which case the metric's Monte Carlo estimator is used and rows report
     its standard error and sample count instead. The error raised is that
     of the first failing grid point; an invalid field other than the axis
-    fails the first one. The objects built from such fields are built
-    once per call and held by none after it.
+    fails the first one.
     """
     seeds = (_point_seeds(s.mc.seed, len(s.grid)) if s.mc is not None
              else [None] * len(s.grid))
-    rows, kept = [], {}
+    rows = []
     for x, seed in zip(s.grid, seeds):
         try:
-            rows.append(_eval_point(s, x, seed, kept))
+            rows.append(_eval_point(s, x, seed))
         except PerceptError as exc:
             rows.append(exc)
             break  # only a quadrature point before it can fail first

@@ -233,6 +233,8 @@ def test_weight_inverse_boundaries_and_fixed_point():
     assert weight_inverse(INV_E, W_HALF) == pytest.approx(INV_E, abs=1e-14)
     assert weight_inverse(W_0p01_HALF, W_HALF) == pytest.approx(0.01,
                                                                 abs=1e-14)
+    # ((-log q)/gamma)**(1/theta) overflows; the limit is still 0
+    assert weight_inverse(5e-324, WeightParams(1e-30, 1e-4)) == 0.0
 
 
 def test_weight_inverse_rejects_outside_unit_interval():
@@ -246,6 +248,13 @@ def test_weight_inverse_rejects_outside_unit_interval():
 def test_weight_derivative_names_its_own_domain(bad):
     with pytest.raises(DomainError, match=r"derivative defined on \(0, 1\)"):
         weight_derivative(bad, W_HALF)
+
+
+@pytest.mark.parametrize("p", [5e-324, np.array([5e-324, 0.5])])
+def test_weight_derivative_refuses_an_overflow(p):
+    with pytest.raises(DomainError, match="^weighting derivative overflows "
+                                          "the float range$"):
+        weight_derivative(p, WeightParams(0.01, 1e-4))
 
 
 def test_weight_derivative_matches_finite_difference():

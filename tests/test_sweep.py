@@ -322,25 +322,40 @@ def test_starved_budget_surfaces_tolerance_failure():
     assert exc.value.evaluations > 0
 
 
-@pytest.mark.parametrize("metric, fn", [("pu_snr", pu_snr),
-                                        ("pu_rate", pu_rate)])
-@pytest.mark.parametrize("axis, grid", [
+# the fixed fields of doc(pt_over_n0=10.0), each of which a PU sweep may
+# take as axis, and a grid for each axis
+PU_FIXED = {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0,
+            "gamma": 1.0, "theta": 0.8, "reference": 4.0, "mu": 1.0,
+            "pt_over_n0": 10.0}
+PU_GRIDS = [
     ("pt_over_n0", [0.0, 1.0, 10.0, 100.0]),   # power 0: all loss
     ("reference", [0.0, 1.0, 4.0, 16.0]),      # reference 0: all gain
-])
+    ("alpha", [0.2, 0.5, 0.88]), ("lambda_gain", [0.25, 1.0, 1.5]),
+    ("lambda_loss", [1.5, 2.25, 3.25]), ("gamma", [0.5, 1.0, 2.0]),
+    ("theta", [0.3, 0.65, 0.9]), ("mu", [0.5, 1.0, 3.0]),
+]
+
+
+@pytest.mark.parametrize("metric, fn", [("pu_snr", pu_snr),
+                                        ("pu_rate", pu_rate)])
+@pytest.mark.parametrize("axis, grid", PU_GRIDS)
 def test_batched_points_match_points_run_alone(metric, fn, axis, grid):
-    # each point has its own budget, which the batch as a whole exceeds
+    # each point has its own budget, which the batch as a whole exceeds;
+    # a later point must build its own objects, none of an earlier one's
+    assert sorted(a for a, _ in PU_GRIDS) == sorted(_AXES[metric])
     s = scenario_from_dict(doc(metric=metric, pt_over_n0=10.0, budget=2000,
                                axis={"name": axis, "grid": grid}))
     rows = run_scenario(s)
-    assert len(rows) == len(grid)
+    assert [r.axis for r in rows] == grid
     for r in rows:
-        fixed = {"pt_over_n0": 10.0, "reference": 4.0, axis: r.axis}
-        alone = fn(LinkBudget(fixed["pt_over_n0"], ExponentialGain(1.0)),
-                   fixed["reference"], ValueParams(0.5, 1.0, 2.0),
-                   WeightParams(1.0, 0.8), budget=2000)
-        assert (r.value, r.err, r.n_eval) == (
-            alone.value, alone.abs_error, alone.evaluations), r.axis
+        p = dict(PU_FIXED, **{axis: r.axis})
+        alone = fn(LinkBudget(p["pt_over_n0"], ExponentialGain(p["mu"])),
+                   p["reference"], ValueParams(p["alpha"], p["lambda_gain"],
+                                               p["lambda_loss"]),
+                   WeightParams(p["gamma"], p["theta"]), budget=2000)
+        assert (r.value.hex(), r.err.hex(), r.n_eval) == (
+            alone.value.hex(), alone.abs_error.hex(),
+            alone.evaluations), r.axis
 
 
 def test_first_failing_point_is_reported():
@@ -480,7 +495,7 @@ def test_invalid_pop_axis_values_and_fixed_fields_keep_their_errors(
 
 
 def test_run_scenario_keeps_nothing_between_calls():
-    # the objects a sweep builds from its fixed fields live for one call;
+    # a guard against caches: a sweep's objects live for one call, and
     # each run shifts fig5's grid, so a cache keyed by value would grow
     fig5 = preset_scenario("fig5")
 
