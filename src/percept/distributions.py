@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import WeightParams, scalar_out
+from .prospect import WeightParams, _elementwise
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -43,44 +43,34 @@ class ExponentialGain:
     def __post_init__(self):
         _real("mu", self.mu, 0.0, above=True)
 
+    @_elementwise
     def cdf(self, g):
-        g = np.asarray(g, dtype=float)
-        with np.errstate(over="ignore"):  # g/mu = inf is the limit F = 1
-            x = np.maximum(g, 0.0) / self.mu
-        return scalar_out(np.where(g < 0.0, 0.0, -np.expm1(-x)))
+        x = np.maximum(g, 0.0) / self.mu  # g/mu = inf is the limit F = 1
+        return np.where(g < 0.0, 0.0, -np.expm1(-x))
 
+    @_elementwise
     def pdf(self, g):
-        g = np.asarray(g, dtype=float)
-        with np.errstate(over="ignore"):  # g/mu = inf is the limit f = 0
-            out = np.exp(-np.maximum(g, 0.0) / self.mu) / self.mu
-        return scalar_out(np.where(g < 0.0, 0.0, out))
+        # g/mu = inf is the limit f = 0
+        out = np.exp(-np.maximum(g, 0.0) / self.mu) / self.mu
+        return np.where(g < 0.0, 0.0, out)
 
-    def log_cdf(self, g):
-        """log F(g), accurate in both tails; see :func:`_log1mexp`."""
-        g = np.asarray(g, dtype=float)
-        if not np.all(g > 0.0):  # NaN fails too
-            raise DomainError("log_cdf defined for g > 0")
-        with np.errstate(over="ignore"):  # g/mu = inf is the limit log F = 0
-            x = g / self.mu
-        return scalar_out(_log1mexp(x))
-
+    @_elementwise
     def inverse_cdf(self, u):
         """Quantile function, -mu * log1p(-u) for u in (0, 1)."""
-        u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both
             raise DomainError("quantile argument must lie in (0, 1)")
-        return scalar_out(-self.mu * np.log1p(-u))
+        return -self.mu * np.log1p(-u)
 
+    @_elementwise
     def inverse_survival(self, q):
         """Quantile at survival probability q in (0, 1]; exact for tiny q.
 
         Equals inverse_cdf(1 - q) but avoids forming 1 - q, which matters
         deep in the upper tail.
         """
-        q = np.asarray(q, dtype=float)
         if not np.all((q > 0.0) & (q <= 1.0)):  # NaN fails both
             raise DomainError("survival argument must lie in (0, 1]")
-        return scalar_out(-self.mu * np.log(q))
+        return -self.mu * np.log(q)
 
 
 @dataclass(frozen=True)
@@ -90,6 +80,7 @@ class PerceptualDistribution:
     base: ExponentialGain
     weights: WeightParams
 
+    @_elementwise
     def pcdf(self, s):
         """Perceived CDF, w(F(s)). A valid CDF spanning 0 to 1; NaN raises.
 
@@ -97,18 +88,17 @@ class PerceptualDistribution:
         after F itself rounds to 1. Past s/mu ~ 708, where -log F =
         exp(-s/mu) is subnormal or 0, (-log F)**theta is exp(-theta*s/mu).
         """
-        s = np.asarray(s, dtype=float)
         if np.any(np.isnan(s)):
             raise DomainError("pcdf argument must not be NaN")
-        with np.errstate(over="ignore"):  # s/mu = inf is the limit F = 1
-            x = np.maximum(s, 0.0) / self.base.mu
+        x = np.maximum(s, 0.0) / self.base.mu  # s/mu = inf is the limit F = 1
         # log F = -inf on s <= 0, where the perceived CDF is exp(-inf) = 0
         neg_log_f = -_log1mexp(x)
         gamma, theta = self.weights.gamma, self.weights.theta
         t = np.where(neg_log_f < _TINY, np.exp(-theta * x),
                      neg_log_f ** theta)
-        return scalar_out(np.exp(-gamma * t))
+        return np.exp(-gamma * t)
 
+    @_elementwise
     def ppdf(self, s):
         """Perceived density, the derivative of :meth:`pcdf`.
 
@@ -122,12 +112,10 @@ class PerceptualDistribution:
         underflows to 0, so that the base CDF rounds to 0, and where the
         density itself overflows the float range.
         """
-        s = np.asarray(s, dtype=float)
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
         mu, gp = self.base.mu, self.weights
-        with np.errstate(over="ignore"):  # s/mu = inf is the limit 0
-            x = s / mu
+        x = s / mu  # s/mu = inf is the limit 0
         f_base = -np.expm1(-x)
         if np.any(f_base <= 0.0):
             raise DomainError(
@@ -136,15 +124,16 @@ class PerceptualDistribution:
         head = gp.gamma * gp.theta * self.pcdf(s)
         # both branches are formed everywhere; the power of a subnormal
         # -log F may overflow, and its product be NaN, where it is not used
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             out = np.where(neg_log_f < _TINY,
                            head * np.exp(-gp.theta * x) / mu,
                            head * np.maximum(neg_log_f, _TINY)
                            ** (gp.theta - 1.0) * (np.exp(-x) / mu) / f_base)
         if np.any(np.isinf(out)):
             raise DomainError("perceived density overflows the float range")
-        return scalar_out(out)
+        return out
 
+    @_elementwise
     def perceptual_sample(self, u):
         """Deterministic inverse-transform sample at uniform variate u.
 
@@ -155,15 +144,14 @@ class PerceptualDistribution:
         capped at -5e-324, the smallest base probability; where z underflows
         to 0 (u near 1, small theta) log z is formed from u directly.
         """
-        u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both
             raise DomainError("uniform variate must lie in (0, 1)")
         gamma, theta = self.weights.gamma, self.weights.theta
-        with np.errstate(over="ignore"):  # z = inf is the limit exp(-z) = 0
-            z = ((-np.log(u)) / gamma) ** (1.0 / theta)
+        # z = inf is the limit exp(-z) = 0
+        z = ((-np.log(u)) / gamma) ** (1.0 / theta)
         log_q = _log1mexp(z)
         np.minimum(log_q, -5e-324, out=log_q)
         under = z == 0.0
         if np.any(under):
             log_q[under] = (np.log(-np.log(u[under])) - np.log(gamma)) / theta
-        return scalar_out(-self.base.mu * log_q)
+        return -self.base.mu * log_q

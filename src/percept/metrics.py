@@ -69,8 +69,8 @@ from .distributions import ExponentialGain, PerceptualDistribution, _log1mexp
 from .errors import (DomainError, PerceptError, ToleranceNotMet,
                      _check_count, _real)
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
-                       _check_quantity, _check_value, _value_kernel,
-                       as_reference)
+                       _check_quantity, _check_value, _elementwise,
+                       _value_kernel, as_reference)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_BUDGET = 100_000
@@ -135,6 +135,7 @@ class CompositeMetric:
     ref: ReferencePoint
     crossing: float
 
+    @_elementwise
     def map(self, g):
         return self.of(self.rho * g)
 

@@ -25,6 +25,7 @@ are frozen and safe to share across threads.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -52,9 +53,32 @@ def _check_exponent(constraint: str, name: str, x: float, mode: str) -> None:
             f"{name} must lie in (0, 1{')' if hi_open else ']'}, got {x}")
 
 
-def scalar_out(out):
-    """A 0-d result as a Python float; arrays pass through unchanged."""
-    return float(out) if np.ndim(out) == 0 else out
+def _elementwise(fn):
+    """Give ``fn`` the contract of the public elementwise functions.
+
+    The first argument after ``self``, passed by position or by name,
+    becomes a float array. ``fn`` runs with numpy's divide-by-zero and
+    overflow unreported: there a log of 0 or a power past the float range
+    takes its limit, or a domain check refuses the result. An invalid
+    operation (a NaN) is still reported. A 0-d result returns as a Python
+    float; arrays pass through unchanged.
+    """
+    names = fn.__code__.co_varnames
+    i = int(names[0] == "self")
+    name = names[i]
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if len(args) > i:
+            args = (*args[:i], np.asarray(args[i], dtype=float),
+                    *args[i + 1:])
+        elif name in kwargs:
+            kwargs[name] = np.asarray(kwargs[name], dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            out = fn(*args, **kwargs)
+        return float(out) if np.ndim(out) == 0 else out
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -152,6 +176,7 @@ def validate_value_params(alpha1: float, alpha2: float, lambda1: float,
     return params
 
 
+@_elementwise
 def value(x, ref, params: ValueParams):
     """Perceived value of quantity ``x`` against a reference point.
 
@@ -159,13 +184,11 @@ def value(x, ref, params: ValueParams):
     exactly at the reference point.
     """
     x0 = as_reference(ref).x0
-    x = np.asarray(x, dtype=float)
     _check_quantity(x)
-    with np.errstate(over="ignore"):
-        out = _value_kernel(x, x0, params.alpha, params.lambda_gain,
-                            params.lambda_loss)
+    out = _value_kernel(x, x0, params.alpha, params.lambda_gain,
+                        params.lambda_loss)
     _check_value(out)
-    return scalar_out(out)
+    return out
 
 
 def _check_quantity(x: np.ndarray) -> None:
@@ -189,49 +212,44 @@ def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss):
     return np.where(d >= 0.0, lambda_gain * mag, -lambda_loss * mag)
 
 
+@_elementwise
 def weight(p, params: WeightParams):
     """Perceived probability w(p) = exp(-gamma * (-log p)**theta).
 
     Defined on [0, 1] with the continuous-limit conventions w(0)=0 and
     w(1)=1. Scalar in, scalar out; arrays pass through elementwise.
     """
-    p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
         raise DomainError("probability must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        # -log(0) = inf makes the p=0 limit w=0 fall out of exp(-inf)
-        out = np.exp(-params.gamma * (-np.log(p)) ** params.theta)
-    return scalar_out(out)
+    # -log(0) = inf makes the p=0 limit w=0 fall out of exp(-inf)
+    return np.exp(-params.gamma * (-np.log(p)) ** params.theta)
 
 
+@_elementwise
 def weight_inverse(q, params: WeightParams):
     """Inverse of :func:`weight`: the objective p with w(p) = q.
 
     Closed form p = exp(-((-log q) / gamma)**(1/theta)); boundaries map to
     themselves.
     """
-    q = np.asarray(q, dtype=float)
     if not np.all((q >= 0.0) & (q <= 1.0)):  # NaN fails both
         raise DomainError("perceived probability must lie in [0, 1]")
     # -log(0) = inf, and a power past the float range, give the limit 0
-    with np.errstate(divide="ignore", over="ignore"):
-        out = np.exp(-((-np.log(q)) / params.gamma) ** (1.0 / params.theta))
-    return scalar_out(out)
+    return np.exp(-((-np.log(q)) / params.gamma) ** (1.0 / params.theta))
 
 
+@_elementwise
 def weight_derivative(p, params: WeightParams):
     """dw/dp, used for error propagation through the weighting function.
 
     Valid on the open interval (0, 1); a derivative past the float range
     is refused.
     """
-    p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both
         raise DomainError("derivative defined on (0, 1) only")
     neg_log = -np.log(p)
-    with np.errstate(over="ignore"):
-        out = (params.gamma * params.theta * weight(p, params)
-               * neg_log ** (params.theta - 1.0) / p)
+    out = (params.gamma * params.theta * weight(p, params)
+           * neg_log ** (params.theta - 1.0) / p)
     if np.any(np.isinf(out)):
         raise DomainError("weighting derivative overflows the float range")
-    return scalar_out(out)
+    return out

@@ -197,14 +197,39 @@ def test_simulate_channel_scale_without_a_mean_gain_exits_2(capsys, scale):
      0),
     (["ppdf", "1e-320", "--mu", "1e-300", "--gamma", "0.01", "--theta",
       "0.0001"], 2),
+    # gamma * (-log p)**theta overflows: w = 0
+    (["weight", "1e-4", "--gamma", "1.7e308"], 0),
+    (["pcdf", "0.01", "--gamma", "1.7e308"], 0),
+    (["ppdf", "0.01", "--gamma", "1.7e308"], 0),
+    (["pop", "--gamma", "1.7e308"], 0),
+    ("mc-sweep-mu-1.7e308", 2),
+    ("mc-sweep-ptn0-1e300", 2),
+    ("sweep-ptn0-1e300", 2),
+    ("mc-pop-sweep-gamma-1.7e308", 0),
 ])
 def test_overflowing_intermediates_print_no_warning(tmp_path, capsys, argv,
                                                     code):
-    if argv == "mc-sweep":
+    mc = {"samples": 1000, "seed": 0}
+    sweeps = {
         # z = ((-log u)/gamma)**(1/theta) overflows to inf for most draws
-        argv = ["sweep", scenario_file(
-            tmp_path, weight_params={"gamma": 0.001, "theta": 0.01},
-            mc={"samples": 100000, "seed": 0})]
+        "mc-sweep": {"weight_params": {"gamma": 0.001, "theta": 0.01},
+                     "mc": {"samples": 100000, "seed": 0}},
+        # the sampled gain -mu * log q overflows
+        "mc-sweep-mu-1.7e308": {
+            "mu": 1.7e308, "weight_params": {"gamma": 1.0, "theta": 0.3},
+            "mc": mc},
+        # the SNR rho * g overflows
+        "mc-sweep-ptn0-1e300": {
+            "axis": {"name": "pt_over_n0", "grid": [1e300]}, "mu": 1e10,
+            "mc": mc},
+        "sweep-ptn0-1e300": {
+            "axis": {"name": "pt_over_n0", "grid": [1e300]}, "mu": 1e10},
+        "mc-pop-sweep-gamma-1.7e308": {
+            "metric": "pop", "epsilon": 1.0,
+            "weight_params": {"gamma": 1.7e308, "theta": 0.8}, "mc": mc},
+    }
+    if isinstance(argv, str):
+        argv = ["sweep", scenario_file(tmp_path, **sweeps[argv])]
     got, out, err = run(capsys, argv)
     assert got == code
     assert "Warning" not in err

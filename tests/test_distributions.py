@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from percept import (DomainError, ExponentialGain, PerceptualDistribution,
                      WeightParams)
+from percept.distributions import _log1mexp
 
 # mpmath (30 digits): w(1 - e^-1) at gamma=1, theta=0.5
 PCDF_1_HALF = 0.50800926251670411
@@ -74,14 +75,14 @@ def test_base_survival_round_trip_deep_tail(g, mu):
 
 
 def test_base_log_cdf_both_tails():
-    d = ExponentialGain(1.0)
-    assert d.log_cdf(1.0) == pytest.approx(math.log(EXP_CDF_1), rel=1e-14)
-    # deep upper tail: log F(g) = log(1 - e^-g) ~ -e^-g, far below where
-    # 1 - e^-g rounds to 1.0
-    assert d.log_cdf(50.0) == pytest.approx(-math.exp(-50.0), rel=1e-12)
-    assert d.log_cdf(700.0) == pytest.approx(-math.exp(-700.0), rel=1e-12)
+    # log F(g) = log(1 - e^-g) at mu = 1, as the perceived law forms it
+    assert _log1mexp(1.0) == pytest.approx(math.log(EXP_CDF_1), rel=1e-14)
+    # deep upper tail: log F(g) ~ -e^-g, far below where 1 - e^-g rounds
+    # to 1.0
+    assert _log1mexp(50.0) == pytest.approx(-math.exp(-50.0), rel=1e-12)
+    assert _log1mexp(700.0) == pytest.approx(-math.exp(-700.0), rel=1e-12)
     # lower tail: log F(g) ~ log(g)
-    assert d.log_cdf(1e-280) == pytest.approx(math.log(1e-280), rel=1e-12)
+    assert _log1mexp(1e-280) == pytest.approx(math.log(1e-280), rel=1e-12)
 
 
 def test_base_domain_errors():
@@ -91,16 +92,12 @@ def test_base_domain_errors():
             d.inverse_cdf(bad)
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\]"):
             d.inverse_survival(bad)
-        with pytest.raises(DomainError, match="log_cdf defined for g > 0"):
-            d.log_cdf(bad)
     with pytest.raises(DomainError):
         d.inverse_cdf(0.0)
     with pytest.raises(DomainError):
         d.inverse_cdf(1.0)
     with pytest.raises(DomainError):
         d.inverse_survival(0.0)
-    with pytest.raises(DomainError):
-        d.log_cdf(0.0)
     with pytest.raises(DomainError):
         ExponentialGain(0.0)
     with pytest.raises(DomainError):
@@ -126,9 +123,17 @@ def test_gains_past_mu_times_the_float_range_take_their_limits():
     d = ExponentialGain(1e-3)
     assert np.all(d.cdf(g) == 1.0)
     assert np.all(d.pdf(g) == 0.0)
-    assert np.all(d.log_cdf(g) == 0.0)
+    with np.errstate(over="ignore"):
+        assert np.all(_log1mexp(g / d.mu) == 0.0)
     assert np.all(PerceptualDistribution(d, WeightParams(1.0, 0.5)).pcdf(g)
                   == 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quantiles_past_the_float_range_are_inf():
+    d = ExponentialGain(1.7e308)
+    assert d.inverse_cdf(0.9) == math.inf
+    assert d.inverse_survival(0.1) == math.inf
 
 
 def test_pcdf_far_tail_against_mpmath():

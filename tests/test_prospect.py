@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from percept import (ConstraintViolation, DomainError, ReferencePoint,
-                     ValueParams, WeightParams, validate_value_params, value,
-                     weight, weight_derivative, weight_inverse)
+from percept import (ConstraintViolation, DomainError, ExponentialGain,
+                     LinkBudget, PerceptualDistribution, ReferencePoint,
+                     ValueParams, WeightParams, rate_metric,
+                     validate_value_params, value, weight, weight_derivative,
+                     weight_inverse)
 
 VP = ValueParams(alpha=0.5, lambda_gain=1.0, lambda_loss=2.0)
 W_HALF = WeightParams(gamma=1.0, theta=0.5)
@@ -263,3 +265,40 @@ def test_weight_derivative_matches_finite_difference():
         h = 1e-7
         fd = (weight(p + h, wp) - weight(p - h, wp)) / (2 * h)
         assert weight_derivative(p, wp) == pytest.approx(fd, rel=1e-6)
+
+
+# --- the elementwise call contract ----------------------------------------
+
+PD = PerceptualDistribution(ExponentialGain(1.3), WeightParams(1.1, 0.7))
+# every elementwise function: the call, its array argument's name, points
+# in its domain, and its other arguments by name in signature order
+ELEMENTWISE = {
+    "value": (value, "x", [0.0, 4.0, 9.5], {"ref": 4.0, "params": VP}),
+    "weight": (weight, "p", [0.0, 0.3, 1.0], {"params": W_HALF}),
+    "weight_inverse": (weight_inverse, "q", [0.0, 0.3, 1.0],
+                       {"params": W_HALF}),
+    "weight_derivative": (weight_derivative, "p", [0.1, 0.5, 0.9],
+                          {"params": W_HALF}),
+    "cdf": (PD.base.cdf, "g", [-1.0, 0.0, 2.0], {}),
+    "pdf": (PD.base.pdf, "g", [-1.0, 0.0, 2.0], {}),
+    "inverse_cdf": (PD.base.inverse_cdf, "u", [0.1, 0.5, 0.9], {}),
+    "inverse_survival": (PD.base.inverse_survival, "q", [0.1, 0.5, 1.0], {}),
+    "pcdf": (PD.pcdf, "s", [0.0, 1.0, 1000.0], {}),
+    "ppdf": (PD.ppdf, "s", [0.01, 1.0, 1000.0], {}),
+    "perceptual_sample": (PD.perceptual_sample, "u", [1e-300, 0.5, 0.999],
+                          {}),
+    "map": (rate_metric(LinkBudget(10.0, PD.base), 2.0).map, "g",
+            [0.0, 1.0, 3.0], {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE))
+def test_elementwise_call_forms(name):
+    fn, arg, points, params = ELEMENTWISE[name]
+    scalars = [fn(x, **params) for x in points]
+    assert all(isinstance(y, float) for y in scalars)
+    got = fn(points, **params)
+    assert isinstance(got, np.ndarray) and got.tolist() == scalars
+    assert fn(**{arg: points}, **params).tolist() == scalars
+    assert [fn(**{arg: x}, **params) for x in points] == scalars
+    assert [fn(x, *params.values()) for x in points] == scalars
