@@ -12,6 +12,12 @@ were captured again when each slice began to be reduced as it is drawn:
 its per-sample values are the same, but the sums group by slice, and 12
 of those 20 entries moved in their last bit. The one-slice (1000-sample)
 and ``mc_pop`` entries kept their bytes.
+The ``gain_samples`` entries were captured again when the simulator began
+to form each path's phasor after a quarter-turn reduction: it reads the
+same uniforms from the same substreams, but exp(-j*2*pi*u) is now
+(-j)**q * exp(-j*2*pi*(u - q/4)) with q = rint(4u), so the coefficients
+moved by rounding and 19 of the 20 digests changed (the three K = 1 gains
+of seed 5 kept their bytes).
 
 The quadrature goldens (``golden/quad.json``) hold the value, the error
 estimate (both as ``float.hex``) and the evaluation count of every PU point
