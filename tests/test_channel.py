@@ -1,9 +1,13 @@
 """Multipath simulator: normalization, convergence to the exponential law."""
+import math
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
-from percept import (DomainError, ExponentialGain, MultipathConfig,
-                     draw_channel, gain_samples)
+from percept import (DomainError, ExponentialGain, MultipathConfig, channel,
+                     draw_channel, gain_samples, montecarlo)
 
 
 def ks_against_exponential(gains, mu):
@@ -85,6 +89,87 @@ def test_chunked_generation_is_offset_invariant():
     short = draw_channel(cfg, 10_000)
     long = draw_channel(cfg, 40_000)
     np.testing.assert_array_equal(short, long[:10_000])
+
+
+def test_draws_do_not_depend_on_the_slice_size(monkeypatch):
+    # one row, three rows of K = 7 plus a remainder of 2, and 2**16 path
+    # draws per slice; 1000-draw chunks put a short chunk and a short last
+    # slice in the draw
+    monkeypatch.setattr(channel, "_CHUNK", 1000)
+    cfg = MultipathConfig(k_paths=7, seed=9)
+    want = draw_channel(cfg, 3001).tobytes()
+    for size in (1, 3 * 7 + 2, 1 << 16):
+        monkeypatch.setattr(channel, "_SLICE", size)
+        assert draw_channel(cfg, 3001).tobytes() == want, size
+
+
+def test_gain_samples_peak_memory(monkeypatch):
+    # two threads, as README's figure: two chunks' scratch at a time, next
+    # to the 1.6 MB of coefficients
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    cfg = MultipathConfig(64)
+    gain_samples(cfg, 10**5)
+    tracemalloc.start()
+    try:
+        gain_samples(cfg, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+
+
+# --- accuracy against 40-digit mpmath -----------------------------------------
+
+U = 2.0**-53  # unit roundoff of a double
+# One phasor exp(-2j*pi*u). With q = rint(4u), 4u and q - 4u are exact
+# (|q - 4u| <= 1/2), and so is the product of (-j)**q with cos r + j*sin r.
+# Only these round:
+# - r = fl(fl(pi/2) * (q - 4u)), by at most |pi/2 - fl(pi/2)| / 2 = 3.1e-17
+#   and half an ulp of |r| <= pi/4 < 1, U / 2;
+# - cos r and sin r, taken to be within one ulp of their values at r; both
+#   lie below 1 there, so each errs by at most U.
+# The phasor then errs by at most the angle's error plus sqrt(2) * U.
+with mpmath.workdps(40):
+    HALF_PI_ERROR = float(abs(mpmath.pi / 2 - mpmath.mpf(np.pi / 2)))
+PHASOR = HALF_PI_ERROR / 2 + U / 2 + math.sqrt(2) * U
+
+
+def coefficient_bound(k: int, scale: float) -> float:
+    """|H - amp * sum exp(-2j*pi*u)| allowed for one coefficient.
+
+    Each part of the sum of K phasors, in any order, errs by at most
+    gamma(K - 1) times the sum of the parts' magnitudes, and those sum to
+    at most sqrt(2) * K. amp = scale / sqrt(K) rounds twice and amp * S
+    once per part: 3 U relative to amp * K, except at K = 1 and scale 1,
+    where amp is 1 and nothing rounds. The first-order terms add up; the
+    factor 1 + 1e-12 covers the higher ones, which are about 1e-15 of them.
+    """
+    gamma = (k - 1) * U / (1 - (k - 1) * U)
+    scaling = 0.0 if (k, scale) == (1, 1.0) else 3 * U
+    first = PHASOR + math.sqrt(2) * gamma + scaling
+    return scale * math.sqrt(k) * first * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 7, 64])
+def test_coefficients_match_mpmath(monkeypatch, k):
+    # a wrong quarter-turn or the sign of sin (H -> conj H) leaves |H|**2
+    # and every law test unchanged; here it errs by about amp. The chunk
+    # size does not enter the arithmetic, and 32-draw chunks keep the
+    # reference to a few thousand phasors
+    monkeypatch.setattr(channel, "_CHUNK", 32)
+    seed, sizes = 11, (32, 9)  # all of chunk 0, part of chunk 1
+    u = np.concatenate([np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(i,)))).random((m, k))
+        for i, m in enumerate(sizes)])
+    with mpmath.workdps(40):
+        exact = [mpmath.fsum(mpmath.expjpi(-2 * mpmath.mpf(x)) for x in row)
+                 for row in u]
+        for scale in (1.0, 0.3):
+            h = draw_channel(MultipathConfig(k, scale, seed), sum(sizes))
+            amp = scale / mpmath.sqrt(k)
+            err = max(abs(mpmath.mpc(z.real, z.imag) - amp * s)
+                      for z, s in zip(h, exact))
+            assert err <= coefficient_bound(k, scale), (scale, float(err))
 
 
 # --- statistical convergence ---------------------------------------------------
