@@ -33,17 +33,23 @@ CHANGE's ``sweep.PRESETS``:
   axes, in closed form and with an ``mc`` block of 1000 samples, and the
   repr of the error it raises on ``pop`` documents that fail at one grid
   point: an invalid value on each axis, or an invalid fixed ``epsilon``
-  or ``mu``.
+  or ``mu``;
+- the sha256 of ``gain_samples`` on both sides of the 16384-draw chunk
+  boundary, at K = 1, 7 (scale 0.3) and 64, seed 0, and ``cli.main`` of
+  ``simulate-channel --samples 20000 --seed 0`` at ``--k-paths`` 1, 7
+  and 64.
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, ``mc`` at each sample count, errors, and ``pop`` axes), and
+tolerance, ``mc`` at each sample count, errors, ``pop`` axes, and
+channel), and
 the first few differences; exits 1 if any output differs, 0 if none does.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -99,6 +105,9 @@ POP_ERROR_CASES = [
     ("epsilon", [0.0, 1.0], {"mu": 0.0}),
     ("theta", [1.0], {"mu": 0.0, "epsilon": 0.0}),
 ]
+# (k_paths, amplitude_scale, n) of the gain_samples digests, seed 0
+CHANNEL_DRAWS = [(k, scale, n) for k, scale in ((1, 1.0), (7, 0.3), (64, 1.0))
+                 for n in (1 << 14, (1 << 14) + 1)]
 SHOW = 5  # differences printed in full
 
 
@@ -110,8 +119,9 @@ def error_doc(metric: str, axis: str, grid: list, fixed: dict) -> dict:
 
 
 def jobs(catalogue: dict, fig8: dict) -> dict:
-    """Every input by group name, as ("cli", argv) or ("scenario",
-    scenario document); ``fig8`` is that preset's document."""
+    """Every input by group name, as ("cli", argv), ("scenario",
+    scenario document) or ("gains", [k_paths, scale, n]); ``fig8`` is
+    that preset's document."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
            "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
@@ -132,12 +142,16 @@ def jobs(catalogue: dict, fig8: dict) -> dict:
     out["pop axes"] = [("scenario", d) for d in pop_docs] + [
         ("scenario", dict(d, mc={"samples": MC_SAMPLES[0]}))
         for d in pop_docs[:len(POP_AXES)]]
+    out["channel"] = [("gains", list(draw)) for draw in CHANNEL_DRAWS] + [
+        ("cli", ["simulate-channel", "--samples", "20000", "--seed", "0",
+                 "--k-paths", str(k)]) for k in (1, 7, 64)]
     return out
 
 
 def collect(todo: list) -> list:
     """The output of every job, run with the ``percept`` on the path."""
     from percept import cli
+    from percept.channel import MultipathConfig, gain_samples
     from percept.errors import PerceptError, ToleranceNotMet
     from percept.sweep import run_scenario, scenario_from_dict, sweep_csv
 
@@ -152,6 +166,11 @@ def collect(todo: list) -> list:
                 except SystemExit as exc:
                     code = exc.code
             out.append([arg, code, stdout.getvalue(), stderr.getvalue()])
+            continue
+        if kind == "gains":
+            k, scale, n = arg
+            gains = gain_samples(MultipathConfig(k, scale, 0), n)
+            out.append([arg, hashlib.sha256(gains.tobytes()).hexdigest()])
             continue
         try:
             rows = run_scenario(scenario_from_dict(arg))
