@@ -142,7 +142,7 @@ def coefficient_bound(k: int, scale: float) -> float:
     at most sqrt(2) * K. amp = scale / sqrt(K) rounds twice and amp * S
     once per part: 3 U relative to amp * K, except at K = 1 and scale 1,
     where amp is 1 and nothing rounds. The first-order terms add up; the
-    factor 1 + 1e-12 covers the higher ones, which are about 1e-15 of them.
+    factor 1 + 1e-12 covers the higher ones, at most 1e-14 of them here.
     """
     gamma = (k - 1) * U / (1 - (k - 1) * U)
     scaling = 0.0 if (k, scale) == (1, 1.0) else 3 * U
