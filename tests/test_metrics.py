@@ -1,7 +1,9 @@
 """Perceptual-utility quadrature, outage probability, and weighted outage."""
 import itertools
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -32,6 +34,8 @@ PU_SNR_R10 = 1.0997321667562066       # pu_snr at rho=10, ref 4, VP, WP
 PU_RATE_REF2000 = -89.311716188957788  # pu_rate at rho=100, ref 2000, VP, WP
 # pu_rate at rho=1e300, ref 2000, VP, WP, with bench/make_refs.py's model
 PU_RATE_FAR_TAIL = "-63.3836254320401246732296213960"
+CATALOGUE = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                        / "catalogue.json").read_text(encoding="utf-8"))
 
 
 def link(rho, mu=1.0):
@@ -426,32 +430,7 @@ HARD_POINTS = [
      "3.52123224724112857397186344567"),
 ]
 
-# the fig5 and fig6 presets, point by point in grid order
-PRESET_REFS = {
-    "fig5": ["-3.59916697869680525814125538945",
-             "-2.77210665090274205333426574648",
-             "-1.27276775099435006046249963575",
-             "-0.31146924068000174697774582429",
-             "0.407505110478365564224195078565",
-             "1.08517451374604254979135720744",
-             "1.47526465162303417424924851438",
-             "1.81122345011839809497626088172",
-             "2.12273614437620668062790861004",
-             "2.52941306739791122373780581449"],
-    "fig6": ["-3.47886271596555643180137741073",
-             "-3.15023916219112304850310171807",
-             "-2.38496351431078780588126295231",
-             "-1.53625282338262830147387872399",
-             "-0.665124650464570243058476968282",
-             "0.293601211850572991214686295106",
-             "0.85365806095345078102928046629",
-             "1.30228856880518570929231770145",
-             "1.66945589590709180390702882746",
-             "2.06771305690274273952439274245"],
-}
-
-
-# integrand evaluations of the same presets; the counts are deterministic,
+# integrand evaluations of the fig5 and fig6 presets; the counts are deterministic,
 # so any change to how the engine refines a piece shows here. Every point
 # has three pieces and stops at level 3: 3 * (17 * 2**3 + 1) nodes
 PRESET_EVALS = {"fig5": [411] * 10, "fig6": [411] * 10}
@@ -470,11 +449,12 @@ def test_error_bound_holds_on_hard_points(metric, rho, ref, alpha,
     assert abs(res.value - float(expect)) <= res.abs_error
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_REFS))
+@pytest.mark.parametrize("name", ["fig5", "fig6"])
 def test_error_bound_holds_on_pu_presets(name):
+    refs = CATALOGUE["presets"][name]
     rows = run_scenario(preset_scenario(name))
-    assert len(rows) == len(PRESET_REFS[name])
-    for row, expect in zip(rows, PRESET_REFS[name]):
+    assert len(rows) == len(refs)
+    for row, expect in zip(rows, refs):
         assert abs(row.value - float(expect)) <= row.err, row.axis
 
 

@@ -387,7 +387,8 @@ INF = float("inf")
 # and the error run_scenario raises: an invalid value on each PU axis,
 # then invalid fixed fields, which fail the first grid point. A fixed mu
 # is checked before a pt_over_n0 or reference value, as the gain law is
-# built before the link budget and the reference point.
+# built before the link budget and the reference point. tools/same_bytes.py
+# reads this table through doc().
 AXIS_ERRORS = [
     ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
      "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
@@ -445,10 +446,13 @@ def pop_doc(axis: str, grid: list, **over) -> dict:
                **{"pt_over_n0": 10.0, "epsilon": 1.0, **over})
 
 
-@pytest.mark.parametrize("axis, grid", [
-    ("epsilon", [0.25, 1.0, 4.0]), ("mu", [0.5, 1.0, 3.0]),
-    ("gamma", [0.5, 1.0, 2.0]), ("theta", [0.3, 0.65, 0.9]),
-    ("pt_over_n0", [0.0, 1.0, 100.0])])
+# a grid on each pop axis; tools/same_bytes.py reads this table too
+POP_AXES = [("epsilon", [0.25, 1.0, 4.0]), ("mu", [0.5, 1.0, 3.0]),
+            ("gamma", [0.5, 1.0, 2.0]), ("theta", [0.3, 0.65, 0.9]),
+            ("pt_over_n0", [0.0, 1.0, 100.0])]
+
+
+@pytest.mark.parametrize("axis, grid", POP_AXES)
 def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
     rows = run_scenario(scenario_from_dict(pop_doc(axis, grid)))
     assert [r.axis for r in rows] == grid
@@ -462,7 +466,8 @@ def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
 
 # as AXIS_ERRORS, for pop: an invalid value on each axis, then invalid fixed
 # fields. The weighting block is checked before the gain law, and the gain
-# law before the outage threshold.
+# law before the outage threshold. tools/same_bytes.py reads this table
+# and POP_AXES through pop_doc().
 POP_AXIS_ERRORS = [
     ("epsilon", [0.5, 1.0, INF], {}, "DomainError('at grid point "
      "epsilon=inf: epsilon must be finite, got inf')"),

@@ -5,8 +5,9 @@
 PARENT and CHANGE are checkout directories; CHANGE defaults to the
 checkout that holds this script. Each checkout runs in its own Python
 subprocess with its own ``src/`` first on the path, and both take the
-same inputs, read from CHANGE's ``bench/catalogue.json`` and, for fig8,
-CHANGE's ``sweep.PRESETS``:
+same inputs, read from CHANGE's ``bench/catalogue.json``, its
+``tests/test_sweep.py`` (loaded by path) and, for fig8, its
+``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
   ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of nine edge cases:
@@ -25,15 +26,15 @@ CHANGE's ``sweep.PRESETS``:
 - the same ``run_scenario`` output of every 8th catalogue ``oracle``
   document and of fig8, each with an ``mc`` block of 1000 samples (one
   slice) and of 2**19 + 1 (past one batch), seed 0;
-- the repr of the error ``run_scenario`` raises on ``pu_snr`` and
-  ``pu_rate`` documents that each fail at one grid point: an invalid
-  value on each PU axis, or an invalid fixed ``mu``, ``pt_over_n0`` or
-  ``reference``, alone or next to an invalid first grid value;
-- the same ``run_scenario`` output of ``pop`` sweeps along each of its
-  axes, in closed form and with an ``mc`` block of 1000 samples, and the
-  repr of the error it raises on ``pop`` documents that fail at one grid
-  point: an invalid value on each axis, or an invalid fixed ``epsilon``
-  or ``mu``;
+- the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
+  ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by its
+  ``doc()``: each fails at one grid point, with an invalid value on a PU
+  axis or an invalid fixed field;
+- the same ``run_scenario`` output of the ``pop`` sweeps of tier-1's
+  ``POP_AXES``, one along each axis, in closed form and with an ``mc``
+  block of 1000 samples, and the repr of the error it raises on the
+  ``pop`` documents of ``POP_AXIS_ERRORS``, both built by its
+  ``pop_doc()``;
 - the sha256 of ``gain_samples`` on both sides of the 16384-draw chunk
   boundary, at K = 1, 7 (scale 0.3) and 64, seed 0, and ``cli.main`` of
   ``simulate-channel --samples 20000 --seed 0`` at ``--k-paths`` 1, 7
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -67,61 +69,18 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["ppdf", "746"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
-ERROR_BASE = {"schema": "percept-scenario/1",
-              "value_params": {"alpha": 0.5, "lambda_gain": 1.0,
-                               "lambda_loss": 2.0},
-              "weight_params": {"gamma": 1.0, "theta": 0.8},
-              "reference": 4.0, "mu": 1.0, "pt_over_n0": 10.0}
-INF = float("inf")  # a document's 1e400
-# an axis, its grid and the fixed fields that differ from ERROR_BASE; each
-# document fails at the one grid point or fixed field that is invalid
-ERROR_CASES = [
-    ("pt_over_n0", [1.0, 10.0, INF], {}),
-    ("reference", [0.0, 4.0, INF], {}),
-    ("mu", [0.0, 1.0, 2.0], {}),
-    ("alpha", [0.3, 0.5, 1.0], {}),
-    ("lambda_gain", [0.5, 1.0, 2.0], {}),
-    ("lambda_loss", [1.0, 2.0, 3.0], {}),
-    ("gamma", [0.5, 1.0, INF], {}),
-    ("theta", [0.5, 0.8, 1.0], {}),
-    ("pt_over_n0", [1.0, 10.0], {"mu": 0.0}),
-    ("mu", [1.0, 2.0], {"pt_over_n0": -1.0}),
-    ("pt_over_n0", [1.0, 10.0], {"reference": -1.0}),
-    ("reference", [-1.0, 4.0], {"mu": INF}),
-    ("pt_over_n0", [-1.0, 10.0], {"mu": -1.0}),
-]
-# as ERROR_CASES, for pop with epsilon 1: first a sweep along each axis,
-# then documents that fail at one grid point or fixed field
-POP_AXES = [("epsilon", [0.25, 1.0, 4.0], {}), ("mu", [0.5, 1.0, 3.0], {}),
-            ("gamma", [0.5, 1.0, 2.0], {}), ("theta", [0.3, 0.65, 0.9], {}),
-            ("pt_over_n0", [0.0, 1.0, 100.0], {})]
-POP_ERROR_CASES = [
-    ("epsilon", [0.5, 1.0, INF], {}),
-    ("mu", [0.5, 1.0, INF], {}),
-    ("gamma", [0.5, 1.0, INF], {}),
-    ("theta", [0.5, 0.8, 1.0], {}),
-    ("pt_over_n0", [1.0, 10.0, INF], {}),
-    ("pt_over_n0", [1.0, 10.0], {"epsilon": 0.0}),
-    ("epsilon", [0.0, 1.0], {"mu": 0.0}),
-    ("theta", [1.0], {"mu": 0.0, "epsilon": 0.0}),
-]
 # (k_paths, amplitude_scale, n) of the gain_samples digests, seed 0
 CHANNEL_DRAWS = [(k, scale, n) for k, scale in ((1, 1.0), (7, 0.3), (64, 1.0))
                  for n in (1 << 14, (1 << 14) + 1)]
 SHOW = 5  # differences printed in full
+ROOT = Path(__file__).resolve().parent.parent  # this script's checkout
 
 
-def error_doc(metric: str, axis: str, grid: list, fixed: dict) -> dict:
-    """A scenario document of ERROR_CASES; a parameter block keeps its
-    value of the axis field as a placeholder."""
-    return dict(ERROR_BASE, metric=metric, axis={"name": axis, "grid": grid},
-                **fixed)
-
-
-def jobs(catalogue: dict, fig8: dict) -> dict:
+def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     """Every input by group name, as ("cli", argv), ("scenario",
     scenario document) or ("gains", [k_paths, scale, n]); ``fig8`` is
-    that preset's document."""
+    that preset's document, and the error and ``pop`` cases come from
+    checkout ``root``'s tier-1 tables."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
            "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
@@ -134,14 +93,20 @@ def jobs(catalogue: dict, fig8: dict) -> dict:
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(doc, mc={"samples": n})) for doc in mc_docs]
-    out["errors"] = [("scenario", error_doc(metric, *case))
-                     for metric in ("pu_snr", "pu_rate")
-                     for case in ERROR_CASES]
-    pop_docs = [error_doc("pop", axis, grid, {"epsilon": 1.0, **fixed})
-                for axis, grid, fixed in POP_AXES + POP_ERROR_CASES]
-    out["pop axes"] = [("scenario", d) for d in pop_docs] + [
-        ("scenario", dict(d, mc={"samples": MC_SAMPLES[0]}))
-        for d in pop_docs[:len(POP_AXES)]]
+    spec = importlib.util.spec_from_file_location(
+        "tier1_sweep", root / "tests" / "test_sweep.py")
+    t = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(t)
+    out["errors"] = [
+        ("scenario", t.doc(metric=metric, axis={"name": axis, "grid": grid},
+                           **{"pt_over_n0": 10.0, **fixed}))
+        for metric in ("pu_snr", "pu_rate")
+        for axis, grid, fixed, _ in t.AXIS_ERRORS]
+    sweeps = [t.pop_doc(axis, grid) for axis, grid in t.POP_AXES]
+    out["pop axes"] = [("scenario", d) for d in sweeps] + [
+        ("scenario", t.pop_doc(axis, grid, **fixed))
+        for axis, grid, fixed, _ in t.POP_AXIS_ERRORS] + [
+        ("scenario", dict(d, mc={"samples": MC_SAMPLES[0]})) for d in sweeps]
     out["channel"] = [("gains", list(draw)) for draw in CHANNEL_DRAWS] + [
         ("cli", ["simulate-channel", "--samples", "20000", "--seed", "0",
                  "--k-paths", str(k)]) for k in (1, 7, 64)]
@@ -212,14 +177,13 @@ def child(src: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path, nargs="?",
-                        default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("change", type=Path, nargs="?", default=ROOT)
     args = parser.parse_args(argv)
     catalogue = json.loads(
         (args.change / "bench" / "catalogue.json").read_text(encoding="utf-8"))
     sys.path.insert(0, str(args.change / "src"))
     from percept.sweep import PRESETS
-    groups = jobs(catalogue, PRESETS["fig8"])
+    groups = jobs(catalogue, PRESETS["fig8"], args.change)
     todo = [job for group in groups.values() for job in group]
     before = run_checkout(args.parent, todo)
     after = run_checkout(args.change, todo)
