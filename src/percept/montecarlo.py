@@ -125,12 +125,16 @@ def _map_substreams(fn, seed: int, total: int, size: int) -> list:
 
 
 def _merge(a, b):
-    """Chan et al. pooled (n, mean, M2) of two parts, ``a`` drawn first."""
-    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    """Chan et al. pooled (n, mean, M2/4**k, k) of two parts, ``a`` drawn
+    first; the result takes the larger k. Scaling by a power of two is
+    exact for normal doubles, so the bits are those of the unscaled M2."""
+    (n_a, mean_a, m2_a, k_a), (n_b, mean_b, m2_b, k_b) = a, b
     n = n_a + n_b
-    delta = mean_b - mean_a
-    return (n, mean_a + delta * (n_b / n),
-            m2_a + m2_b + delta * delta * (n_a * n_b / n))
+    k = max(k_a, k_b)
+    delta = math.ldexp(mean_b, -k) - math.ldexp(mean_a, -k)
+    return (n, mean_a + (mean_b - mean_a) * (n_b / n),
+            math.ldexp(m2_a, 2 * (k_a - k)) + math.ldexp(m2_b, 2 * (k_b - k))
+            + delta * delta * (n_a * n_b / n), k)
 
 
 def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
@@ -138,16 +142,18 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
     """Sample-mean estimate of the perceptual utility of ``metric``.
 
     Each slice of draws is valued by :func:`value`, so a bad quantity or
-    an overflowing value raises its DomainError, and its (n, mean, M2) is
-    merged into the batch's in draw order, from the first slice's; the
-    batches are merged the same way. A finite mean whose squared
-    deviations overflow raises a DomainError that names the standard error.
+    an overflowing value raises its DomainError, and its (n, mean, M2/4**k,
+    k) is merged into the batch's in draw order, from the first slice's;
+    the batches are merged the same way. k is the binary exponent of the
+    slice's largest |value|, so the squared deviations cannot overflow and
+    a finite mean has a finite standard error; a mean that overflows the
+    float range raises.
     """
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
 
     def batch(i, rng, m):
-        """(m, mean, M2) of one batch, merged slice by slice."""
+        """(m, mean, M2/4**k, k) of one batch, merged slice by slice."""
         acc = None
         for lo in range(0, m, _SLICE):
             # consecutive draws read the same stream as one draw of m
@@ -155,19 +161,23 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
             np.fmax(u, _U_FLOOR, out=u)
             vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
                                          u.shape), metric.ref, value_params)
+            k = math.frexp(max(-float(vals.min()), float(vals.max())))[1]
             with np.errstate(over="ignore", invalid="ignore"):
                 mean = float(vals.mean())
-                part = u.size, mean, float(np.square(vals - mean).sum())
+                dev = np.ldexp(vals, -k)
+                dev -= math.ldexp(mean, -k)
+                part = u.size, mean, float(np.square(dev, out=dev).sum()), k
             acc = part if acc is None else _merge(acc, part)
         return acc
 
-    n, mean, m2 = functools.reduce(_merge, _map_substreams(
+    n, mean, m2, k = functools.reduce(_merge, _map_substreams(
         batch, config.seed, config.samples, _BATCH))
     _check_value(mean)  # finite values may sum past the range
-    std_error = math.sqrt(max(m2 / (n - 1), 0.0) / n)
-    if not math.isfinite(std_error):
+    try:
+        std_error = math.ldexp(math.sqrt(max(m2 / (n - 1), 0.0) / n), k)
+    except OverflowError:
         raise DomainError(
-            "Monte Carlo standard error overflows the float range")
+            "Monte Carlo standard error overflows the float range") from None
     return McEstimate(mean=mean, std_error=std_error, samples=n)
 
 

@@ -72,15 +72,26 @@ def test_pu_needs_two_samples_for_an_error_bar():
     # every value is finite, but their sum overflows
     pytest.param(10.0, 4.0, ValueParams(0.5, 1.0, 1e306), WP,
                  "perceived value overflows the float range", id="1e+306"),
-    # the mean is finite, but the squared deviations overflow
-    pytest.param(1e200, 0.0, VP_ID, WP_ID,
-                 "Monte Carlo standard error overflows the float range",
-                 id="squared-deviations"),
 ])
 def test_pu_overflow_is_a_domain_error(rho, ref, vp, wp, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         mc_pu(snr_metric(link(rho), ref), make_pd(wp), vp,
               McConfig(samples=1000))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [1000, _BATCH + 5],
+                         ids=["one-slice", "two-batches"])
+def test_pu_squared_deviations_past_the_float_range_are_scaled(samples):
+    # every value (about 1e200 * gain) is finite, but the squares of their
+    # deviations are not: the moments are kept scaled by 4**-k, so the bar
+    # is finite and the estimate meets the quadrature's certified 1.0e200
+    quad = pu_snr(link(1e200), 0.0, VP_ID, WP_ID, tol=1e188)
+    est = mc_pu(snr_metric(link(1e200), 0.0), make_pd(WP_ID), VP_ID,
+                McConfig(samples=samples))
+    assert quad.value == pytest.approx(1e200, rel=1e-12)
+    assert 0.0 < est.std_error < math.inf
+    assert abs(est.mean - quad.value) <= 5.0 * est.std_error
 
 
 def test_estimate_carries_generator_name():
