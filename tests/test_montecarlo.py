@@ -221,8 +221,8 @@ def test_blocks_come_back_in_order(monkeypatch):
     use_cpus(monkeypatch, 3)
 
     def block(i, rng, m):
-        if i == 0:
-            second_done.wait(timeout=10)  # block 0 finishes after block 1
+        if i == 0:  # block 0 finishes after block 1
+            assert second_done.wait(timeout=10), "block 1 did not run"
         elif i == 1:
             second_done.set()
         return i, m
