@@ -430,9 +430,10 @@ HARD_POINTS = [
      "3.52123224724112857397186344567"),
 ]
 
-# integrand evaluations of the fig5 and fig6 presets; the counts are deterministic,
-# so any change to how the engine refines a piece shows here. Every point
-# has three pieces and stops at level 3: 3 * (17 * 2**3 + 1) nodes
+# integrand evaluations of the fig5 and fig6 presets; the counts are
+# deterministic, so any change to how the engine refines a piece shows here.
+# Every point has three pieces and stops at level 3: 3 * (17 * 2**3 + 1)
+# nodes
 PRESET_EVALS = {"fig5": [411] * 10, "fig6": [411] * 10}
 
 

@@ -446,7 +446,7 @@ def pop_doc(axis: str, grid: list, **over) -> dict:
                **{"pt_over_n0": 10.0, "epsilon": 1.0, **over})
 
 
-# a grid on each pop axis; tools/same_bytes.py reads this table too
+# a grid on each pop axis; tools/same_bytes.py reads it through pop_doc()
 POP_AXES = [("epsilon", [0.25, 1.0, 4.0]), ("mu", [0.5, 1.0, 3.0]),
             ("gamma", [0.5, 1.0, 2.0]), ("theta", [0.3, 0.65, 0.9]),
             ("pt_over_n0", [0.0, 1.0, 100.0])]
@@ -467,7 +467,7 @@ def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
 # as AXIS_ERRORS, for pop: an invalid value on each axis, then invalid fixed
 # fields. The weighting block is checked before the gain law, and the gain
 # law before the outage threshold. tools/same_bytes.py reads this table
-# and POP_AXES through pop_doc().
+# through pop_doc().
 POP_AXIS_ERRORS = [
     ("epsilon", [0.5, 1.0, INF], {}, "DomainError('at grid point "
      "epsilon=inf: epsilon must be finite, got inf')"),
