@@ -15,11 +15,12 @@ import numpy as np
 
 from .channel import MultipathConfig, gain_samples
 from .distributions import ExponentialGain
-from .errors import ConstraintViolation, DomainError, ToleranceNotMet
+from .errors import PerceptError, ToleranceNotMet
 from .metrics import DEFAULT_BUDGET, DEFAULT_TOL
-from .sweep import (_CURVE_AXIS, _METRIC_FIELDS, _PARAMS, PRESET_NOTES,
-                    PRESETS, Scenario, cross_check, cross_check_csv,
-                    load_scenario, preset_scenario, run_scenario, sweep_csv)
+from .sweep import (_CROSS_CHECK_Z, _CURVE_AXIS, _METRIC_FIELDS, _PARAMS,
+                    PRESET_NOTES, PRESETS, Scenario, cross_check,
+                    cross_check_csv, load_scenario, preset_scenario,
+                    run_scenario, sweep_csv)
 
 _QUANTILE_STEP = 0.05
 # the point commands: (name, metric, help)
@@ -105,7 +106,7 @@ def _cmd_cross_check(args) -> int:
         return 0
     failed = sum(1 for r in rows if not r.passed)
     print(f"error: {failed} of {len(rows)} grid points disagree beyond "
-          f"3 standard errors", file=sys.stderr)
+          f"{_CROSS_CHECK_Z:g} standard errors", file=sys.stderr)
     return 3
 
 
@@ -190,12 +191,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConstraintViolation, DomainError) as exc:
+    except PerceptError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ToleranceNotMet as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, ToleranceNotMet) else 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -23,6 +23,8 @@ from .montecarlo import McConfig, mc_pop, mc_pu
 from .prospect import ValueParams, WeightParams, as_reference, value, weight
 
 SCHEMA = "percept-scenario/1"
+# a cross-check point passes within this many Monte Carlo standard errors
+_CROSS_CHECK_Z = 3.0
 
 # the scenario fields each metric reads, in the order of its CLI flags;
 # a field whose Scenario default is None is required unless it is the axis
@@ -184,9 +186,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        try:  # bad syntax or encoding, or an int literal over 4300 digits
-            doc = json.load(fh)
-        except ValueError as exc:
+        try:  # bad syntax or encoding, an int literal over 4300 digits,
+            doc = json.load(fh)  # or arrays or objects nested too deep
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
@@ -285,7 +287,7 @@ def run_scenario(s: Scenario) -> list:
 def cross_check(s: Scenario) -> list:
     """Quadrature value vs Monte Carlo estimate at every grid point.
 
-    A point passes when the two agree within three standard errors.
+    A point passes when the two agree within _CROSS_CHECK_Z standard errors.
     """
     if s.metric not in ("pu_snr", "pu_rate"):
         raise DomainError("cross_check requires a pu_snr or pu_rate scenario")
@@ -295,7 +297,7 @@ def cross_check(s: Scenario) -> list:
     mc_rows = run_scenario(s)
     out = []
     for q, m in zip(quad_rows, mc_rows):
-        passed = abs(q.value - m.value) <= 3.0 * m.err
+        passed = abs(q.value - m.value) <= _CROSS_CHECK_Z * m.err
         out.append(CrossCheckRow(q.axis, q.value, m.value, m.err, passed))
     return out
 

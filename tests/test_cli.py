@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import percept
 from percept.cli import main
+from percept.errors import PerceptError
 from percept.sweep import _AXES, SCHEMA
 
 POP_HALF = "0.508009262517"
@@ -422,13 +423,16 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     # json.load refuses an int literal of over 4300 digits
     b'{"schema": "percept-scenario/1", "reference": ' + b"1" * 5000 + b"}",
     b'{"schema": "percept-scenario/1", "metric": "\xff"}',  # not UTF-8
-], ids=["overlong-int", "latin-1"])
+    # the decoder recurses once per level and hits the recursion limit
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["overlong-int", "latin-1", "nested-past-the-recursion-limit"])
 def test_unreadable_json_exits_2(tmp_path, capsys, raw):
     p = tmp_path / "scenario.json"
     p.write_bytes(raw)
-    code, out, err = run(capsys, ["sweep", str(p)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: scenario is not valid JSON: ")
+    for command in ("sweep", "cross-check"):
+        code, out, err = run(capsys, [command, str(p)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scenario is not valid JSON: ")
 
 
 def test_starved_budget_exits_3(tmp_path, capsys):
@@ -464,6 +468,20 @@ def test_memory_exhaustion_exits_4(monkeypatch, capsys, message, line):
     monkeypatch.setattr(percept.cli, "gain_samples", exhaust)
     got = run(capsys, ["simulate-channel", "--samples", str(10**17)])
     assert got == (4, "", line)
+
+
+def test_any_other_typed_error_exits_2(monkeypatch, capsys):
+    # one rule in main: a PerceptError that is not a ToleranceNotMet exits 2,
+    # also one of a class main does not name
+    class NewError(PerceptError):
+        pass
+
+    def fail(scenario):
+        raise NewError("a new kind of failure")
+
+    monkeypatch.setattr(percept.cli, "run_scenario", fail)
+    got = run(capsys, ["weight", "0.5"])
+    assert got == (2, "", "error: a new kind of failure\n")
 
 
 def test_no_arguments_is_a_usage_error():

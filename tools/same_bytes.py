@@ -10,13 +10,16 @@ same inputs, read from CHANGE's ``bench/catalogue.json``, its
 ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
-  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of nine edge cases:
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of twelve edge cases:
   ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
   1e-14``, ``pu-snr --budget 100``, ``pu-rate --tol 1e-2``, ``pop
   --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1), ``pcdf
-  300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0), and
+  300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0),
   ``ppdf 216 --mu 0.3 --theta 0.9`` and ``ppdf 746`` (the far tail of the
-  perceived density, where -log F is subnormal or 0);
+  perceived density, where -log F is subnormal or 0), and the exits the
+  rest never reach: ``value -1`` (2, a DomainError at a grid point),
+  ``pu-snr --alpha 1.5`` (2, a ConstraintViolation before the sweep)
+  and ``sweep fig9`` (4, neither a preset nor a file);
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
   As the CSV rounds to 12 digits, each such output also holds the
@@ -66,7 +69,8 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pop", "--ptn0", "0.025", "--theta", "0.01"],
               ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"],
               ["ppdf", "216", "--mu", "0.3", "--theta", "0.9"],
-              ["ppdf", "746"]]
+              ["ppdf", "746"], ["value", "-1"],
+              ["pu-snr", "--alpha", "1.5"], ["sweep", "fig9"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
 # (k_paths, amplitude_scale, n) of the gain_samples digests, seed 0
