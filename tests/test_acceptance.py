@@ -9,17 +9,13 @@ import time
 import mpmath
 import numpy as np
 
-from percept import (ExponentialGain, LinkBudget, McConfig, MultipathConfig,
-                     OutageSpec, PerceptualDistribution, ValueParams,
-                     WeightParams, gain_samples, mc_pu, pop, preset_scenario,
-                     pu_rate, pu_snr, rate_metric, run_scenario, snr_metric,
-                     value, weight)
-
-INV_E = 0.36787944117144232
-
-
-def link(rho, mu=1.0):
-    return LinkBudget(rho, ExponentialGain(mu))
+from percept import (ExponentialGain, McConfig, MultipathConfig, OutageSpec,
+                     PerceptualDistribution, ValueParams, WeightParams,
+                     gain_samples, mc_pu, pop, preset_scenario, pu_rate,
+                     pu_snr, rate_metric, run_scenario, snr_metric, value,
+                     weight)
+from support import (INV_E, VP, VP_ID, WP, WP_ID, exponential_cdf, link,
+                     sup_distance)
 
 
 def _finish(n, name, ok, detail, elapsed, bound):
@@ -33,8 +29,7 @@ def _finish(n, name, ok, detail, elapsed, bound):
 
 def test_criterion_1_zero_power_limit():
     t0 = time.perf_counter()
-    res = pu_snr(link(0.0), 4.0, ValueParams(0.5, 1.0, 2.0),
-                 WeightParams(1.0, 0.8))
+    res = pu_snr(link(0.0), 4.0, VP, WP)
     dev = abs(res.value - (-4.0))
     _finish(1, "zero-power limit", dev <= 1e-8,
             f"pu_snr(0) = {res.value:.12g}, |dev| = {dev:.3g} (tol 1e-8)",
@@ -43,11 +38,9 @@ def test_criterion_1_zero_power_limit():
 
 def test_criterion_2_classical_reduction():
     t0 = time.perf_counter()
-    vp = ValueParams(1.0, 1.0, 1.0, mode="permissive")
-    wp = WeightParams(1.0, 1.0, mode="permissive")
     worst = 0.0
     for rho in (1.0, 10.0, 100.0, 1000.0):
-        got = pu_snr(link(rho), 0.0, vp, wp).value
+        got = pu_snr(link(rho), 0.0, VP_ID, WP_ID).value
         worst = max(worst, abs(got - rho) / rho)
     _finish(2, "classical reduction", worst <= 1e-6,
             f"max relative deviation {worst:.3g} (tol 1e-6)",
@@ -113,16 +106,14 @@ def test_criterion_4_density_validity():
 
 def test_criterion_5_shape_reproduction():
     t0 = time.perf_counter()
-    vp = ValueParams(0.5, 1.0, 2.0)
-    wp = WeightParams(1.0, 0.8)
     wp_pop = WeightParams(1.0, 0.65)
     rhos = (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)
 
-    snr_curve = [pu_snr(link(r), 4.0, vp, wp).value for r in rhos]
-    rate_curve = [pu_rate(link(r), 4.0, vp, wp).value for r in rhos]
+    snr_curve = [pu_snr(link(r), 4.0, VP, WP).value for r in rhos]
+    rate_curve = [pu_rate(link(r), 4.0, VP, WP).value for r in rhos]
     pop_curve = [pop(link(r), OutageSpec(1.0), wp_pop) for r in rhos]
-    by_ref = [pu_snr(link(10.0), g0, vp, wp).value for g0 in (1.0, 4.0, 16.0)]
-    by_loss = [pu_snr(link(10.0), 4.0, ValueParams(0.5, 1.0, lam), wp).value
+    by_ref = [pu_snr(link(10.0), g0, VP, WP).value for g0 in (1.0, 4.0, 16.0)]
+    by_loss = [pu_snr(link(10.0), 4.0, ValueParams(0.5, 1.0, lam), WP).value
                for lam in (1.5, 2.0, 3.0)]
 
     increasing = all(b > a for a, b in zip(snr_curve, snr_curve[1:]))
@@ -166,10 +157,7 @@ def test_criterion_7_channel_model_consistency():
     t0 = time.perf_counter()
     g = np.sort(gain_samples(MultipathConfig(k_paths=64, amplitude_scale=1.0,
                                              seed=0), 100_000))
-    model = -np.expm1(-g)
-    n = g.size
-    steps = np.arange(1, n + 1) / n
-    ks = float(np.max(np.maximum(steps - model, model - (steps - 1.0 / n))))
+    ks = sup_distance(g, exponential_cdf(1.0))
     _finish(7, "channel-model consistency", ks < 0.01,
             f"K=64, 1e5 samples, sup-distance {ks:.4g} vs exponential "
             "(tol 0.01)", time.perf_counter() - t0, 10.0)

@@ -9,34 +9,19 @@ evaluate them, are pinned. The bench's tracer
 rebinds names of the package at run time; its targets must still exist,
 and uninstalling it must leave every binding as it was.
 """
-import importlib.util
-import json
 import sys
-from pathlib import Path
 
 from percept import metrics
 from percept.sweep import preset_scenario, run_scenario, scenario_from_dict
+from support import CATALOGUE, ROOT, load
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load(name):
-    """bench/<name>.py by path, under a name of its own."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                  BENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up
-    spec.loader.exec_module(mod)
-    return mod
-
-
-workloads = _load("workloads")
-CAT = json.loads((BENCH / "catalogue.json").read_text(encoding="utf-8"))
+BENCH = ROOT / "bench"
+workloads = load(BENCH / "workloads.py", "bench_workloads")
 
 
 def _failures(ops):
     """(label, detail) of each op the bench's runner does not pass."""
-    run = workloads.Runner(str(BENCH.parent), cli_in_process=True)
+    run = workloads.Runner(str(ROOT), cli_in_process=True)
     out = []
     for label, op in ops:
         outcome = run(op)
@@ -48,7 +33,7 @@ def _failures(ops):
 def test_every_quad_catalogue_point_is_within_its_abs_error():
     ops = [(f"quad[{i}]", workloads.Op("scenario", {"doc": e["doc"]},
                                        tuple(e["refs"])))
-           for i, e in enumerate(CAT["quad"])]
+           for i, e in enumerate(CATALOGUE["quad"])]
     assert len(ops) == 320
     assert sum(len(op.refs) for _, op in ops) == 1280
     assert _failures(ops) == []
@@ -59,14 +44,6 @@ def test_every_quad_catalogue_point_is_within_its_abs_error():
 # state what it costs here.
 QUAD_NODES, QUAD_NODES_MAX = 744_958, 819
 
-
-def test_quad_catalogue_node_counts_are_pinned():
-    counts = [row.n_eval for e in CAT["quad"]
-              for row in run_scenario(scenario_from_dict(e["doc"]))]
-    assert (len(counts), sum(counts), max(counts)) == (
-        1280, QUAD_NODES, QUAD_NODES_MAX)
-
-
 # array programs (calls of metrics._terms) of fig5, of fig6 and of the 320
 # quad scenarios: the first program takes levels 0 ... 3 at once, and each
 # later level is one more
@@ -74,6 +51,8 @@ PRESET_PROGRAMS, QUAD_PROGRAMS = 1, 490
 
 
 def test_array_program_counts_are_pinned(monkeypatch):
+    # the node counts of the quad points are read from the rows of the same
+    # runs whose array programs are counted
     calls = []
 
     def counted(*args):
@@ -87,16 +66,19 @@ def test_array_program_counts_are_pinned(monkeypatch):
         run_scenario(preset_scenario(name))
         assert len(calls) == PRESET_PROGRAMS, name
     calls.clear()
-    for e in CAT["quad"]:
-        run_scenario(scenario_from_dict(e["doc"]))
+    counts = [row.n_eval for e in CATALOGUE["quad"]
+              for row in run_scenario(scenario_from_dict(e["doc"]))]
     assert len(calls) == QUAD_PROGRAMS
+    assert (len(counts), sum(counts), max(counts)) == (
+        1280, QUAD_NODES, QUAD_NODES_MAX)
 
 
 def test_first_program_depth_keeps_every_bit(monkeypatch):
     # levels formed from the strided columns of one program give the bits
     # and node counts of the same levels run one program at a time
     scenarios = [preset_scenario("fig5"), preset_scenario("fig6"),
-                 *(scenario_from_dict(e["doc"]) for e in CAT["quad"][::40])]
+                 *(scenario_from_dict(e["doc"])
+                   for e in CATALOGUE["quad"][::40])]
 
     def outputs(first):
         monkeypatch.setattr(metrics, "_FIRST", first)
@@ -114,7 +96,7 @@ def test_first_program_depth_keeps_every_bit(monkeypatch):
 def test_every_cli_catalogue_entry_passes_the_bench_checks():
     ops = [(" ".join(e["argv"]), workloads.Op("cli", {"argv": e["argv"]},
                                               tuple(e["refs"])))
-           for e in CAT["cli"]]
+           for e in CATALOGUE["cli"]]
     assert len(ops) == 168
     assert _failures(ops) == []
 
@@ -124,7 +106,7 @@ def test_every_catalogue_preset_passes_the_bench_checks():
     ops = [(name, workloads.Op("cli", {"argv": ["sweep", name]}, tuple(refs))
             if name in workloads.CLI_PRESETS
             else workloads.Op("preset", {"preset": name}, tuple(refs)))
-           for name, refs in CAT["presets"].items()]
+           for name, refs in CATALOGUE["presets"].items()]
     assert sorted(name for name, _ in ops) == ["fig2", "fig3", "fig5",
                                                "fig6", "fig7", "fig8"]
     assert _failures(ops) == []
@@ -150,7 +132,7 @@ def _bindings(tracing):
 
 
 def test_tracer_targets_resolve_and_uninstall_restores_every_binding():
-    tracing = _load("tracing")
+    tracing = load(BENCH / "tracing.py", "bench_tracing")
     before = _bindings(tracing)
     targets = [site for sites in tracing.SPANS.values() for site in sites]
     targets += [(mod, attr) for mod, attr, _ in tracing.LEAVES.values()]

@@ -6,18 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from percept import (DomainError, ExponentialGain, MultipathConfig, channel,
-                     draw_channel, gain_samples, montecarlo)
-
-
-def ks_against_exponential(gains, mu):
-    """Sup distance between the empirical CDF and the Exp(mu) CDF."""
-    g = np.sort(gains)
-    model = ExponentialGain(mu).cdf(g)
-    n = g.size
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    return float(np.max(np.maximum(upper - model, model - lower)))
+from percept import (DomainError, MultipathConfig, channel, draw_channel,
+                     gain_samples, montecarlo)
+from support import exponential_cdf, sup_distance
 
 
 # --- validation ---------------------------------------------------------------
@@ -194,18 +185,14 @@ def test_gain_variance_matches_exponential_law():
     assert g.var(ddof=1) == pytest.approx(1.0, abs=0.02)
 
 
-def test_many_paths_match_exponential_gain_law():
-    cfg = MultipathConfig(k_paths=64, amplitude_scale=1.0, seed=0)
-    g = gain_samples(cfg, 100_000)
-    assert ks_against_exponential(g, mu=1.0) < 0.01
-
-
 def test_few_paths_visibly_deviate():
-    # K=2 gains live on [0, 2] with an arcsine-like law, far from Exp(1)
-    many = ks_against_exponential(
-        gain_samples(MultipathConfig(k_paths=64, seed=0), 100_000), 1.0)
-    few = ks_against_exponential(
-        gain_samples(MultipathConfig(k_paths=2, seed=0), 100_000), 1.0)
+    # K=2 gains live on [0, 2] with an arcsine-like law, far from Exp(1);
+    # criterion 7 holds K=64 within 0.01 of it
+    def distance(k):
+        g = gain_samples(MultipathConfig(k_paths=k, seed=0), 100_000)
+        return sup_distance(np.sort(g), exponential_cdf(1.0))
+
+    many, few = distance(64), distance(2)
     assert few > 0.05
     assert few > many
 
@@ -214,8 +201,4 @@ def test_phase_is_uniform():
     cfg = MultipathConfig(k_paths=64, amplitude_scale=1.0, seed=3)
     h = draw_channel(cfg, 100_000)
     phases = np.sort(np.mod(np.angle(h), 2.0 * np.pi)) / (2.0 * np.pi)
-    n = phases.size
-    upper = np.arange(1, n + 1) / n
-    lower = np.arange(0, n) / n
-    sup = np.max(np.maximum(upper - phases, phases - lower))
-    assert sup < 0.01
+    assert sup_distance(phases, lambda u: u) < 0.01

@@ -18,11 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import percept
+from percept import MultipathConfig, gain_samples
 from percept.cli import main
 from percept.errors import PerceptError
 from percept.sweep import _AXES, SCHEMA
-
-POP_HALF = "0.508009262517"
+from support import POP_HALF, ROOT, doc, exponential_cdf, sup_distance
 
 
 def run(capsys, argv):
@@ -32,16 +32,9 @@ def run(capsys, argv):
 
 
 def scenario_file(tmp_path, **over):
-    doc = {
-        "schema": SCHEMA, "metric": "pu_snr",
-        "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0]},
-        "value_params": {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0},
-        "weight_params": {"gamma": 1.0, "theta": 0.8},
-        "reference": 4.0, "mu": 1.0,
-    }
-    doc.update(over)
     p = tmp_path / "scenario.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(doc(**{
+        "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0]}, **over})))
     return str(p)
 
 
@@ -66,7 +59,7 @@ def test_weight_points(capsys):
 def test_pcdf_point(capsys):
     code, out, _ = run(capsys, ["pcdf", "1.0", "--theta", "0.5"])
     assert code == 0
-    assert out.splitlines()[1] == f"1,{POP_HALF},0,1"
+    assert out.splitlines()[1] == f"1,{POP_HALF:.12g},0,1"
 
 
 def test_ppdf_point(capsys):
@@ -106,7 +99,7 @@ def test_pop_point(capsys):
     code, out, _ = run(capsys, ["pop", "--ptn0", "1", "--epsilon", "1",
                                 "--theta", "0.5"])
     assert code == 0
-    assert out.splitlines()[1] == f"1,{POP_HALF},0,1"
+    assert out.splitlines()[1] == f"1,{POP_HALF:.12g},0,1"
 
 
 def test_pop_keeps_an_outage_that_rounds_to_1(capsys):
@@ -370,19 +363,14 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-ONE_E30_SAMPLES = {
-    "schema": SCHEMA, "metric": "pu_snr",
-    "axis": {"name": "pt_over_n0", "grid": [1.0]},
-    "value_params": {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0},
-    "weight_params": {"gamma": 1.0, "theta": 0.8}, "reference": 4.0,
-    "mc": {"samples": 10**30, "seed": 0}}
+ONE_E30_SAMPLES = doc(axis={"name": "pt_over_n0", "grid": [1.0]},
+                      mc={"samples": 10**30, "seed": 0})
 
 
 # 46 powers from 1e-20 to 1e300: the upper ones cannot meet an absolute
 # tolerance, and must give up at their roundoff floor, not at the budget
-HUGE_POWERS = dict(ONE_E30_SAMPLES, axis={
-    "name": "pt_over_n0", "grid": np.geomspace(1e-20, 1e300, 46).tolist()})
-del HUGE_POWERS["mc"]
+HUGE_POWERS = doc(axis={"name": "pt_over_n0",
+                        "grid": np.geomspace(1e-20, 1e300, 46).tolist()})
 
 
 @settings(max_examples=150)
@@ -567,9 +555,22 @@ def test_simulate_channel_table(capsys):
     assert out3 != out
 
 
+@pytest.mark.parametrize("k, scale, seed", [(64, 1.0, 0), (7, 0.3, 3)])
+def test_simulate_channel_ks_statistic_is_the_sup_distance(capsys, k, scale,
+                                                           seed):
+    # the printed statistic against the same draws' distance to Exp(scale**2)
+    code, _, err = run(capsys, [
+        "simulate-channel", "--samples", "20000", "--seed", str(seed),
+        "--k-paths", str(k), "--scale", str(scale)])
+    g = np.sort(gain_samples(MultipathConfig(k, scale, seed), 20000))
+    want = sup_distance(g, exponential_cdf(scale**2))
+    assert code == 0
+    assert err.startswith(f"ks_statistic={want:.6g} ")
+
+
 # --- entry points -----------------------------------------------------------------------
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def checkout_env():
@@ -627,7 +628,7 @@ def test_installed_console_script_runs():
 
 # --- demos ------------------------------------------------------------------------------
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from percept import (DomainError, ExponentialGain, PerceptualDistribution,
                      WeightParams)
 from percept.distributions import _log1mexp
-
-# mpmath (30 digits): w(1 - e^-1) at gamma=1, theta=0.5
-PCDF_1_HALF = 0.50800926251670411
-EXP_CDF_1 = 0.63212055882855768
-
-IDENTITY = WeightParams(1.0, 1.0, mode="permissive")
+from support import EXP_CDF_1, INV_E, POP_HALF, WP_ID
 
 
 def make_pd(mu=1.0, gamma=1.0, theta=0.5, mode="strict"):
@@ -24,6 +19,16 @@ def make_pd(mu=1.0, gamma=1.0, theta=0.5, mode="strict"):
 
 
 # --- base exponential law -------------------------------------------------
+
+def test_shared_constants_match_mpmath():
+    # the doubles tests/support.py freezes, against 40-digit mpmath
+    with mpmath.workdps(40):
+        inv_e = mpmath.exp(-1)
+        assert INV_E == float(inv_e)
+        assert EXP_CDF_1 == float(1 - inv_e)
+        neg_log_f = -mpmath.log(1 - inv_e)  # -log F(1), F of Exp(1)
+        assert POP_HALF == float(mpmath.exp(-mpmath.sqrt(neg_log_f)))
+
 
 def test_base_closed_forms():
     d = ExponentialGain(1.0)
@@ -107,13 +112,13 @@ def test_base_domain_errors():
 # --- perceived CDF --------------------------------------------------------
 
 def test_pcdf_identity_weighting_reduces_to_cdf():
-    pd = PerceptualDistribution(ExponentialGain(1.0), IDENTITY)
+    pd = PerceptualDistribution(ExponentialGain(1.0), WP_ID)
     for s in (0.0, 0.3, 1.0, 5.0):
         assert pd.pcdf(s) == pytest.approx(pd.base.cdf(s), abs=1e-15)
 
 
 def test_pcdf_closed_form_composition():
-    assert make_pd().pcdf(1.0) == pytest.approx(PCDF_1_HALF, abs=1e-13)
+    assert make_pd().pcdf(1.0) == pytest.approx(POP_HALF, abs=1e-13)
 
 
 @pytest.mark.filterwarnings("error")
@@ -204,7 +209,7 @@ def test_pcdf_is_nondecreasing_and_bounded(s, step, gamma, theta):
 # --- perceived density ----------------------------------------------------
 
 def test_ppdf_identity_weighting_reduces_to_pdf():
-    pd = PerceptualDistribution(ExponentialGain(1.0), IDENTITY)
+    pd = PerceptualDistribution(ExponentialGain(1.0), WP_ID)
     for s in (0.1, 0.5, 1.0, 5.0):
         assert pd.ppdf(s) == pytest.approx(pd.base.pdf(s), rel=1e-13)
 
@@ -251,7 +256,7 @@ def test_ppdf_domain_errors_at_edges():
 # --- perceptual sampling --------------------------------------------------
 
 def test_perceptual_sample_identity_is_plain_quantile():
-    pd = PerceptualDistribution(ExponentialGain(1.0), IDENTITY)
+    pd = PerceptualDistribution(ExponentialGain(1.0), WP_ID)
     u = np.array([0.05, 0.4, 0.95])
     assert np.allclose(pd.perceptual_sample(u), pd.base.inverse_cdf(u),
                        rtol=1e-12)

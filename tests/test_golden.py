@@ -44,10 +44,8 @@ perceived CDF began to form (-log F)**theta as exp(-theta*s/mu) where
 at s/mu > 708 whose weight differs from 1 moved to the accurate value.
 """
 import hashlib
-import importlib.util
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,14 +58,12 @@ from percept.cli import build_parser
 from percept.distributions import _log1mexp
 from percept.sweep import (PRESETS, preset_scenario, run_scenario,
                            scenario_from_dict)
+from support import CATALOGUE, ROOT, load
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 STREAMS = json.loads((GOLDEN / "streams.json").read_text())
 HELP = re.split(r"(?m)^(?=usage: )", (GOLDEN / "help.txt").read_text())[1:]
 QUAD = json.loads((GOLDEN / "quad.json").read_text())
-CATALOGUE = json.loads((ROOT / "bench" / "catalogue.json").read_text(
-    encoding="utf-8"))
 
 LINK = LinkBudget(10.0, ExponentialGain(1.3))
 VP = ValueParams(0.6, 1.0, 2.2)
@@ -192,10 +188,7 @@ def test_same_bytes_builds_every_input_group():
     # tools/same_bytes.py takes its error and pop documents from the tables
     # of test_sweep.py: a renamed table or builder fails here, not in the
     # tool's next run. The sizes are those it printed before it read them.
-    spec = importlib.util.spec_from_file_location(
-        "same_bytes", ROOT / "tools" / "same_bytes.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load(ROOT / "tools" / "same_bytes.py", "same_bytes")
     groups = tool.jobs(CATALOGUE, PRESETS["fig8"])
     assert {name: len(jobs) for name, jobs in groups.items()} == {
         "cli entries": 168, "presets": 7, "edge cases": 12,

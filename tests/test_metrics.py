@@ -1,9 +1,7 @@
 """Perceptual-utility quadrature, outage probability, and weighted outage."""
 import itertools
-import json
 import math
 import warnings
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,35 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
-                     OutageSpec, PerceptualDistribution, ToleranceNotMet,
-                     ValueParams, WeightParams, mc_pop, outage_probability,
-                     pop, pu_rate, pu_snr, rate_metric, snr_metric, value,
-                     weight)
+from percept import (DomainError, ExponentialGain, McConfig, OutageSpec,
+                     PerceptualDistribution, ToleranceNotMet, ValueParams,
+                     WeightParams, mc_pop, outage_probability, pop, pu_rate,
+                     pu_snr, rate_metric, snr_metric, value)
 from percept.metrics import (_H0, _HI, _LO, _MU, _STEPS, _TAU_LO,
                              DEFAULT_BUDGET, _gain_at, _node_factors, _pieces,
                              _point, _snr, _terms, pu_batch, rate_gain)
 from percept.sweep import preset_scenario, run_scenario
-
-VP = ValueParams(0.5, 1.0, 2.0)
-WP = WeightParams(1.0, 0.8)
-VP_ID = ValueParams(1.0, 1.0, 1.0, mode="permissive")
-WP_ID = WeightParams(1.0, 1.0, mode="permissive")
+from support import (CATALOGUE, EXP_CDF_1, POP_HALF, VP, VP_ID, WP, WP_ID,
+                     link)
 
 # mpmath (30 digits)
-EXP_CDF_1 = 0.63212055882855768
 OUTAGE_E2_R10 = 0.25918177931828213   # 1 - exp(-0.3)
-POP_HALF = 0.50800926251670411        # w(1 - e^-1) at gamma=1, theta=0.5
 PU_SNR_R10 = 1.0997321667562066       # pu_snr at rho=10, ref 4, VP, WP
 PU_RATE_REF2000 = -89.311716188957788  # pu_rate at rho=100, ref 2000, VP, WP
 # pu_rate at rho=1e300, ref 2000, VP, WP, with bench/make_refs.py's model
 PU_RATE_FAR_TAIL = "-63.3836254320401246732296213960"
-CATALOGUE = json.loads((Path(__file__).resolve().parents[1] / "bench"
-                        / "catalogue.json").read_text(encoding="utf-8"))
-
-
-def link(rho, mu=1.0):
-    return LinkBudget(rho, ExponentialGain(mu))
 
 
 def classical_capacity(rho):
@@ -78,12 +64,6 @@ def test_zero_power_is_pure_reference_loss():
     res = pu_snr(link(0.0), 4.0, VP, WP)
     assert res.value == pytest.approx(-4.0, abs=1e-8)
     assert res.abs_error <= 1e-8
-
-
-@pytest.mark.parametrize("rho", [1.0, 10.0, 100.0, 1000.0])
-def test_classical_reduction_snr_is_mean_snr(rho):
-    res = pu_snr(link(rho), 0.0, VP_ID, WP_ID)
-    assert res.value == pytest.approx(rho, rel=1e-6)
 
 
 def test_classical_reduction_scales_with_mean_gain():

@@ -7,26 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from percept import (CompositeMetric, DomainError, ExponentialGain,
-                     LinkBudget, McConfig, McEstimate, MultipathConfig,
-                     OutageSpec, PerceptualDistribution, ReferencePoint,
-                     ValueParams, WeightParams, gain_samples, mc_pop, mc_pu,
-                     outage_probability, pu_snr, snr_metric, value, weight)
+from percept import (CompositeMetric, DomainError, ExponentialGain, McConfig,
+                     MultipathConfig, OutageSpec, PerceptualDistribution,
+                     ReferencePoint, ValueParams, WeightParams, gain_samples,
+                     mc_pop, mc_pu, outage_probability, pu_snr, snr_metric,
+                     value, weight)
 from percept import montecarlo
 from percept.montecarlo import (_BATCH, _U_FLOOR, RNG_ALGORITHM,
                                 _map_substreams)
-
-VP = ValueParams(0.5, 1.0, 2.0)
-WP = WeightParams(1.0, 0.8)
-VP_ID = ValueParams(1.0, 1.0, 1.0, mode="permissive")
-WP_ID = WeightParams(1.0, 1.0, mode="permissive")
-
-EXP_CDF_1 = 0.63212055882855768
-POP_HALF = 0.50800926251670411
-
-
-def link(rho, mu=1.0):
-    return LinkBudget(rho, ExponentialGain(mu))
+from support import EXP_CDF_1, POP_HALF, VP, VP_ID, WP, WP_ID, link
 
 
 def make_pd(wp=WP, mu=1.0):

@@ -11,14 +11,13 @@ from percept import (ConstraintViolation, DomainError, ExponentialGain,
                      ValueParams, WeightParams, rate_metric,
                      validate_value_params, value, weight, weight_derivative,
                      weight_inverse)
+from support import INV_E, VP
 
-VP = ValueParams(alpha=0.5, lambda_gain=1.0, lambda_loss=2.0)
 W_HALF = WeightParams(gamma=1.0, theta=0.5)
 
 # closed forms evaluated at 30 decimal digits with mpmath, frozen here
 W_0p01_HALF = 0.11695500084945783
 W_0p5_HALF = 0.43493677157570992
-INV_E = 0.36787944117144232
 
 
 # --- parameter validation -------------------------------------------------

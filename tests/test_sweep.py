@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from percept import (ConstraintViolation, DomainError, ExponentialGain,
-                     LinkBudget, McConfig, OutageSpec, PerceptError,
-                     PerceptualDistribution, ToleranceNotMet, ValueParams,
-                     WeightParams, cross_check, cross_check_csv,
-                     load_scenario, pop, preset_scenario, pu_rate, pu_snr,
-                     run_scenario, scenario_from_dict, sweep_csv, weight)
+from percept import (ConstraintViolation, DomainError, McConfig, OutageSpec,
+                     PerceptError, ToleranceNotMet, ValueParams, WeightParams,
+                     cross_check, cross_check_csv, load_scenario, pop,
+                     preset_scenario, pu_rate, pu_snr, run_scenario,
+                     scenario_from_dict, sweep_csv, weight)
 from percept.sweep import _AXES, PRESET_NOTES, PRESETS, SCHEMA, Scenario
+from support import VP, WP, doc, link
 
 WEIGHT_SNAPSHOT = ("axis,value,err,n_eval\n"
                    "0,0,0,1\n"
@@ -21,21 +21,6 @@ WEIGHT_SNAPSHOT = ("axis,value,err,n_eval\n"
                    "0.5,0.434936771576,0,1\n"
                    "0.75,0.584873308832,0,1\n"
                    "1,1,0,1\n")
-
-
-def doc(**over):
-    """Minimal valid pu_snr scenario document, fields overridable."""
-    base = {
-        "schema": SCHEMA,
-        "metric": "pu_snr",
-        "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0, 100.0]},
-        "value_params": {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0},
-        "weight_params": {"gamma": 1.0, "theta": 0.8},
-        "reference": 4.0,
-        "mu": 1.0,
-    }
-    base.update(over)
-    return base
 
 
 def weight_curve_doc():
@@ -93,7 +78,6 @@ def test_axes_are_the_fields_each_metric_reads():
                                    axis={"name": "lambda", "grid": [1.0]}))
 
 
-VP, WP = ValueParams(0.5, 1.0, 2.0), WeightParams(1.0, 0.8)
 LIBRARY_SCENARIOS = [
     (lambda: Scenario("nope", "x", (1.0,)), "metric must be one of"),
     (lambda: Scenario("pu_snr", "bogus", (1.0,), VP, WP, 4.0,
@@ -294,10 +278,8 @@ def test_parameter_axis_substitutes_per_point():
     s = scenario_from_dict(doc(axis={"name": "alpha", "grid": [0.3, 0.5, 0.8]},
                                pt_over_n0=10.0))
     rows = run_scenario(s)
-    lk = LinkBudget(10.0, ExponentialGain(1.0))
-    wp = WeightParams(1.0, 0.8)
     for r in rows:
-        direct = pu_snr(lk, 4.0, ValueParams(r.axis, 1.0, 2.0), wp)
+        direct = pu_snr(link(10.0), 4.0, ValueParams(r.axis, 1.0, 2.0), WP)
         assert r.value == direct.value
 
 
@@ -349,7 +331,7 @@ def test_batched_points_match_points_run_alone(metric, fn, axis, grid):
     assert [r.axis for r in rows] == grid
     for r in rows:
         p = dict(PU_FIXED, **{axis: r.axis})
-        alone = fn(LinkBudget(p["pt_over_n0"], ExponentialGain(p["mu"])),
+        alone = fn(link(p["pt_over_n0"], p["mu"]),
                    p["reference"], ValueParams(p["alpha"], p["lambda_gain"],
                                                p["lambda_loss"]),
                    WeightParams(p["gamma"], p["theta"]), budget=2000)
@@ -458,7 +440,7 @@ def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
     assert [r.axis for r in rows] == grid
     for r in rows:
         p = dict(POP_FIXED, **{axis: r.axis})
-        want = pop(LinkBudget(p["pt_over_n0"], ExponentialGain(p["mu"])),
+        want = pop(link(p["pt_over_n0"], p["mu"]),
                    OutageSpec(p["epsilon"]), WeightParams(p["gamma"],
                                                           p["theta"]))
         assert (r.value.hex(), r.err, r.n_eval) == (want.hex(), 0.0, 1)

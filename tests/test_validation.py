@@ -13,16 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percept import (DomainError, ExponentialGain, LinkBudget, McConfig,
-                     MultipathConfig, OutageSpec, PerceptError, ReferencePoint,
-                     ToleranceNotMet, ValueParams, WeightParams, as_reference,
-                     draw_channel, pu_snr, validate_value_params)
+from percept import (DomainError, ExponentialGain, McConfig, MultipathConfig,
+                     OutageSpec, PerceptError, ReferencePoint, ToleranceNotMet,
+                     ValueParams, WeightParams, as_reference, draw_channel,
+                     pu_snr, validate_value_params)
 from percept.errors import _check_count, _check_size, _real
 from percept.sweep import _number
+from support import VP, WP, link
 
-VP = ValueParams(0.5, 1.0, 2.0)
-WP = WeightParams(1.0, 0.8)
-LINK = LinkBudget(10.0, ExponentialGain(1.0))
 PAST_FLOAT = "must be finite, got an integer past the float range"
 
 # what a caller might pass where a scalar belongs; every slot tries each
@@ -39,7 +37,7 @@ ANY_SCALAR = st.one_of(
 # a callable and valid arguments; each argument in turn is a scalar slot
 CALLS = {
     "ExponentialGain": (ExponentialGain, (1.0,)),
-    "LinkBudget": (lambda rho: LinkBudget(rho, ExponentialGain(1.0)), (10.0,)),
+    "LinkBudget": (link, (10.0,)),
     "OutageSpec": (OutageSpec, (1.0,)),
     "MultipathConfig": (MultipathConfig, (4, 1.0, 0)),
     "ValueParams": (ValueParams, (0.5, 1.0, 2.0)),
@@ -48,10 +46,10 @@ CALLS = {
     "validate_value_params": (validate_value_params, (0.5, 0.5, 1.0, 2.0)),
     "as_reference": (as_reference, (4.0,)),
     # one array program at most (411 nodes), so a tiny tolerance stays cheap
-    "pu_snr-tol": (lambda tol: pu_snr(LINK, 4.0, VP, WP, tol=tol, budget=420),
-                   (1e-8,)),
-    "pu_snr-budget": (lambda budget: pu_snr(LINK, 4.0, VP, WP, budget=budget),
-                      (420,)),
+    "pu_snr-tol": (lambda tol: pu_snr(link(10.0), 4.0, VP, WP, tol=tol,
+                                      budget=420), (1e-8,)),
+    "pu_snr-budget": (lambda budget: pu_snr(link(10.0), 4.0, VP, WP,
+                                            budget=budget), (420,)),
 }
 SLOTS = [pytest.param(fn, args, i, id=f"{name}-{i}")
          for name, (fn, args) in CALLS.items() for i in range(len(args))]
@@ -203,15 +201,15 @@ FORMER_CRASHES = [
     (lambda: ExponentialGain(10**400), "mu"),
     (lambda: ExponentialGain(10**5000), "mu"),
     (lambda: ValueParams(10**400, 1, 2), "alpha"),
-    (lambda: LinkBudget(None, ExponentialGain(1.0)), "pt_over_n0"),
+    (lambda: link(None), "pt_over_n0"),
     (lambda: MultipathConfig(1, 10**200), "mean gain"),
     (lambda: MultipathConfig(10**400), "k_paths"),
     (lambda: as_reference(None), "reference"),
     (lambda: as_reference(10**400), "reference"),
     (lambda: as_reference("4"), "reference"),
-    (lambda: pu_snr(LINK, 4.0, VP, WP, tol=None), "tolerance"),
-    (lambda: pu_snr(LINK, 4.0, VP, WP, budget=2500.0), "budget"),
-    (lambda: pu_snr(LINK, 4.0, VP, WP, budget=-10**5000), "budget"),
+    (lambda: pu_snr(link(10.0), 4.0, VP, WP, tol=None), "tolerance"),
+    (lambda: pu_snr(link(10.0), 4.0, VP, WP, budget=2500.0), "budget"),
+    (lambda: pu_snr(link(10.0), 4.0, VP, WP, budget=-10**5000), "budget"),
 ]
 
 
@@ -240,11 +238,12 @@ def test_scalar_messages_name_the_field(call, name):
 
 
 def test_tolerance_and_budget_keep_their_accepted_range():
-    first_pass = pu_snr(LINK, 4.0, VP, WP, tol=float("inf"))
+    first_pass = pu_snr(link(10.0), 4.0, VP, WP, tol=float("inf"))
     # levels 0 ... 3: 3 pieces of 137 nodes
     assert first_pass.evaluations == 411
     # a budget below one pass is a tolerance failure, not a domain error
     with pytest.raises(ToleranceNotMet, match="budget -1 is below"):
-        pu_snr(LINK, 4.0, VP, WP, budget=-1)
+        pu_snr(link(10.0), 4.0, VP, WP, budget=-1)
     # evaluations count in int64; a larger budget is just as unlimited
-    assert pu_snr(LINK, 4.0, VP, WP, budget=2**64) == pu_snr(LINK, 4.0, VP, WP)
+    assert pu_snr(link(10.0), 4.0, VP, WP, budget=2**64) == pu_snr(
+        link(10.0), 4.0, VP, WP)

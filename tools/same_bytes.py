@@ -6,8 +6,8 @@ PARENT and CHANGE are checkout directories; CHANGE defaults to the
 checkout that holds this script. Each checkout runs in its own Python
 subprocess with its own ``src/`` first on the path, and both take the
 same inputs, read from CHANGE's ``bench/catalogue.json``, its
-``tests/test_sweep.py`` (loaded by path) and, for fig8, its
-``sweep.PRESETS``:
+``tests/test_sweep.py`` (loaded by path, with ``tests/`` on the path for
+the ``tests/support.py`` it imports) and, for fig8, its ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
   ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of twelve edge cases:
@@ -30,9 +30,9 @@ same inputs, read from CHANGE's ``bench/catalogue.json``, its
   document and of fig8, each with an ``mc`` block of 1000 samples (one
   slice) and of 2**19 + 1 (past one batch), seed 0;
 - the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
-  ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by its
-  ``doc()``: each fails at one grid point, with an invalid value on a PU
-  axis or an invalid fixed field;
+  ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by the
+  ``doc()`` it imports from ``tests/support.py``: each fails at one grid
+  point, with an invalid value on a PU axis or an invalid fixed field;
 - the same ``run_scenario`` output of the ``pop`` sweeps of tier-1's
   ``POP_AXES``, one along each axis, in closed form and with an ``mc``
   block of 1000 samples, and the repr of the error it raises on the
@@ -97,6 +97,7 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(doc, mc={"samples": n})) for doc in mc_docs]
+    sys.path.insert(0, str(root / "tests"))  # test_sweep imports support
     spec = importlib.util.spec_from_file_location(
         "tier1_sweep", root / "tests" / "test_sweep.py")
     t = importlib.util.module_from_spec(spec)
