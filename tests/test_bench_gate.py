@@ -11,6 +11,8 @@ and uninstalling it must leave every binding as it was.
 """
 import sys
 
+import pytest
+
 from percept import metrics
 from percept.sweep import preset_scenario, run_scenario, scenario_from_dict
 from support import CATALOGUE, ROOT, load
@@ -50,9 +52,10 @@ QUAD_NODES, QUAD_NODES_MAX = 744_958, 819
 PRESET_PROGRAMS, QUAD_PROGRAMS = 1, 490
 
 
-def test_array_program_counts_are_pinned(monkeypatch):
-    # the node counts of the quad points are read from the rows of the same
-    # runs whose array programs are counted
+@pytest.fixture(scope="module")
+def counted_runs():
+    """Array programs of fig5, of fig6 and of the 320 quad scenarios, and
+    the n_eval of every quad point, all read from one run of each."""
     calls = []
 
     def counted(*args):
@@ -60,17 +63,30 @@ def test_array_program_counts_are_pinned(monkeypatch):
         return terms(*args)
 
     terms = metrics._terms
-    monkeypatch.setattr(metrics, "_terms", counted)
-    for name in ("fig5", "fig6"):
+    programs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_terms", counted)
+        for name in ("fig5", "fig6"):
+            calls.clear()
+            run_scenario(preset_scenario(name))
+            programs[name] = len(calls)
         calls.clear()
-        run_scenario(preset_scenario(name))
-        assert len(calls) == PRESET_PROGRAMS, name
-    calls.clear()
-    counts = [row.n_eval for e in CATALOGUE["quad"]
-              for row in run_scenario(scenario_from_dict(e["doc"]))]
-    assert len(calls) == QUAD_PROGRAMS
+        counts = [row.n_eval for e in CATALOGUE["quad"]
+                  for row in run_scenario(scenario_from_dict(e["doc"]))]
+        programs["quad"] = len(calls)
+    return programs, counts
+
+
+def test_quad_catalogue_node_counts_are_pinned(counted_runs):
+    _, counts = counted_runs
     assert (len(counts), sum(counts), max(counts)) == (
         1280, QUAD_NODES, QUAD_NODES_MAX)
+
+
+def test_array_program_counts_are_pinned(counted_runs):
+    programs, _ = counted_runs
+    assert programs == {"fig5": PRESET_PROGRAMS, "fig6": PRESET_PROGRAMS,
+                        "quad": QUAD_PROGRAMS}
 
 
 def test_first_program_depth_keeps_every_bit(monkeypatch):
