@@ -14,21 +14,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import WeightParams, _elementwise
+from .prospect import (WeightParams, _elementwise, _power, _scratch,
+                       _select)
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
-def _log1mexp(x):
+def _log1mexp(x, out=None, scratch=None):
     """log(1 - exp(-x)) for x >= 0, accurate in both tails; -inf at x = 0.
 
     log(-expm1(-x)) up to x = log 2 and log1p(-exp(-x)) above (Maechler
     2012), so neither tail loses precision before exp(-x) underflows.
+    Given ``out`` (not ``x``) and a :func:`~percept.prospect._scratch` set
+    of x's shape, both branches are formed in them and the result picked
+    into ``out`` by :func:`~percept.prospect._select`, as the sampler's
+    random draws need; without them np.where picks it, which is fast on
+    sorted arguments.
     """
+    tmp, bits, above = (None, None, None) if scratch is None else scratch
     with np.errstate(divide="ignore"):
-        return np.where(x > _LOG2,
-                        np.log1p(-np.exp(-x)), np.log(-np.expm1(-x)))
+        hi = np.log1p(np.negative(np.exp(np.negative(x, out=out), out=out),
+                                  out=out), out=out)
+        lo = np.log(np.negative(np.expm1(np.negative(x, out=tmp), out=tmp),
+                                out=tmp), out=tmp)
+    cond = np.greater(x, _LOG2, out=above)
+    if scratch is None:
+        return np.where(cond, hi, lo)
+    return _select(cond, hi, lo, bits)
 
 
 @dataclass(frozen=True)
@@ -144,14 +157,26 @@ class PerceptualDistribution:
         capped at -5e-324, the smallest base probability; where z underflows
         to 0 (u near 1, small theta) log z is formed from u directly.
         """
-        if not np.all((u > 0.0) & (u < 1.0)):  # NaN fails both
+        return self._sample(u, np.empty(u.shape), np.empty(u.shape),
+                            _scratch(u.shape))
+
+    def _sample(self, u, out, z, scratch):
+        """:meth:`perceptual_sample` of an array ``u`` written into ``out``,
+        with ``z`` and a :func:`~percept.prospect._scratch` set of u's shape
+        as scratch; checked as that checks, under the caller's error
+        state."""
+        if u.size and not (0.0 < u.min() and u.max() < 1.0):  # NaN fails
             raise DomainError("uniform variate must lie in (0, 1)")
         gamma, theta = self.weights.gamma, self.weights.theta
         # z = inf is the limit exp(-z) = 0
-        z = ((-np.log(u)) / gamma) ** (1.0 / theta)
-        log_q = _log1mexp(z)
+        np.divide(np.negative(np.log(u, out=z), out=z), gamma, out=z)
+        _power(z, 1.0 / theta)
+        log_q = _log1mexp(z, out, scratch)
         np.minimum(log_q, -5e-324, out=log_q)
-        under = z == 0.0
-        if np.any(under):
-            log_q[under] = (np.log(-np.log(u[under])) - np.log(gamma)) / theta
-        return -self.base.mu * log_q
+        tmp, _, under = scratch
+        if np.equal(z, 0.0, out=under).any():  # log z from u, there only
+            t = np.log(u, out=tmp, where=under)
+            np.log(np.negative(t, out=t, where=under), out=t, where=under)
+            np.subtract(t, np.log(gamma), out=log_q, where=under)
+            np.divide(log_q, theta, out=log_q, where=under)
+        return np.multiply(-self.base.mu, log_q, out=log_q)

@@ -124,7 +124,8 @@ class PuResult:
 class CompositeMetric:
     """A link metric of the received SNR, the map g -> of(rho * g).
 
-    ``of`` is nondecreasing and elementwise on arrays of SNRs. ``crossing``
+    ``of`` is nondecreasing and elementwise on arrays of SNRs; it may write
+    its result into its argument, which is always a temporary. ``crossing``
     is the gain at which the metric meets its reference point: math.inf
     when it never does (all-loss), 0.0 when it is met on the whole support
     (all-gain). Built by :func:`snr_metric` and :func:`rate_metric`.
@@ -137,7 +138,12 @@ class CompositeMetric:
 
     @_elementwise
     def map(self, g):
-        return self.of(self.rho * g)
+        return self._map(g, np.empty(g.shape))
+
+    def _map(self, g, out):
+        """:meth:`map` of an array ``g``, its SNR formed in ``out``, which
+        may be ``g``; under the caller's error state."""
+        return self.of(np.multiply(self.rho, g, out=out))
 
 
 def _gain_at(s, mu, gamma, theta):
@@ -397,7 +403,7 @@ def _snr(x):
 
 
 def _rate(x):
-    return np.log2(1.0 + x)
+    return np.log2(np.add(1.0, x, out=x), out=x)
 
 
 def snr_metric(link: LinkBudget, ref) -> CompositeMetric:

@@ -11,10 +11,10 @@ Philox generator, so the merged estimate is reproducible bit for bit and
 independent of how batches are scheduled. Batches run on up to one thread
 per CPU the process may use (numpy releases the interpreter lock in its
 ufuncs and generator fills), and within a batch the elementwise work runs
-in cache-sized slices, each reduced to its moments as soon as it is drawn;
-each output element comes from the same operations on the same inputs, and
-the slices and batches are merged in the same order, whatever the thread
-count.
+in cache-sized slices, each written into one scratch set per batch and
+reduced to its moments as soon as it is drawn; each output element comes
+from the same operations on the same inputs, and the slices and batches
+are merged in the same order, whatever the thread count.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ import numpy as np
 from .distributions import PerceptualDistribution
 from .errors import DomainError, _check_count, _check_size
 from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
-from .prospect import (ValueParams, WeightParams, _check_value, value, weight,
-                       weight_derivative)
+from .prospect import (ValueParams, WeightParams, _check_value, _scratch,
+                       _value, weight, weight_derivative)
 
 RNG_ALGORITHM = "philox4x64"
 _BATCH = 1 << 19
@@ -137,36 +137,53 @@ def _merge(a, b):
             + delta * delta * (n_a * n_b / n), k)
 
 
+def _slice_values(u, metric: CompositeMetric, pd: PerceptualDistribution,
+                  value_params: ValueParams, out, z, scratch):
+    """value(metric.map(pd.perceptual_sample(u)), metric.ref, value_params)
+    written into ``out``, with ``z`` and a :func:`~percept.prospect._scratch`
+    set of u's shape as scratch: the same kernels, checks and error state
+    as those public calls, without their allocations."""
+    with np.errstate(divide="ignore", over="ignore"):
+        pd._sample(u, out, z, scratch)
+        # an ``of`` that returns one constant is broadcast
+        np.copyto(out, metric._map(out, out))
+        return _value(out, metric.ref.x0, value_params, out, scratch)
+
+
 def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
           value_params: ValueParams, config: McConfig) -> McEstimate:
     """Sample-mean estimate of the perceptual utility of ``metric``.
 
-    Each slice of draws is valued by :func:`value`, so a bad quantity or
-    an overflowing value raises its DomainError, and its (n, mean, M2/4**k,
-    k) is merged into the batch's in draw order, from the first slice's;
-    the batches are merged the same way. k is the binary exponent of the
-    slice's largest |value|, so the squared deviations cannot overflow and
-    a finite mean has a finite standard error; a mean that overflows the
-    float range raises.
+    Each slice of draws is valued as :func:`value` values it, so a bad
+    quantity or an overflowing value raises its DomainError, and its (n,
+    mean, M2/4**k, k) is merged into the batch's in draw order, from the
+    first slice's; the batches are merged the same way. k is the binary
+    exponent of the slice's largest |value|, so the squared deviations
+    cannot overflow and a finite mean has a finite standard error; a mean
+    that overflows the float range raises. Each batch allocates one
+    slice-sized scratch set, which every slice writes into.
     """
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
 
     def batch(i, rng, m):
         """(m, mean, M2/4**k, k) of one batch, merged slice by slice."""
+        size = min(_SLICE, m)
+        floats, scratch = np.empty((3, size)), _scratch(size)
         acc = None
         for lo in range(0, m, _SLICE):
+            n = min(_SLICE, m - lo)
+            u, z, vals = floats[:, :n]
             # consecutive draws read the same stream as one draw of m
-            u = rng.random(min(_SLICE, m - lo))
-            np.fmax(u, _U_FLOOR, out=u)
-            vals = value(np.broadcast_to(metric.map(pd.perceptual_sample(u)),
-                                         u.shape), metric.ref, value_params)
+            np.fmax(rng.random(out=u), _U_FLOOR, out=u)
+            _slice_values(u, metric, pd, value_params, vals, z,
+                          [a[:n] for a in scratch])
             k = math.frexp(max(-float(vals.min()), float(vals.max())))[1]
             with np.errstate(over="ignore", invalid="ignore"):
                 mean = float(vals.mean())
-                dev = np.ldexp(vals, -k)
+                dev = np.ldexp(vals, -k, out=z)
                 dev -= math.ldexp(mean, -k)
-                part = u.size, mean, float(np.square(dev, out=dev).sum()), k
+                part = n, mean, float(np.square(dev, out=dev).sum()), k
             acc = part if acc is None else _merge(acc, part)
         return acc
 
@@ -199,10 +216,14 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
     g_th = rate_gain(spec.epsilon, rho)
 
     def batch(i, rng, m):
+        size = min(_SLICE, m)
+        gains, below = np.empty(size), np.empty(size, bool)
         outages = 0
         for lo in range(0, m, _SLICE):
-            gains = rng.standard_exponential(min(_SLICE, m - lo))
-            outages += int(np.count_nonzero(gains * link.channel.mu < g_th))
+            n = min(_SLICE, m - lo)
+            g = rng.standard_exponential(out=gains[:n])
+            np.multiply(g, link.channel.mu, out=g)
+            outages += int(np.count_nonzero(np.less(g, g_th, out=below[:n])))
         return outages
 
     n = config.samples

@@ -183,33 +183,92 @@ def value(x, ref, params: ValueParams):
     ``x`` may be a scalar or array of nonnegative finite values. Returns 0
     exactly at the reference point.
     """
-    x0 = as_reference(ref).x0
-    _check_quantity(x)
-    out = _value_kernel(x, x0, params.alpha, params.lambda_gain,
-                        params.lambda_loss)
-    _check_value(out)
+    return _value(x, as_reference(ref).x0, params, np.empty(x.shape),
+                  _scratch(x.shape))
+
+
+def _value(x, x0, params: ValueParams, out, scratch):
+    """:func:`value` of an array ``x`` written into ``out``, which may be
+    ``x``, with a :func:`_scratch` set of its shape; checked as ``value``
+    checks, under the caller's error state."""
+    _check_quantity(x, scratch[2])
+    _value_kernel(x, x0, params.alpha, params.lambda_gain, params.lambda_loss,
+                  out, scratch)
+    _check_value(out, scratch[2])
     return out
 
 
-def _check_quantity(x: np.ndarray) -> None:
-    """Raise DomainError unless every quantity in ``x`` is finite and >= 0."""
-    if not np.all(np.isfinite(x)):
+def _check_quantity(x, mask=None) -> None:
+    """Raise DomainError unless every quantity in ``x`` is finite and >= 0;
+    ``mask``, a bool array of x's shape, takes the elementwise tests."""
+    if not np.isfinite(x, out=mask).all():
         raise DomainError("quantity metric must be finite")
-    if np.any(x < 0.0):
+    if np.less(x, 0.0, out=mask).any():
         raise DomainError("quantity metric must be nonnegative")
 
 
-def _check_value(v) -> None:
-    """Raise DomainError unless every perceived value in ``v`` is finite."""
-    if not np.all(np.isfinite(v)):
+def _check_value(v, mask=None) -> None:
+    """Raise DomainError unless every perceived value in ``v`` is finite;
+    ``mask``, a bool array of v's shape, takes the elementwise test."""
+    if not np.isfinite(v, out=mask).all():
         raise DomainError("perceived value overflows the float range")
 
 
-def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss):
-    """The value-function formula, unchecked; all arguments broadcast."""
-    d = x - x0
-    mag = np.abs(d) ** alpha
-    return np.where(d >= 0.0, lambda_gain * mag, -lambda_loss * mag)
+def _scratch(shape) -> tuple:
+    """A float64, an int64 and a bool array of ``shape``: the scratch set
+    of the in-place kernels."""
+    return np.empty(shape), np.empty(shape, np.int64), np.empty(shape, bool)
+
+
+def _select(cond, a, b, bits):
+    """np.where(cond, a, b) for float64 arrays, written into ``a``.
+
+    Branch-free on the int64 views: a ^= b; a &= -cond; a ^= b, with
+    ``bits`` an int64 array of cond's shape for -cond. The picked element's
+    bits are copied whole, so NaN, signed zeros and infinities come out as
+    np.where gives them. np.where branches per element, so a random mask
+    costs it several times what a constant one does.
+    """
+    np.copyto(bits, cond)
+    np.negative(bits, out=bits)
+    a_bits, b_bits = a.view(np.int64), b.view(np.int64)
+    np.bitwise_xor(a_bits, b_bits, out=a_bits)
+    np.bitwise_and(a_bits, bits, out=a_bits)
+    np.bitwise_xor(a_bits, b_bits, out=a_bits)
+    return a
+
+
+def _power(a, p):
+    """``a ** p`` written into the array ``a``, formed as ``**`` forms it:
+    with numpy's fast paths for special exponents (0.5 and 2 among them)
+    on an array, and as a scalar where ``a`` is 0-d, since numpy takes a
+    scalar's power from the C library, which may differ from its array
+    loop in the last bit."""
+    if a.ndim:
+        a **= p
+    else:
+        a[()] = a[()] ** p
+    return a
+
+
+def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss, out=None,
+                  scratch=None):
+    """The value-function formula, unchecked; all arguments broadcast.
+
+    Given ``out`` (which may be ``x``) and a :func:`_scratch` set of its
+    shape, the value is formed in them and picked by :func:`_select`, as
+    the sampler's random signs need. Without them it is picked by np.where,
+    which is fast on the quadrature's nodes, whose signs come in runs.
+    """
+    tmp, bits, mask = (None, None, None) if scratch is None else scratch
+    d = np.subtract(x, x0, out=out)
+    mag = _power(np.abs(d, out=tmp), alpha)
+    gains = np.greater_equal(d, 0.0, out=mask)
+    pos = np.multiply(lambda_gain, mag, out=out)
+    neg = np.multiply(-lambda_loss, mag, out=tmp)
+    if scratch is None:
+        return np.where(gains, pos, neg)
+    return _select(gains, pos, neg, bits)
 
 
 @_elementwise

@@ -1,8 +1,10 @@
 """Monte Carlo oracle: distribution targeting, batching, reproducibility."""
 import math
+import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ import pytest
 from percept import (CompositeMetric, DomainError, ExponentialGain, McConfig,
                      MultipathConfig, OutageSpec, PerceptualDistribution,
                      ReferencePoint, ValueParams, WeightParams, gain_samples,
-                     mc_pop, mc_pu, outage_probability, pu_snr, snr_metric,
-                     value, weight)
+                     mc_pop, mc_pu, outage_probability, pu_snr, rate_metric,
+                     snr_metric, value, weight)
 from percept import montecarlo
-from percept.montecarlo import (_BATCH, _U_FLOOR, RNG_ALGORITHM,
-                                _map_substreams)
+from percept.montecarlo import (_BATCH, _SLICE, _U_FLOOR, RNG_ALGORITHM,
+                                _map_substreams, _slice_values)
+from percept.prospect import _scratch, _value_kernel
 from support import EXP_CDF_1, POP_HALF, VP, VP_ID, WP, WP_ID, link
 
 
@@ -200,7 +203,54 @@ def test_batched_merge_matches_single_pass_statistics():
         float(flat.std(ddof=1)) / math.sqrt(n), rel=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1.0, 0.5, 0.65, 0.01])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.88])
+@pytest.mark.parametrize("make_metric", [snr_metric, rate_metric],
+                         ids=["snr", "rate"])
+def test_slice_values_match_the_public_composition(make_metric, alpha, theta):
+    # alpha of 1 and 0.5 and 1/theta of 1 and 2 take numpy's fast paths
+    # of ** (alpha 2 and 1/theta 0.5 lie outside the parameter box);
+    # theta = 0.01 makes z underflow to 0 for u near 1. The slices are
+    # views of one batch's scratch set, run longest first so that each
+    # later one finds the earlier's leftovers
+    vp = ValueParams(alpha, 0.5, 2.0, mode="permissive")
+    pd = make_pd(WeightParams(1.1, theta, mode="permissive"), mu=1.3)
+    lk = link(10.0, mu=1.3)
+    u0 = 0.3  # its metric is the reference: a deviation of exactly 0
+    ref = make_metric(lk, 0.0).map(pd.perceptual_sample(u0))
+    metric = make_metric(lk, ref)
+    draws = np.random.default_rng(5).random(_SLICE)
+    draws[:6] = u0, _U_FLOOR, 1.0 - 2.0**-53, 1.0 - 1e-9, 0.5, 1e-300
+    np.fmax(draws, _U_FLOOR, out=draws)
+    floats, scratch = np.empty((3, _SLICE)), _scratch(_SLICE)
+    for n in (_SLICE - 1, 1, 5):
+        u, z, out = floats[:, :n]
+        u[:] = draws[:n]
+        got = _slice_values(u, metric, pd, vp, out, z,
+                            [a[:n] for a in scratch])
+        omega = np.broadcast_to(metric.map(pd.perceptual_sample(draws[:n])),
+                                (n,))
+        want = value(omega, metric.ref, vp)
+        assert got is out
+        assert out.tobytes() == want.tobytes(), n
+        assert u.tobytes() == draws[:n].tobytes()
+        # the quadrature's form of the kernel, picked by np.where
+        assert want.tobytes() == _value_kernel(
+            omega, ref, alpha, 0.5, 2.0).tobytes()
+        if n == 1:
+            assert want[0] == 0.0
+    if theta == 0.01:  # the draws near 1 took the gain from log z
+        assert np.any((-np.log(draws) / 1.1) ** 100.0 == 0.0)
+
+
 # --- block scheduling ---------------------------------------------------------
+
+def test_cpus_without_an_affinity_call_counts_the_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert montecarlo._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert montecarlo._cpus() == 1
+
 
 def use_cpus(monkeypatch, n):
     monkeypatch.setattr(montecarlo, "_cpus", lambda: n)
@@ -320,6 +370,21 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
                    McConfig(samples=20_001, seed=4)),
             gain_samples(MultipathConfig(80, seed=4), 5 * 16384 + 7).tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_mc_pu_peak_memory(monkeypatch):
+    # two workers, each with one batch's scratch set: four float arrays, one
+    # int64 and one bool array of one slice, 41 bytes a sample
+    use_cpus(monkeypatch, 2)
+    args = (snr_metric(link(10.0), 4.0), make_pd(), VP, McConfig(10**6))
+    mc_pu(*args)
+    tracemalloc.start()
+    try:
+        mc_pu(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 41 * _SLICE + (64 << 10)
 
 
 # --- weighted outage estimator ----------------------------------------------

@@ -11,6 +11,7 @@ from percept import (ConstraintViolation, DomainError, ExponentialGain,
                      ValueParams, WeightParams, rate_metric,
                      validate_value_params, value, weight, weight_derivative,
                      weight_inverse)
+from percept.prospect import _select
 from support import INV_E, VP
 
 W_HALF = WeightParams(gamma=1.0, theta=0.5)
@@ -106,6 +107,31 @@ def test_value_rejects_negative_or_nonfinite_metric():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             value(bad, 4.0, VP)
+
+
+# every kind of double whose bits np.where copies: NaNs of both signs and
+# a payload, signed zeros and infinities, subnormals, normals
+SPECIALS = np.concatenate([
+    [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+     2.225073858507201e-308, -1e-310, 1.0, -3.5, 1.7976931348623157e308],
+    np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], np.int64).view(float),
+])
+
+
+def test_select_equals_where_byte_for_byte():
+    rng = np.random.default_rng(3)
+    a, b = rng.choice(SPECIALS, (2, 4096))
+    cases = [(cond, a, b) for cond in (np.ones(4096, bool),
+                                       np.zeros(4096, bool),
+                                       rng.random(4096) < 0.5)]
+    cases += [(np.array(c), np.array(x), np.array(y))  # 0-d
+              for c in (True, False) for x in SPECIALS for y in SPECIALS]
+    for cond, x, y in cases:
+        want = np.where(cond, x, y).tobytes()
+        y_bytes = y.tobytes()
+        got = _select(cond, x.copy(), y, np.empty(cond.shape, np.int64))
+        assert got.tobytes() == want
+        assert y.tobytes() == y_bytes
 
 
 @pytest.mark.filterwarnings("error")
