@@ -138,12 +138,7 @@ class CompositeMetric:
 
     @_elementwise
     def map(self, g):
-        return self._map(g, np.empty(g.shape))
-
-    def _map(self, g, out):
-        """:meth:`map` of an array ``g``, its SNR formed in ``out``, which
-        may be ``g``; under the caller's error state."""
-        return self.of(np.multiply(self.rho, g, out=out))
+        return self.of(np.multiply(self.rho, g, out=np.empty(g.shape)))
 
 
 def _gain_at(s, mu, gamma, theta):

@@ -146,7 +146,7 @@ def _slice_values(u, metric: CompositeMetric, pd: PerceptualDistribution,
     with np.errstate(divide="ignore", over="ignore"):
         pd._sample(u, out, z, scratch)
         # an ``of`` that returns one constant is broadcast
-        np.copyto(out, metric._map(out, out))
+        np.copyto(out, metric.of(np.multiply(metric.rho, out, out=out)))
         return _value(out, metric.ref.x0, value_params, out, scratch)
 
 

@@ -3,7 +3,8 @@
 pytest collects no test from this module (its name does not start with
 ``test_``) and puts ``tests/`` on ``sys.path``, so a test file takes what
 it needs with ``from support import ...``. A value used by one file alone
-stays in that file.
+stays in that file, unless ``tools/same_bytes.py`` reads it too. This
+module imports numpy and percept, not pytest.
 """
 import importlib.util
 import json
@@ -49,6 +50,81 @@ def doc(**over):
     }
     base.update(over)
     return base
+
+
+def pop_doc(axis: str, grid: list, **over) -> dict:
+    """Minimal valid pop scenario document along ``axis``."""
+    return doc(metric="pop", axis={"name": axis, "grid": grid},
+               **{"pt_over_n0": 10.0, "epsilon": 1.0, **over})
+
+
+# The error and pop tables below are test_sweep's cases, and
+# tools/same_bytes.py builds its error and pop documents from them.
+INF = float("inf")
+# an axis, its grid, the fixed fields that differ from doc(pt_over_n0=10)
+# and the error run_scenario raises: an invalid value on each PU axis,
+# then invalid fixed fields, which fail the first grid point. A fixed mu
+# is checked before a pt_over_n0 or reference value, as the gain law is
+# built before the link budget and the reference point.
+AXIS_ERRORS = [
+    ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
+     "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
+    ("reference", [0.0, 4.0, INF], {}, "DomainError('at grid point "
+     "reference=inf: reference must be finite, got inf')"),
+    ("mu", [0.0, 1.0, 2.0], {},
+     "DomainError('at grid point mu=0: mu must be > 0, got 0.0')"),
+    ("alpha", [0.3, 0.5, 1.0], {}, "ConstraintViolation('concavity: at "
+     "grid point alpha=1: alpha must lie in (0, 1), got 1.0')"),
+    ("lambda_gain", [0.5, 1.0, 2.0], {}, "ConstraintViolation("
+     "'loss_aversion: at grid point lambda_gain=2: strict mode requires "
+     "lambda_gain < lambda_loss, got 2.0 >= 2.0')"),
+    ("lambda_loss", [1.0, 2.0, 3.0], {}, "ConstraintViolation("
+     "'loss_aversion: at grid point lambda_loss=1: strict mode requires "
+     "lambda_gain < lambda_loss, got 1.0 >= 1.0')"),
+    ("gamma", [0.5, 1.0, INF], {}, "DomainError('at grid point gamma=inf: "
+     "gamma must be finite, got inf')"),
+    ("theta", [0.5, 0.8, 1.0], {}, "ConstraintViolation('inverse_s: at "
+     "grid point theta=1: theta must lie in (0, 1), got 1.0')"),
+    ("pt_over_n0", [1.0, 10.0], {"mu": 0.0}, "DomainError('at grid point "
+     "pt_over_n0=1: mu must be > 0, got 0.0')"),
+    ("mu", [1.0, 2.0], {"pt_over_n0": -1.0}, "DomainError('at grid point "
+     "mu=1: pt_over_n0 must be >= 0, got -1.0')"),
+    ("pt_over_n0", [1.0, 10.0], {"reference": -1.0}, "ConstraintViolation("
+     "'reference: at grid point pt_over_n0=1: reference point must be "
+     ">= 0, got -1.0')"),
+    ("reference", [-1.0, 4.0], {"mu": INF}, "DomainError('at grid point "
+     "reference=-1: mu must be finite, got inf')"),
+    ("pt_over_n0", [-1.0, 10.0], {"mu": -1.0}, "DomainError('at grid "
+     "point pt_over_n0=-1: mu must be > 0, got -1.0')"),
+]
+
+# a grid on each pop axis
+POP_AXES = [("epsilon", [0.25, 1.0, 4.0]), ("mu", [0.5, 1.0, 3.0]),
+            ("gamma", [0.5, 1.0, 2.0]), ("theta", [0.3, 0.65, 0.9]),
+            ("pt_over_n0", [0.0, 1.0, 100.0])]
+
+# as AXIS_ERRORS, for pop: an invalid value on each axis, then invalid fixed
+# fields. The weighting block is checked before the gain law, and the gain
+# law before the outage threshold.
+POP_AXIS_ERRORS = [
+    ("epsilon", [0.5, 1.0, INF], {}, "DomainError('at grid point "
+     "epsilon=inf: epsilon must be finite, got inf')"),
+    ("mu", [0.5, 1.0, INF], {}, "DomainError('at grid point mu=inf: mu "
+     "must be finite, got inf')"),
+    ("gamma", [0.5, 1.0, INF], {}, "DomainError('at grid point gamma=inf: "
+     "gamma must be finite, got inf')"),
+    ("theta", [0.5, 0.8, 1.0], {}, "ConstraintViolation('inverse_s: at "
+     "grid point theta=1: theta must lie in (0, 1), got 1.0')"),
+    ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
+     "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
+    ("pt_over_n0", [1.0, 10.0], {"epsilon": 0.0}, "DomainError('at grid "
+     "point pt_over_n0=1: epsilon must be > 0, got 0.0')"),
+    ("epsilon", [0.0, 1.0], {"mu": 0.0}, "DomainError('at grid point "
+     "epsilon=0: mu must be > 0, got 0.0')"),
+    ("theta", [1.0], {"mu": 0.0, "epsilon": 0.0}, "ConstraintViolation("
+     "'inverse_s: at grid point theta=1: theta must lie in (0, 1), got "
+     "1.0')"),
+]
 
 
 def load(path, name):

@@ -5,9 +5,10 @@ whole and judged by the bench's own rules: every quadrature point lies
 within its reported abs_error of its reference, every CLI entry exits 0
 with values within the bench's bounds, and so does every preset. The
 integrand nodes the quadrature points take, and the array programs that
-evaluate them, are pinned. The bench's tracer
-rebinds names of the package at run time; its targets must still exist,
-and uninstalling it must leave every binding as it was.
+evaluate them, are pinned; one run of the quad scenarios gives the rows
+judged and the counts pinned. The bench's tracer rebinds names of the
+package at run time; its targets must still exist, and uninstalling it
+must leave every binding as it was.
 """
 import sys
 
@@ -32,15 +33,6 @@ def _failures(ops):
     return out
 
 
-def test_every_quad_catalogue_point_is_within_its_abs_error():
-    ops = [(f"quad[{i}]", workloads.Op("scenario", {"doc": e["doc"]},
-                                       tuple(e["refs"])))
-           for i, e in enumerate(CATALOGUE["quad"])]
-    assert len(ops) == 320
-    assert sum(len(op.refs) for _, op in ops) == 1280
-    assert _failures(ops) == []
-
-
 # integrand nodes of the 1280 quad points, in all and at most per point.
 # The counts do not depend on the host, so a change to the engine has to
 # state what it costs here.
@@ -55,7 +47,7 @@ PRESET_PROGRAMS, QUAD_PROGRAMS = 1, 490
 @pytest.fixture(scope="module")
 def counted_runs():
     """Array programs of fig5, of fig6 and of the 320 quad scenarios, and
-    the n_eval of every quad point, all read from one run of each."""
+    the rows of each quad scenario, all read from one run of each."""
     calls = []
 
     def counted(*args):
@@ -71,14 +63,30 @@ def counted_runs():
             run_scenario(preset_scenario(name))
             programs[name] = len(calls)
         calls.clear()
-        counts = [row.n_eval for e in CATALOGUE["quad"]
-                  for row in run_scenario(scenario_from_dict(e["doc"]))]
+        runs = [run_scenario(scenario_from_dict(e["doc"]))
+                for e in CATALOGUE["quad"]]
         programs["quad"] = len(calls)
-    return programs, counts
+    return programs, runs
+
+
+def test_every_quad_catalogue_point_is_within_its_abs_error(counted_runs):
+    # the rows of the counted run, judged by the bench's own check
+    _, runs = counted_runs
+    assert len(runs) == 320
+    assert sum(len(e["refs"]) for e in CATALOGUE["quad"]) == 1280
+    failures = []
+    for i, (e, rows) in enumerate(zip(CATALOGUE["quad"], runs)):
+        out = workloads.Outcome()
+        workloads.check_pu([r.value for r in rows], [r.err for r in rows],
+                           e["refs"], out)
+        if not out.ok:
+            failures.append((f"quad[{i}]", out.detail))
+    assert failures == []
 
 
 def test_quad_catalogue_node_counts_are_pinned(counted_runs):
-    _, counts = counted_runs
+    _, runs = counted_runs
+    counts = [row.n_eval for rows in runs for row in rows]
     assert (len(counts), sum(counts), max(counts)) == (
         1280, QUAD_NODES, QUAD_NODES_MAX)
 

@@ -46,6 +46,7 @@ at s/mu > 708 whose weight differs from 1 moved to the accurate value.
 import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -184,10 +185,14 @@ def test_quadrature_outputs_are_pinned():
     assert [k for k in QUAD if got[k] != QUAD[k]] == []
 
 
-def test_same_bytes_builds_every_input_group():
+def test_same_bytes_builds_every_input_group(monkeypatch):
     # tools/same_bytes.py takes its error and pop documents from the tables
-    # of test_sweep.py: a renamed table or builder fails here, not in the
-    # tool's next run. The sizes are those it printed before it read them.
+    # of support.py: a renamed table or builder fails here, not in the
+    # tool's next run, and so does an import of pytest on the way, as the
+    # tool runs outside pytest. The sizes are those it printed before it
+    # read the tables.
+    monkeypatch.setitem(sys.modules, "pytest", None)
+    monkeypatch.delitem(sys.modules, "support")  # imported afresh
     tool = load(ROOT / "tools" / "same_bytes.py", "same_bytes")
     groups = tool.jobs(CATALOGUE, PRESETS["fig8"])
     assert {name: len(jobs) for name, jobs in groups.items()} == {

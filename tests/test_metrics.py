@@ -17,8 +17,7 @@ from percept.metrics import (_H0, _HI, _LO, _MU, _STEPS, _TAU_LO,
                              DEFAULT_BUDGET, _gain_at, _node_factors, _pieces,
                              _point, _snr, _terms, pu_batch, rate_gain)
 from percept.sweep import preset_scenario, run_scenario
-from support import (CATALOGUE, EXP_CDF_1, POP_HALF, VP, VP_ID, WP, WP_ID,
-                     link)
+from support import EXP_CDF_1, POP_HALF, VP, VP_ID, WP, WP_ID, link
 
 # mpmath (30 digits)
 OUTAGE_E2_R10 = 0.25918177931828213   # 1 - exp(-0.3)
@@ -59,12 +58,6 @@ def test_pu_rejects_nonpositive_tolerance():
 
 
 # --- perceptual utility: analytic anchors -----------------------------------
-
-def test_zero_power_is_pure_reference_loss():
-    res = pu_snr(link(0.0), 4.0, VP, WP)
-    assert res.value == pytest.approx(-4.0, abs=1e-8)
-    assert res.abs_error <= 1e-8
-
 
 def test_classical_reduction_scales_with_mean_gain():
     res = pu_snr(link(50.0, mu=2.0), 0.0, VP_ID, WP_ID)
@@ -142,6 +135,7 @@ def test_generic_composite_constant_metric():
     for pu in (pu_snr, pu_rate):
         res = pu(link(0.0), 4.0, VP, WP)
         assert res.value == pytest.approx(-4.0, abs=1e-8)
+        assert res.abs_error <= 1e-8
 
 
 def test_generic_composite_map_may_return_one_constant():
@@ -194,27 +188,6 @@ def test_budget_stops_each_point_of_a_batch_as_alone():
     assert isinstance(starved, ToleranceNotMet)
     assert "below the 411 evaluations of one pass" in str(starved)
     assert starved.evaluations == 0
-
-
-# --- perceptual utility: shape ----------------------------------------------
-
-def test_pu_increases_with_power():
-    rhos = [1.0, 2.0, 5.0, 10.0, 100.0, 1000.0]
-    snr_vals = [pu_snr(link(r), 4.0, VP, WP).value for r in rhos]
-    rate_vals = [pu_rate(link(r), 4.0, VP, WP).value for r in rhos]
-    assert all(b > a for a, b in zip(snr_vals, snr_vals[1:]))
-    assert all(b > a for a, b in zip(rate_vals, rate_vals[1:]))
-
-
-def test_pu_decreases_with_reference_point():
-    vals = [pu_snr(link(10.0), g0, VP, WP).value for g0 in (1.0, 4.0, 16.0)]
-    assert vals[0] > vals[1] > vals[2]
-
-
-def test_pu_decreases_with_loss_aversion():
-    vals = [pu_snr(link(10.0), 4.0, ValueParams(0.5, 1.0, lam), WP).value
-            for lam in (1.5, 2.0, 3.0)]
-    assert vals[0] > vals[1] > vals[2]
 
 
 # --- perceptual utility: small theta and accuracy against mpmath ------------
@@ -430,15 +403,6 @@ def test_error_bound_holds_on_hard_points(metric, rho, ref, alpha,
     assert abs(res.value - float(expect)) <= res.abs_error
 
 
-@pytest.mark.parametrize("name", ["fig5", "fig6"])
-def test_error_bound_holds_on_pu_presets(name):
-    refs = CATALOGUE["presets"][name]
-    rows = run_scenario(preset_scenario(name))
-    assert len(rows) == len(refs)
-    for row, expect in zip(rows, refs):
-        assert abs(row.value - float(expect)) <= row.err, row.axis
-
-
 @pytest.mark.parametrize("name", sorted(PRESET_EVALS))
 def test_pu_preset_evaluation_counts_are_pinned(name):
     rows = run_scenario(preset_scenario(name))
@@ -491,13 +455,6 @@ def test_pop_overweights_rare_outages():
     lk = link(1000.0)
     spec = OutageSpec(1.0)
     assert pop(lk, spec, wp) > outage_probability(lk, spec)
-
-
-def test_pop_decreases_with_power():
-    wp = WeightParams(1.0, 0.65)
-    vals = [pop(link(r), OutageSpec(1.0), wp)
-            for r in (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_rate_threshold_past_float_range():

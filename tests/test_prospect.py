@@ -182,12 +182,6 @@ def test_weight_boundaries():
     assert weight(1.0, W_HALF) == 1.0
 
 
-@pytest.mark.parametrize("theta", [0.3, 0.5, 0.8, 0.99])
-def test_weight_prelec_fixed_point(theta):
-    wp = WeightParams(1.0, theta)
-    assert abs(weight(INV_E, wp) - INV_E) < 1e-12
-
-
 def test_weight_closed_form_values():
     assert weight(0.01, W_HALF) == pytest.approx(W_0p01_HALF, abs=1e-14)
     assert weight(0.5, W_HALF) == pytest.approx(W_0p5_HALF, abs=1e-14)

@@ -13,7 +13,8 @@ from percept import (ConstraintViolation, DomainError, McConfig, OutageSpec,
                      preset_scenario, pu_rate, pu_snr, run_scenario,
                      scenario_from_dict, sweep_csv, weight)
 from percept.sweep import _AXES, PRESET_NOTES, PRESETS, SCHEMA, Scenario
-from support import VP, WP, doc, link
+from support import (AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, VP, WP, doc,
+                     link, pop_doc)
 
 WEIGHT_SNAPSHOT = ("axis,value,err,n_eval\n"
                    "0,0,0,1\n"
@@ -364,46 +365,6 @@ def test_later_domain_error_does_not_hide_an_earlier_failure(later):
             run_scenario(scenario_from_dict(doc(axis=axis, budget=100)))
 
 
-INF = float("inf")
-# an axis, its grid, the fixed fields that differ from doc(pt_over_n0=10)
-# and the error run_scenario raises: an invalid value on each PU axis,
-# then invalid fixed fields, which fail the first grid point. A fixed mu
-# is checked before a pt_over_n0 or reference value, as the gain law is
-# built before the link budget and the reference point. tools/same_bytes.py
-# reads this table through doc().
-AXIS_ERRORS = [
-    ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
-     "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
-    ("reference", [0.0, 4.0, INF], {}, "DomainError('at grid point "
-     "reference=inf: reference must be finite, got inf')"),
-    ("mu", [0.0, 1.0, 2.0], {},
-     "DomainError('at grid point mu=0: mu must be > 0, got 0.0')"),
-    ("alpha", [0.3, 0.5, 1.0], {}, "ConstraintViolation('concavity: at "
-     "grid point alpha=1: alpha must lie in (0, 1), got 1.0')"),
-    ("lambda_gain", [0.5, 1.0, 2.0], {}, "ConstraintViolation("
-     "'loss_aversion: at grid point lambda_gain=2: strict mode requires "
-     "lambda_gain < lambda_loss, got 2.0 >= 2.0')"),
-    ("lambda_loss", [1.0, 2.0, 3.0], {}, "ConstraintViolation("
-     "'loss_aversion: at grid point lambda_loss=1: strict mode requires "
-     "lambda_gain < lambda_loss, got 1.0 >= 1.0')"),
-    ("gamma", [0.5, 1.0, INF], {}, "DomainError('at grid point gamma=inf: "
-     "gamma must be finite, got inf')"),
-    ("theta", [0.5, 0.8, 1.0], {}, "ConstraintViolation('inverse_s: at "
-     "grid point theta=1: theta must lie in (0, 1), got 1.0')"),
-    ("pt_over_n0", [1.0, 10.0], {"mu": 0.0}, "DomainError('at grid point "
-     "pt_over_n0=1: mu must be > 0, got 0.0')"),
-    ("mu", [1.0, 2.0], {"pt_over_n0": -1.0}, "DomainError('at grid point "
-     "mu=1: pt_over_n0 must be >= 0, got -1.0')"),
-    ("pt_over_n0", [1.0, 10.0], {"reference": -1.0}, "ConstraintViolation("
-     "'reference: at grid point pt_over_n0=1: reference point must be "
-     ">= 0, got -1.0')"),
-    ("reference", [-1.0, 4.0], {"mu": INF}, "DomainError('at grid point "
-     "reference=-1: mu must be finite, got inf')"),
-    ("pt_over_n0", [-1.0, 10.0], {"mu": -1.0}, "DomainError('at grid "
-     "point pt_over_n0=-1: mu must be > 0, got -1.0')"),
-]
-
-
 @pytest.mark.parametrize("metric", ["pu_snr", "pu_rate"])
 @pytest.mark.parametrize("axis, grid, fixed, error", AXIS_ERRORS, ids=[
     f"{axis}-{'-'.join(fixed) or 'grid'}" for axis, _, fixed, _ in AXIS_ERRORS
@@ -423,17 +384,6 @@ POP_FIXED = {"mu": 1.0, "pt_over_n0": 10.0, "epsilon": 1.0, "gamma": 1.0,
              "theta": 0.8}
 
 
-def pop_doc(axis: str, grid: list, **over) -> dict:
-    return doc(metric="pop", axis={"name": axis, "grid": grid},
-               **{"pt_over_n0": 10.0, "epsilon": 1.0, **over})
-
-
-# a grid on each pop axis; tools/same_bytes.py reads it through pop_doc()
-POP_AXES = [("epsilon", [0.25, 1.0, 4.0]), ("mu", [0.5, 1.0, 3.0]),
-            ("gamma", [0.5, 1.0, 2.0]), ("theta", [0.3, 0.65, 0.9]),
-            ("pt_over_n0", [0.0, 1.0, 100.0])]
-
-
 @pytest.mark.parametrize("axis, grid", POP_AXES)
 def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
     rows = run_scenario(scenario_from_dict(pop_doc(axis, grid)))
@@ -444,31 +394,6 @@ def test_pop_rows_match_direct_calls_on_every_axis(axis, grid):
                    OutageSpec(p["epsilon"]), WeightParams(p["gamma"],
                                                           p["theta"]))
         assert (r.value.hex(), r.err, r.n_eval) == (want.hex(), 0.0, 1)
-
-
-# as AXIS_ERRORS, for pop: an invalid value on each axis, then invalid fixed
-# fields. The weighting block is checked before the gain law, and the gain
-# law before the outage threshold. tools/same_bytes.py reads this table
-# through pop_doc().
-POP_AXIS_ERRORS = [
-    ("epsilon", [0.5, 1.0, INF], {}, "DomainError('at grid point "
-     "epsilon=inf: epsilon must be finite, got inf')"),
-    ("mu", [0.5, 1.0, INF], {}, "DomainError('at grid point mu=inf: mu "
-     "must be finite, got inf')"),
-    ("gamma", [0.5, 1.0, INF], {}, "DomainError('at grid point gamma=inf: "
-     "gamma must be finite, got inf')"),
-    ("theta", [0.5, 0.8, 1.0], {}, "ConstraintViolation('inverse_s: at "
-     "grid point theta=1: theta must lie in (0, 1), got 1.0')"),
-    ("pt_over_n0", [1.0, 10.0, INF], {}, "DomainError('at grid point "
-     "pt_over_n0=inf: pt_over_n0 must be finite, got inf')"),
-    ("pt_over_n0", [1.0, 10.0], {"epsilon": 0.0}, "DomainError('at grid "
-     "point pt_over_n0=1: epsilon must be > 0, got 0.0')"),
-    ("epsilon", [0.0, 1.0], {"mu": 0.0}, "DomainError('at grid point "
-     "epsilon=0: mu must be > 0, got 0.0')"),
-    ("theta", [1.0], {"mu": 0.0, "epsilon": 0.0}, "ConstraintViolation("
-     "'inverse_s: at grid point theta=1: theta must lie in (0, 1), got "
-     "1.0')"),
-]
 
 
 @pytest.mark.parametrize("axis, grid, fixed, error", POP_AXIS_ERRORS, ids=[
@@ -598,9 +523,3 @@ def test_preset_fig4_parameters_are_pinned():
 def test_unknown_preset_is_rejected():
     with pytest.raises(DomainError, match="unknown preset"):
         preset_scenario("fig99")
-
-
-def test_preset_fig8_decreases_with_power():
-    rows = run_scenario(preset_scenario("fig8"))
-    vals = [r.value for r in rows]
-    assert all(b < a for a, b in zip(vals, vals[1:]))

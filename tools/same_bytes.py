@@ -6,8 +6,8 @@ PARENT and CHANGE are checkout directories; CHANGE defaults to the
 checkout that holds this script. Each checkout runs in its own Python
 subprocess with its own ``src/`` first on the path, and both take the
 same inputs, read from CHANGE's ``bench/catalogue.json``, its
-``tests/test_sweep.py`` (loaded by path, with ``tests/`` on the path for
-the ``tests/support.py`` it imports) and, for fig8, its ``sweep.PRESETS``:
+``tests/support.py`` (imported with ``tests/`` on the path; it imports
+numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
   ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of twelve edge cases:
@@ -30,14 +30,13 @@ the ``tests/support.py`` it imports) and, for fig8, its ``sweep.PRESETS``:
   document and of fig8, each with an ``mc`` block of 1000 samples (one
   slice) and of 2**19 + 1 (past one batch), seed 0;
 - the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
-  ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by the
-  ``doc()`` it imports from ``tests/support.py``: each fails at one grid
-  point, with an invalid value on a PU axis or an invalid fixed field;
+  ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by ``doc()``:
+  each fails at one grid point, with an invalid value on a PU axis or an
+  invalid fixed field;
 - the same ``run_scenario`` output of the ``pop`` sweeps of tier-1's
   ``POP_AXES``, one along each axis, in closed form and with an ``mc``
   block of 1000 samples, and the repr of the error it raises on the
-  ``pop`` documents of ``POP_AXIS_ERRORS``, both built by its
-  ``pop_doc()``;
+  ``pop`` documents of ``POP_AXIS_ERRORS``, both built by ``pop_doc()``;
 - the sha256 of ``gain_samples`` on both sides of the 16384-draw chunk
   boundary, at K = 1, 7 (scale 0.3) and 64, seed 0, and ``cli.main`` of
   ``simulate-channel --samples 20000 --seed 0`` at ``--k-paths`` 1, 7
@@ -54,7 +53,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import io
 import itertools
 import json
@@ -84,7 +82,7 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     """Every input by group name, as ("cli", argv), ("scenario",
     scenario document) or ("gains", [k_paths, scale, n]); ``fig8`` is
     that preset's document, and the error and ``pop`` cases come from
-    checkout ``root``'s tier-1 tables."""
+    checkout ``root``'s ``tests/support.py``."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
            "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
@@ -96,21 +94,18 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     mc_docs = [e["doc"] for e in catalogue["oracle"][::8]] + [fig8]
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
-            ("scenario", dict(doc, mc={"samples": n})) for doc in mc_docs]
-    sys.path.insert(0, str(root / "tests"))  # test_sweep imports support
-    spec = importlib.util.spec_from_file_location(
-        "tier1_sweep", root / "tests" / "test_sweep.py")
-    t = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(t)
+            ("scenario", dict(d, mc={"samples": n})) for d in mc_docs]
+    sys.path.insert(0, str(root / "tests"))
+    from support import AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, doc, pop_doc
     out["errors"] = [
-        ("scenario", t.doc(metric=metric, axis={"name": axis, "grid": grid},
-                           **{"pt_over_n0": 10.0, **fixed}))
+        ("scenario", doc(metric=metric, axis={"name": axis, "grid": grid},
+                         **{"pt_over_n0": 10.0, **fixed}))
         for metric in ("pu_snr", "pu_rate")
-        for axis, grid, fixed, _ in t.AXIS_ERRORS]
-    sweeps = [t.pop_doc(axis, grid) for axis, grid in t.POP_AXES]
+        for axis, grid, fixed, _ in AXIS_ERRORS]
+    sweeps = [pop_doc(axis, grid) for axis, grid in POP_AXES]
     out["pop axes"] = [("scenario", d) for d in sweeps] + [
-        ("scenario", t.pop_doc(axis, grid, **fixed))
-        for axis, grid, fixed, _ in t.POP_AXIS_ERRORS] + [
+        ("scenario", pop_doc(axis, grid, **fixed))
+        for axis, grid, fixed, _ in POP_AXIS_ERRORS] + [
         ("scenario", dict(d, mc={"samples": MC_SAMPLES[0]})) for d in sweeps]
     out["channel"] = [("gains", list(draw)) for draw in CHANNEL_DRAWS] + [
         ("cli", ["simulate-channel", "--samples", "20000", "--seed", "0",
