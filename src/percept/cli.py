@@ -17,10 +17,10 @@ from .channel import MultipathConfig, gain_samples
 from .distributions import ExponentialGain
 from .errors import PerceptError, ToleranceNotMet
 from .metrics import DEFAULT_BUDGET, DEFAULT_TOL
-from .sweep import (_CROSS_CHECK_Z, _CURVE_AXIS, _METRIC_FIELDS, _PARAMS,
-                    PRESET_NOTES, PRESETS, Scenario, cross_check,
-                    cross_check_csv, load_scenario, preset_scenario,
-                    run_scenario, sweep_csv)
+from .sweep import (_CROSS_CHECK_Z, _CURVE_AXIS, _METRIC_FIELDS,
+                    _NUMBER_KEYS, _PARAMS, PRESETS, Scenario, _csv,
+                    cross_check, cross_check_csv, load_scenario,
+                    preset_scenario, run_scenario, sweep_csv)
 
 _QUANTILE_STEP = 0.05
 # the point commands: (name, metric, help)
@@ -33,26 +33,24 @@ _POINT_COMMANDS = (
     ("pu-rate", "pu_rate", "perceptual utility of the transmission rate"),
     ("pop", "pop", "perceptual outage probability"),
 )
-# the flags that set each scenario field: (dest, type, default, help); the
-# flag is --dest with dashes, and a parameter object takes its flags in order
+# the flags that set each scenario field: (dest, default, help); the flag
+# is --dest with dashes, a parameter block's dests are its field names, and
+# each flag takes its field's type, float unless _NUMBER_KEYS says otherwise
 _FLAGS = {
     "value_params": (
-        ("alpha", float, 0.5,
-         "diminishing-sensitivity exponent (default 0.5)"),
-        ("lambda_gain", float, 1.0, "gain-side scale (default 1)"),
-        ("lambda_loss", float, 2.0, "loss-side scale (default 2)")),
+        ("alpha", 0.5, "diminishing-sensitivity exponent (default 0.5)"),
+        ("lambda_gain", 1.0, "gain-side scale (default 1)"),
+        ("lambda_loss", 2.0, "loss-side scale (default 2)")),
     "weight_params": (
-        ("gamma", float, 1.0, "weighting distortion scale (default 1)"),
-        ("theta", float, 0.8, "weighting curvature in (0,1) (default 0.8)")),
-    "reference": (("ref", float, 4.0, "reference point (default 4)"),),
-    "mu": (("mu", float, 1.0, "average channel gain (default 1)"),),
-    "pt_over_n0": (("ptn0", float, 100.0,
+        ("gamma", 1.0, "weighting distortion scale (default 1)"),
+        ("theta", 0.8, "weighting curvature in (0,1) (default 0.8)")),
+    "reference": (("ref", 4.0, "reference point (default 4)"),),
+    "mu": (("mu", 1.0, "average channel gain (default 1)"),),
+    "pt_over_n0": (("ptn0", 100.0,
                     "transmit power to noise ratio (default 100)"),),
-    "epsilon": (("epsilon", float, 1.0,
-                 "rate threshold in bits/s/Hz (default 1)"),),
-    "tolerance": (("tol", float, DEFAULT_TOL,
-                   "absolute quadrature tolerance"),),
-    "budget": (("budget", int, DEFAULT_BUDGET, "integrand evaluation budget"),),
+    "epsilon": (("epsilon", 1.0, "rate threshold in bits/s/Hz (default 1)"),),
+    "tolerance": (("tol", DEFAULT_TOL, "absolute quadrature tolerance"),),
+    "budget": (("budget", DEFAULT_BUDGET, "integrand evaluation budget"),),
 }
 
 
@@ -62,23 +60,6 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _cmd_point(args) -> int:
-    """A point command is a one-scenario sweep over its points.
-
-    The grid is the positional points, in the given order and with
-    repeats, or the single --ptn0 of pop and pu-*.
-    """
-    grid = tuple(args.points) if "points" in args else (args.ptn0,)
-    fixed = {}
-    for field in _METRIC_FIELDS[args.metric]:
-        vals = [getattr(args, dest) for dest, *_ in _FLAGS[field]]
-        cls = _PARAMS.get(field)
-        fixed[field] = cls(*vals, mode=args.mode) if cls else vals[0]
-    scenario = Scenario(args.metric, args.axis, grid, **fixed)
-    _emit(sweep_csv(run_scenario(scenario)), args.out)
-    return 0
 
 
 def _resolve_scenario(name: str):
@@ -93,9 +74,28 @@ def _resolve_scenario(name: str):
         ) from exc
 
 
+def _point_scenario(args) -> Scenario:
+    """A point command is a one-scenario sweep over its points.
+
+    The grid is the positional points, in the given order and with
+    repeats, or the single --ptn0 of pop and pu-*.
+    """
+    grid = tuple(args.points) if "points" in args else (args.ptn0,)
+    fixed = {}
+    for field in _METRIC_FIELDS[args.metric]:
+        vals = {dest: getattr(args, dest) for dest, *_ in _FLAGS[field]}
+        if field in _PARAMS:
+            fixed[field] = _PARAMS[field](**vals, mode=args.mode)
+        else:
+            (fixed[field],) = vals.values()
+    return Scenario(args.metric, args.axis, grid, **fixed)
+
+
 def _cmd_sweep(args) -> int:
-    rows = run_scenario(_resolve_scenario(args.scenario))
-    _emit(sweep_csv(rows), args.out)
+    """The sweep of a preset, a scenario file or a point command."""
+    scenario = (_point_scenario(args) if "metric" in args
+                else _resolve_scenario(args.scenario))
+    _emit(sweep_csv(run_scenario(scenario)), args.out)
     return 0
 
 
@@ -121,10 +121,9 @@ def _cmd_simulate_channel(args) -> int:
     probs = np.arange(1, int(1.0 / _QUANTILE_STEP)) * _QUANTILE_STEP
     grid = law.inverse_cdf(probs)
     empirical = np.searchsorted(gains, grid, side="right") / n
-    lines = ["gain,empirical_cdf,model_cdf,abs_diff"]
-    for g, e, m in zip(grid, empirical, probs):
-        lines.append(f"{g:.12g},{e:.12g},{m:.12g},{abs(e - m):.12g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv("gain,empirical_cdf,model_cdf,abs_diff", (".12g",) * 4,
+               zip(grid, empirical, probs, np.abs(empirical - probs))),
+          args.out)
 
     model = law.cdf(gains)
     steps = np.arange(1, n + 1) / n
@@ -147,19 +146,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("points", type=float, nargs="+",
                            metavar=axis.upper())
         for field in _METRIC_FIELDS[metric]:
-            for dest, type_, default, flag_help in _FLAGS[field]:
-                p.add_argument("--" + dest.replace("_", "-"), type=type_,
+            for dest, default, flag_help in _FLAGS[field]:
+                p.add_argument("--" + dest.replace("_", "-"),
+                               type=_NUMBER_KEYS.get(field, float),
                                default=default, help=flag_help)
         p.add_argument("--mode", choices=("strict", "permissive"),
                        default="strict", help="parameter validation mode")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write CSV here instead of stdout")
-        p.set_defaults(func=_cmd_point, metric=metric, axis=axis)
+        p.set_defaults(func=_cmd_sweep, metric=metric, axis=axis)
 
     p = sub.add_parser(
         "sweep", help="run a sweep scenario (preset name or JSON file)",
         epilog="presets: " + "; ".join(
-            f"{k}: {PRESET_NOTES[k]}" for k in sorted(PRESETS)))
+            f"{k}: {PRESETS[k][0]}" for k in sorted(PRESETS)))
     p.add_argument("scenario", help="preset name or scenario file path")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_sweep)

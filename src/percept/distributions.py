@@ -58,8 +58,8 @@ class ExponentialGain:
 
     @_elementwise
     def cdf(self, g):
-        x = np.maximum(g, 0.0) / self.mu  # g/mu = inf is the limit F = 1
-        return np.where(g < 0.0, 0.0, -np.expm1(-x))
+        # F = 0 below the support; g/mu = inf is the limit F = 1
+        return -np.expm1(-np.maximum(g, 0.0) / self.mu)
 
     @_elementwise
     def pdf(self, g):
@@ -93,23 +93,27 @@ class PerceptualDistribution:
     base: ExponentialGain
     weights: WeightParams
 
+    def _exponent(self, x):
+        """(-log F, t) at x = s/mu >= 0, so that w(F) = exp(-gamma*t).
+
+        -log F is :func:`_log1mexp`'s, precise after F rounds to 1; t is
+        (-log F)**theta, or exp(-theta*x) past x ~ 708, where -log F =
+        exp(-x) is subnormal or 0."""
+        neg_log_f = -_log1mexp(x)
+        theta = self.weights.theta
+        return neg_log_f, np.where(neg_log_f < _TINY, np.exp(-theta * x),
+                                   neg_log_f ** theta)
+
     @_elementwise
     def pcdf(self, s):
-        """Perceived CDF, w(F(s)). A valid CDF spanning 0 to 1; NaN raises.
-
-        Evaluated through log F so the upper tail keeps full precision
-        after F itself rounds to 1. Past s/mu ~ 708, where -log F =
-        exp(-s/mu) is subnormal or 0, (-log F)**theta is exp(-theta*s/mu).
-        """
+        """Perceived CDF, w(F(s)), as :meth:`_exponent` gives it. A valid
+        CDF spanning 0 to 1; NaN raises."""
         if np.any(np.isnan(s)):
             raise DomainError("pcdf argument must not be NaN")
-        x = np.maximum(s, 0.0) / self.base.mu  # s/mu = inf is the limit F = 1
-        # log F = -inf on s <= 0, where the perceived CDF is exp(-inf) = 0
-        neg_log_f = -_log1mexp(x)
-        gamma, theta = self.weights.gamma, self.weights.theta
-        t = np.where(neg_log_f < _TINY, np.exp(-theta * x),
-                     neg_log_f ** theta)
-        return np.exp(-gamma * t)
+        # s/mu = inf is the limit F = 1; log F = -inf on s <= 0, where the
+        # perceived CDF is exp(-inf) = 0
+        _, t = self._exponent(np.maximum(s, 0.0) / self.base.mu)
+        return np.exp(-self.weights.gamma * t)
 
     @_elementwise
     def ppdf(self, s):
@@ -133,13 +137,12 @@ class PerceptualDistribution:
         if np.any(f_base <= 0.0):
             raise DomainError(
                 "ppdf: base CDF rounds to 0 here, only a limit exists")
-        neg_log_f = -_log1mexp(x)
-        head = gp.gamma * gp.theta * self.pcdf(s)
+        neg_log_f, t = self._exponent(x)
+        head = gp.gamma * gp.theta * np.exp(-gp.gamma * t)
         # both branches are formed everywhere; the power of a subnormal
         # -log F may overflow, and its product be NaN, where it is not used
         with np.errstate(invalid="ignore"):
-            out = np.where(neg_log_f < _TINY,
-                           head * np.exp(-gp.theta * x) / mu,
+            out = np.where(neg_log_f < _TINY, head * t / mu,
                            head * np.maximum(neg_log_f, _TINY)
                            ** (gp.theta - 1.0) * (np.exp(-x) / mu) / f_base)
         if np.any(np.isinf(out)):

@@ -191,7 +191,7 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
         batch, config.seed, config.samples, _BATCH))
     _check_value(mean)  # finite values may sum past the range
     try:
-        std_error = math.ldexp(math.sqrt(max(m2 / (n - 1), 0.0) / n), k)
+        std_error = math.ldexp(math.sqrt(m2 / (n - 1) / n), k)
     except OverflowError:
         raise DomainError(
             "Monte Carlo standard error overflows the float range") from None

@@ -302,47 +302,52 @@ def cross_check(s: Scenario) -> list:
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _csv(header: str, formats: tuple, rows) -> str:
+    """CSV text: the header line, then one line per row, its values
+    formatted column by column with ``formats``; newline-terminated."""
+    lines = [header] + [",".join(map(format, row, formats)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sweep_csv(rows) -> str:
-    lines = ["axis,value,err,n_eval"]
-    lines += [f"{_fmt(r.axis)},{_fmt(r.value)},{_fmt(r.err)},{r.n_eval}"
-              for r in rows]
-    return "\n".join(lines) + "\n"
+    return _csv("axis,value,err,n_eval", (".12g", ".12g", ".12g", ""),
+                ((r.axis, r.value, r.err, r.n_eval) for r in rows))
 
 
 def cross_check_csv(rows) -> str:
-    lines = ["axis,quad,mc,std_error,pass"]
-    lines += [f"{_fmt(r.axis)},{_fmt(r.quad)},{_fmt(r.mc)},"
-              f"{_fmt(r.std_error)},{int(r.passed)}" for r in rows]
-    return "\n".join(lines) + "\n"
+    return _csv("axis,quad,mc,std_error,pass", (".12g",) * 4 + ("",),
+                ((r.axis, r.quad, r.mc, r.std_error, int(r.passed))
+                 for r in rows))
 
 
-# Built-in presets mirroring the library's illustrative sweeps. Parameter
+# Built-in presets mirroring the library's illustrative sweeps, each a note
+# (shown by ``percept sweep --help``) and a scenario document. Parameter
 # values not pinned by a stated configuration are documented assumptions
 # chosen from the empirically typical behavioral ranges.
 PRESETS = {
-    "fig2": {
+    "fig2": ("value curve, typical empirical parameters (alpha=0.88, "
+             "loss ratio 2.25), reference 4", {
         "schema": SCHEMA, "metric": "value_curve",
         "axis": {"name": "x", "grid": [round(0.25 * i, 2) for i in range(41)]},
         "value_params": {"alpha": 0.88, "lambda_gain": 1.0,
                          "lambda_loss": 2.25},
         "reference": 4.0,
-    },
-    "fig3": {
+    }),
+    "fig3": ("Prelec weighting curve, gamma=1, theta=0.65", {
         "schema": SCHEMA, "metric": "weight_curve",
         "axis": {"name": "p", "grid": [round(0.02 * i, 2) for i in range(51)]},
         "weight_params": {"gamma": 1.0, "theta": 0.65},
-    },
-    "fig4": {
+    }),
+    "fig4": ("value curve at alpha=0.5, lambda_gain=1, lambda_loss=2, "
+             "reference 4", {
         "schema": SCHEMA, "metric": "value_curve",
         "axis": {"name": "x", "grid": [round(0.25 * i, 2) for i in range(41)]},
         "value_params": {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0},
         "reference": 4.0,
-    },
-    "fig5": {
+    }),
+    "fig5": ("PU of SNR vs power; strong diminishing sensitivity "
+             "(alpha=0.15, lambda_loss=3.25) so the 400 to 1000 power step "
+             "yields a PU gain of only about 0.4", {
         "schema": SCHEMA, "metric": "pu_snr",
         "axis": {"name": "pt_over_n0",
                  "grid": [1, 2, 5, 10, 20, 50, 100, 200, 400, 1000]},
@@ -350,43 +355,31 @@ PRESETS = {
                          "lambda_loss": 3.25},
         "weight_params": {"gamma": 1.0, "theta": 0.8},
         "reference": 4.0, "mu": 1.0, "tolerance": 1e-8,
-    },
-    "fig6": {
+    }),
+    "fig6": ("PU of rate vs power, alpha=0.5, loss ratio 2, reference "
+             "4 bits/s/Hz", {
         "schema": SCHEMA, "metric": "pu_rate",
         "axis": {"name": "pt_over_n0",
                  "grid": [1, 2, 5, 10, 20, 50, 100, 200, 400, 1000]},
         "value_params": {"alpha": 0.5, "lambda_gain": 1.0, "lambda_loss": 2.0},
         "weight_params": {"gamma": 1.0, "theta": 0.8},
         "reference": 4.0, "mu": 1.0, "tolerance": 1e-8,
-    },
-    "fig7": {
+    }),
+    "fig7": ("perceived density of a unit-mean exponential gain, "
+             "theta=0.65", {
         "schema": SCHEMA, "metric": "ppdf",
         "axis": {"name": "s", "grid": [round(0.05 + 0.12 * i, 2)
                                        for i in range(50)]},
         "weight_params": {"gamma": 1.0, "theta": 0.65},
         "mu": 1.0,
-    },
-    "fig8": {
+    }),
+    "fig8": ("perceptual outage probability vs power, threshold 1 "
+             "bit/s/Hz", {
         "schema": SCHEMA, "metric": "pop",
         "axis": {"name": "pt_over_n0", "grid": [1, 2, 5, 10, 100, 1000]},
         "weight_params": {"gamma": 1.0, "theta": 0.65},
         "mu": 1.0, "epsilon": 1.0,
-    },
-}
-
-PRESET_NOTES = {
-    "fig2": "value curve, typical empirical parameters (alpha=0.88, "
-            "loss ratio 2.25), reference 4",
-    "fig3": "Prelec weighting curve, gamma=1, theta=0.65",
-    "fig4": "value curve at alpha=0.5, lambda_gain=1, lambda_loss=2, "
-            "reference 4",
-    "fig5": "PU of SNR vs power; strong diminishing sensitivity "
-            "(alpha=0.15, lambda_loss=3.25) so the 400 to 1000 power step "
-            "yields a PU gain of only about 0.4",
-    "fig6": "PU of rate vs power, alpha=0.5, loss ratio 2, reference "
-            "4 bits/s/Hz",
-    "fig7": "perceived density of a unit-mean exponential gain, theta=0.65",
-    "fig8": "perceptual outage probability vs power, threshold 1 bit/s/Hz",
+    }),
 }
 
 
@@ -394,4 +387,4 @@ def preset_scenario(name: str) -> Scenario:
     if name not in PRESETS:
         raise DomainError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return scenario_from_dict(PRESETS[name])
+    return scenario_from_dict(PRESETS[name][1])

@@ -59,6 +59,13 @@ def test_base_cdf_zero_below_support():
     d = ExponentialGain(1.0)
     assert d.cdf(-3.0) == 0.0
     assert d.pdf(-3.0) == 0.0
+    # F is +0.0 at and below the support, -0.0 included, and NaN at NaN,
+    # as a scalar and in one array
+    g = [-math.inf, -1e300, -5e-324, -0.0, 0.0, math.nan]
+    for out in ([d.cdf(x) for x in g], d.cdf(np.array(g))):
+        assert [math.copysign(1.0, f) for f in out[:5]] == [1.0] * 5
+        assert list(out[:5]) == [0.0] * 5
+        assert math.isnan(out[5])
 
 
 @given(st.floats(min_value=1e-6, max_value=12.0),

@@ -194,10 +194,10 @@ def test_same_bytes_builds_every_input_group(monkeypatch):
     monkeypatch.setitem(sys.modules, "pytest", None)
     monkeypatch.delitem(sys.modules, "support")  # imported afresh
     tool = load(ROOT / "tools" / "same_bytes.py", "same_bytes")
-    groups = tool.jobs(CATALOGUE, PRESETS["fig8"])
+    groups = tool.jobs(CATALOGUE, PRESETS["fig8"][1])
     assert {name: len(jobs) for name, jobs in groups.items()} == {
         "cli entries": 168, "presets": 7, "edge cases": 12,
         "quad at own tol": 320, "quad at tol 1e-12": 320,
         "quad at tol 0.0001": 320, "mc at 1000 samples": 13,
-        "mc at 524289 samples": 13, "errors": 26, "pop axes": 18,
-        "channel": 9}
+        "mc at 524289 samples": 13, "cross-check": 13, "errors": 26,
+        "pop axes": 18, "channel": 9}

@@ -12,7 +12,8 @@ from percept import (ConstraintViolation, DomainError, McConfig, OutageSpec,
                      cross_check, cross_check_csv, load_scenario, pop,
                      preset_scenario, pu_rate, pu_snr, run_scenario,
                      scenario_from_dict, sweep_csv, weight)
-from percept.sweep import _AXES, PRESET_NOTES, PRESETS, SCHEMA, Scenario
+from percept.sweep import (_AXES, PRESETS, SCHEMA, CrossCheckRow, Scenario,
+                           SweepRow)
 from support import (AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, VP, WP, doc,
                      link, pop_doc)
 
@@ -492,6 +493,15 @@ def test_sweep_csv_snapshot_and_stability():
     assert sweep_csv(run_scenario(s)) == sweep_csv(run_scenario(s))
 
 
+def test_csv_formats_by_column():
+    # each column has one format, whatever the type of a row's value: an
+    # int axis prints as a float would, and a float count as a float
+    assert sweep_csv([SweepRow(10**20, 2, 0.5, 7.0)]) == (
+        "axis,value,err,n_eval\n1e+20,2,0.5,7.0\n")
+    assert cross_check_csv([CrossCheckRow(3, 1, 1.25, 1e-13, False)]) == (
+        "axis,quad,mc,std_error,pass\n3,1,1.25,1e-13,0\n")
+
+
 def test_cross_check_csv_shape():
     s = scenario_from_dict(doc(axis={"name": "pt_over_n0", "grid": [10.0]},
                                mc={"samples": 50000, "seed": 7}))
@@ -506,7 +516,6 @@ def test_cross_check_csv_shape():
 # --- presets ----------------------------------------------------------------------
 
 def test_all_presets_parse_and_are_documented():
-    assert set(PRESET_NOTES) == set(PRESETS)
     for name in PRESETS:
         s = preset_scenario(name)
         assert isinstance(s, Scenario)

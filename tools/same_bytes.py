@@ -29,6 +29,9 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 - the same ``run_scenario`` output of every 8th catalogue ``oracle``
   document and of fig8, each with an ``mc`` block of 1000 samples (one
   slice) and of 2**19 + 1 (past one batch), seed 0;
+- ``cross_check_csv`` of ``cross_check`` (or the repr of its error) on
+  the same documents with the 1000-sample ``mc`` block; fig8 is a ``pop``
+  scenario, so it gives the DomainError;
 - the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
   ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by ``doc()``:
   each fails at one grid point, with an invalid value on a PU axis or an
@@ -44,9 +47,9 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, ``mc`` at each sample count, errors, ``pop`` axes, and
-channel), and
-the first few differences; exits 1 if any output differs, 0 if none does.
+tolerance, ``mc`` at each sample count, cross-check, errors, ``pop``
+axes, and channel), and the first few differences; exits 1 if any
+output differs, 0 if none does.
 """
 from __future__ import annotations
 
@@ -79,10 +82,10 @@ ROOT = Path(__file__).resolve().parent.parent  # this script's checkout
 
 
 def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
-    """Every input by group name, as ("cli", argv), ("scenario",
-    scenario document) or ("gains", [k_paths, scale, n]); ``fig8`` is
-    that preset's document, and the error and ``pop`` cases come from
-    checkout ``root``'s ``tests/support.py``."""
+    """Every input by group name, as ("cli", argv), ("scenario" or
+    "cross-check", scenario document) or ("gains", [k_paths, scale, n]);
+    ``fig8`` is that preset's document, and the error and ``pop`` cases
+    come from checkout ``root``'s ``tests/support.py``."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
            "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
@@ -95,6 +98,9 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(d, mc={"samples": n})) for d in mc_docs]
+    out["cross-check"] = [
+        ("cross-check", dict(d, mc={"samples": MC_SAMPLES[0]}))
+        for d in mc_docs]
     sys.path.insert(0, str(root / "tests"))
     from support import AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, doc, pop_doc
     out["errors"] = [
@@ -118,7 +124,8 @@ def collect(todo: list) -> list:
     from percept import cli
     from percept.channel import MultipathConfig, gain_samples
     from percept.errors import PerceptError, ToleranceNotMet
-    from percept.sweep import run_scenario, scenario_from_dict, sweep_csv
+    from percept.sweep import (cross_check, cross_check_csv, run_scenario,
+                               scenario_from_dict, sweep_csv)
 
     out = []
     for kind, arg in todo:
@@ -136,6 +143,13 @@ def collect(todo: list) -> list:
             k, scale, n = arg
             gains = gain_samples(MultipathConfig(k, scale, 0), n)
             out.append([arg, hashlib.sha256(gains.tobytes()).hexdigest()])
+            continue
+        if kind == "cross-check":
+            try:
+                text = cross_check_csv(cross_check(scenario_from_dict(arg)))
+            except PerceptError as exc:
+                text = repr(exc)
+            out.append([arg, text])
             continue
         try:
             rows = run_scenario(scenario_from_dict(arg))
@@ -183,7 +197,7 @@ def main(argv=None) -> int:
         (args.change / "bench" / "catalogue.json").read_text(encoding="utf-8"))
     sys.path.insert(0, str(args.change / "src"))
     from percept.sweep import PRESETS
-    groups = jobs(catalogue, PRESETS["fig8"], args.change)
+    groups = jobs(catalogue, PRESETS["fig8"][1], args.change)
     todo = [job for group in groups.values() for job in group]
     before = run_checkout(args.parent, todo)
     after = run_checkout(args.change, todo)
