@@ -102,9 +102,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_cross_check(args) -> int:
     rows = cross_check(_resolve_scenario(args.scenario))
     _emit(cross_check_csv(rows), args.out)
-    if all(r.passed for r in rows):
+    failed = sum(not r.passed for r in rows)
+    if not failed:
         return 0
-    failed = sum(1 for r in rows if not r.passed)
     print(f"error: {failed} of {len(rows)} grid points disagree beyond "
           f"{_CROSS_CHECK_Z:g} standard errors", file=sys.stderr)
     return 3
@@ -156,20 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write CSV here instead of stdout")
         p.set_defaults(func=_cmd_sweep, metric=metric, axis=axis)
 
-    p = sub.add_parser(
-        "sweep", help="run a sweep scenario (preset name or JSON file)",
-        epilog="presets: " + "; ".join(
-            f"{k}: {PRESETS[k][0]}" for k in sorted(PRESETS)))
-    p.add_argument("scenario", help="preset name or scenario file path")
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "cross-check",
-        help="quadrature vs Monte Carlo on a PU scenario with mc config")
-    p.add_argument("scenario", help="preset name or scenario file path")
-    p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=_cmd_cross_check)
+    presets = "presets: " + "; ".join(
+        f"{k}: {PRESETS[k][0]}" for k in sorted(PRESETS))
+    for name, func, helptext, epilog in (
+            ("sweep", _cmd_sweep,
+             "run a sweep scenario (preset name or JSON file)", presets),
+            ("cross-check", _cmd_cross_check,
+             "quadrature vs Monte Carlo on a PU scenario with mc config",
+             None)):
+        p = sub.add_parser(name, help=helptext, epilog=epilog)
+        p.add_argument("scenario", help="preset name or scenario file path")
+        p.add_argument("--out", metavar="PATH", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "simulate-channel",

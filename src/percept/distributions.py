@@ -64,8 +64,7 @@ class ExponentialGain:
     @_elementwise
     def pdf(self, g):
         # g/mu = inf is the limit f = 0
-        out = np.exp(-np.maximum(g, 0.0) / self.mu) / self.mu
-        return np.where(g < 0.0, 0.0, out)
+        return np.where(g < 0.0, 0.0, np.exp(-g / self.mu) / self.mu)
 
     @_elementwise
     def inverse_cdf(self, u):
@@ -160,16 +159,15 @@ class PerceptualDistribution:
         capped at -5e-324, the smallest base probability; where z underflows
         to 0 (u near 1, small theta) log z is formed from u directly.
         """
+        if u.size and not (0.0 < u.min() and u.max() < 1.0):  # NaN fails
+            raise DomainError("uniform variate must lie in (0, 1)")
         return self._sample(u, np.empty(u.shape), np.empty(u.shape),
                             _scratch(u.shape))
 
     def _sample(self, u, out, z, scratch):
-        """:meth:`perceptual_sample` of an array ``u`` written into ``out``,
-        with ``z`` and a :func:`~percept.prospect._scratch` set of u's shape
-        as scratch; checked as that checks, under the caller's error
-        state."""
-        if u.size and not (0.0 < u.min() and u.max() < 1.0):  # NaN fails
-            raise DomainError("uniform variate must lie in (0, 1)")
+        """:meth:`perceptual_sample` of an array ``u`` in (0, 1) written into
+        ``out``, with ``z`` and a :func:`~percept.prospect._scratch` set of
+        u's shape as scratch, under the caller's error state."""
         gamma, theta = self.weights.gamma, self.weights.theta
         # z = inf is the limit exp(-z) = 0
         np.divide(np.negative(np.log(u, out=z), out=z), gamma, out=z)

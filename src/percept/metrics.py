@@ -295,8 +295,10 @@ def pu_batch(of: Callable, points, tol: float = DEFAULT_TOL,
         _check_count("budget", budget, -math.inf)
     except DomainError as exc:
         return [exc] * len(points)
-    par, pieces = _pieces(points)
     n = len(points)
+    if n == 0:  # _pieces reads the last column of a 2-D table
+        return []
+    par, pieces = _pieces(points)
     # the pieces of each point in turn, so a point alone sums its pieces
     # in the same order
     owner = np.repeat(np.arange(n), pieces)

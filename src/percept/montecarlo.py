@@ -141,8 +141,8 @@ def _slice_values(u, metric: CompositeMetric, pd: PerceptualDistribution,
                   value_params: ValueParams, out, z, scratch):
     """value(metric.map(pd.perceptual_sample(u)), metric.ref, value_params)
     written into ``out``, with ``z`` and a :func:`~percept.prospect._scratch`
-    set of u's shape as scratch: the same kernels, checks and error state
-    as those public calls, without their allocations."""
+    set of u's shape as scratch, for ``u`` in (0, 1) as :func:`mc_pu` draws
+    it: the same kernels, value checks and error state, no allocations."""
     with np.errstate(divide="ignore", over="ignore"):
         pd._sample(u, out, z, scratch)
         # an ``of`` that returns one constant is broadcast

@@ -20,12 +20,14 @@ from .errors import ConstraintViolation, DomainError, PerceptError, ToleranceNot
 from .metrics import (DEFAULT_BUDGET, DEFAULT_TOL, LinkBudget, OutageSpec,
                       _point, pop, pu_batch, rate_metric, snr_metric)
 from .montecarlo import McConfig, mc_pop, mc_pu
-from .prospect import ValueParams, WeightParams, as_reference, value, weight
+from .prospect import ValueParams, WeightParams, value, weight
 
 SCHEMA = "percept-scenario/1"
 # a cross-check point passes within this many Monte Carlo standard errors
 _CROSS_CHECK_Z = 3.0
 
+# the perceptual-utility metrics, each with its composite metric's builder
+_PU_METRICS = {"pu_snr": snr_metric, "pu_rate": rate_metric}
 # the scenario fields each metric reads, in the order of its CLI flags;
 # a field whose Scenario default is None is required unless it is the axis
 _METRIC_FIELDS = {
@@ -33,10 +35,9 @@ _METRIC_FIELDS = {
     "weight_curve": ("weight_params",),
     "pcdf": ("weight_params", "mu"),
     "ppdf": ("weight_params", "mu"),
-    "pu_snr": ("value_params", "weight_params", "reference", "mu",
-               "pt_over_n0", "tolerance", "budget"),
-    "pu_rate": ("value_params", "weight_params", "reference", "mu",
-                "pt_over_n0", "tolerance", "budget"),
+    **dict.fromkeys(_PU_METRICS, ("value_params", "weight_params",
+                                  "reference", "mu", "pt_over_n0",
+                                  "tolerance", "budget")),
     "pop": ("weight_params", "mu", "pt_over_n0", "epsilon"),
 }
 
@@ -51,7 +52,7 @@ _AXES = {metric: (_CURVE_AXIS[metric],) if metric in _CURVE_AXIS else
          sum((_KEYS.get(field, (field,)) for field in fields
               if field not in ("tolerance", "budget")), ())
          for metric, fields in _METRIC_FIELDS.items()}
-_MC_METRICS = ("pu_snr", "pu_rate", "pop")
+_MC_METRICS = (*_PU_METRICS, "pop")
 
 # top-level numeric keys, each with the type it is coerced to
 _NUMBER_KEYS = {"reference": float, "mu": float, "pt_over_n0": float,
@@ -242,9 +243,7 @@ def _eval_point(s: Scenario, x: float, mc_seed: Optional[int]):
             return SweepRow(x, pop(link, spec, wp), 0.0, 1)
         est = mc_pop(link, spec, wp, config)
     else:
-        ref = as_reference(at("reference"))
-        composite = (snr_metric if metric == "pu_snr"
-                     else rate_metric)(link, ref)
+        composite = _PU_METRICS[metric](link, at("reference"))
         if config is None:
             return composite.of, _point(composite, at("mu"), vp, wp)
         est = mc_pu(composite, PerceptualDistribution(channel, wp), vp, config)
@@ -289,7 +288,7 @@ def cross_check(s: Scenario) -> list:
 
     A point passes when the two agree within _CROSS_CHECK_Z standard errors.
     """
-    if s.metric not in ("pu_snr", "pu_rate"):
+    if s.metric not in _PU_METRICS:
         raise DomainError("cross_check requires a pu_snr or pu_rate scenario")
     if s.mc is None:
         raise DomainError("cross_check requires an mc config")

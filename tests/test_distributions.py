@@ -68,6 +68,18 @@ def test_base_cdf_zero_below_support():
         assert math.isnan(out[5])
 
 
+@pytest.mark.filterwarnings("error")
+def test_base_pdf_is_pinned_bitwise():
+    # f is +0.0 below the support and where g/mu is past the float range,
+    # 1/mu at -0.0 and +0.0, and at NaN the NaN with the sign bit set, as
+    # a scalar and in one array
+    d = ExponentialGain(1e-3)
+    g = [-math.inf, -1e300, -5e-324, -0.0, 0.0, math.nan, 1e306, math.inf]
+    want = np.array([0.0] * 3 + [1.0 / d.mu] * 2 + [-math.nan] + [0.0] * 2)
+    for out in (np.array([d.pdf(x) for x in g]), d.pdf(np.array(g))):
+        assert out.tobytes() == want.tobytes()
+
+
 @given(st.floats(min_value=1e-6, max_value=12.0),
        st.floats(min_value=1.0, max_value=5.0))
 def test_base_quantile_round_trip(g, mu):

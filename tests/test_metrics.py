@@ -164,6 +164,12 @@ def test_value_overflow_fails_only_its_own_point():
         pu_snr(link(10.0), 4.0, huge, WP)
 
 
+def test_empty_batch_has_no_results():
+    # no points: no piece table, and nothing for a bad tolerance to fail
+    assert pu_batch(_snr, []) == []
+    assert pu_batch(_snr, [], -1.0) == []
+
+
 def test_budget_stops_each_point_of_a_batch_as_alone():
     # 1, 2 and 3 pieces (gamma = 1000 lies past s = 745; rho = 0 has no
     # kink) against a budget of 300 at tol 1e-10: the first program is 137

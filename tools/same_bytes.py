@@ -10,16 +10,19 @@ same inputs, read from CHANGE's ``bench/catalogue.json``, its
 numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
-  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of twelve edge cases:
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of fourteen edge cases:
   ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
   1e-14``, ``pu-snr --budget 100``, ``pu-rate --tol 1e-2``, ``pop
   --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1), ``pcdf
   300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0),
   ``ppdf 216 --mu 0.3 --theta 0.9`` and ``ppdf 746`` (the far tail of the
-  perceived density, where -log F is subnormal or 0), and the exits the
-  rest never reach: ``value -1`` (2, a DomainError at a grid point),
-  ``pu-snr --alpha 1.5`` (2, a ConstraintViolation before the sweep)
-  and ``sweep fig9`` (4, neither a preset nor a file);
+  perceived density, where -log F is subnormal or 0), the quadrature's
+  two failing checks, ``pu-snr --lambda-loss 1e308`` (a perceived value
+  past the float range) and ``pu-snr --ptn0 1e300 --mu 1e10`` (an
+  infinite quantity), and the exits the rest never reach: ``value -1``
+  (2, a DomainError at a grid point), ``pu-snr --alpha 1.5`` (2, a
+  ConstraintViolation before the sweep) and ``sweep fig9`` (4, neither
+  a preset nor a file);
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
   As the CSV rounds to 12 digits, each such output also holds the
@@ -32,6 +35,10 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 - ``cross_check_csv`` of ``cross_check`` (or the repr of its error) on
   the same documents with the 1000-sample ``mc`` block; fig8 is a ``pop``
   scenario, so it gives the DomainError;
+- ``cli.main`` (document, exit code, stdout, stderr) of ``cross-check``
+  on each of those documents written to a temporary file, and on
+  tier-1's failing one, ``doc()`` at ``pt_over_n0`` 100 with 2 samples
+  and seed 4, which exits 3;
 - the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
   ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by ``doc()``:
   each fails at one grid point, with an invalid value on a PU axis or an
@@ -47,8 +54,8 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, ``mc`` at each sample count, cross-check, errors, ``pop``
-axes, and channel), and the first few differences; exits 1 if any
+tolerance, ``mc`` at each sample count, cross-check, its CLI, errors,
+``pop`` axes, and channel), and the first few differences; exits 1 if any
 output differs, 0 if none does.
 """
 from __future__ import annotations
@@ -62,6 +69,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
@@ -70,7 +78,8 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pop", "--ptn0", "0.025", "--theta", "0.01"],
               ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"],
               ["ppdf", "216", "--mu", "0.3", "--theta", "0.9"],
-              ["ppdf", "746"], ["value", "-1"],
+              ["ppdf", "746"], ["pu-snr", "--lambda-loss", "1e308"],
+              ["pu-snr", "--ptn0", "1e300", "--mu", "1e10"], ["value", "-1"],
               ["pu-snr", "--alpha", "1.5"], ["sweep", "fig9"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
@@ -82,8 +91,9 @@ ROOT = Path(__file__).resolve().parent.parent  # this script's checkout
 
 
 def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
-    """Every input by group name, as ("cli", argv), ("scenario" or
-    "cross-check", scenario document) or ("gains", [k_paths, scale, n]);
+    """Every input by group name, as ("cli", argv), ("scenario",
+    "cross-check" or "cross-check file", scenario document) or ("gains",
+    [k_paths, scale, n]);
     ``fig8`` is that preset's document, and the error and ``pop`` cases
     come from checkout ``root``'s ``tests/support.py``."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
@@ -103,6 +113,10 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
         for d in mc_docs]
     sys.path.insert(0, str(root / "tests"))
     from support import AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, doc, pop_doc
+    cli_docs = [d for _, d in out["cross-check"]] + [
+        doc(axis={"name": "pt_over_n0", "grid": [100.0]},
+            mc={"samples": 2, "seed": 4})]
+    out["cross-check CLI"] = [("cross-check file", d) for d in cli_docs]
     out["errors"] = [
         ("scenario", doc(metric=metric, axis={"name": axis, "grid": grid},
                          **{"pt_over_n0": 10.0, **fixed}))
@@ -119,9 +133,22 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     return out
 
 
+def run_cli(argv: list) -> list:
+    """The exit code, stdout and stderr of ``cli.main(argv)``."""
+    from percept import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, stdout.getvalue(), stderr.getvalue()]
+
+
 def collect(todo: list) -> list:
     """The output of every job, run with the ``percept`` on the path."""
-    from percept import cli
     from percept.channel import MultipathConfig, gain_samples
     from percept.errors import PerceptError, ToleranceNotMet
     from percept.sweep import (cross_check, cross_check_csv, run_scenario,
@@ -130,14 +157,14 @@ def collect(todo: list) -> list:
     out = []
     for kind, arg in todo:
         if kind == "cli":
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with (contextlib.redirect_stdout(stdout),
-                  contextlib.redirect_stderr(stderr)):
-                try:
-                    code = cli.main(list(arg))
-                except SystemExit as exc:
-                    code = exc.code
-            out.append([arg, code, stdout.getvalue(), stderr.getvalue()])
+            out.append([arg, *run_cli(list(arg))])
+            continue
+        if kind == "cross-check file":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "scenario.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(arg, fh)
+                out.append([arg, *run_cli(["cross-check", path])])
             continue
         if kind == "gains":
             k, scale, n = arg
