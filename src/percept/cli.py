@@ -200,6 +200,3 @@ def main(argv=None) -> int:
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import (WeightParams, _elementwise, _power, _scratch,
-                       _select)
+from .prospect import WeightParams, _elementwise, _scratch, _select
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -171,7 +170,7 @@ class PerceptualDistribution:
         gamma, theta = self.weights.gamma, self.weights.theta
         # z = inf is the limit exp(-z) = 0
         np.divide(np.negative(np.log(u, out=z), out=z), gamma, out=z)
-        _power(z, 1.0 / theta)
+        z **= 1.0 / theta
         log_q = _log1mexp(z, out, scratch)
         np.minimum(log_q, -5e-324, out=log_q)
         tmp, _, under = scratch

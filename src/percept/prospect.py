@@ -57,11 +57,13 @@ def _elementwise(fn):
     """Give ``fn`` the contract of the public elementwise functions.
 
     The first argument after ``self``, passed by position or by name,
-    becomes a float array. ``fn`` runs with numpy's divide-by-zero and
-    overflow unreported: there a log of 0 or a power past the float range
-    takes its limit, or a domain check refuses the result. An invalid
-    operation (a NaN) is still reported. A 0-d result returns as a Python
-    float; arrays pass through unchanged.
+    becomes a float array; a scalar becomes a one-element array, so it
+    takes the loops an array takes and returns the bits that value gets
+    in an array, as a Python float. ``fn`` runs with numpy's
+    divide-by-zero and overflow unreported: there a log of 0 or a power
+    past the float range takes its limit, or a domain check refuses the
+    result. An invalid operation (a NaN) is still reported. A 0-d result
+    also returns as a Python float; arrays pass through unchanged.
     """
     names = fn.__code__.co_varnames
     i = int(names[0] == "self")
@@ -70,13 +72,19 @@ def _elementwise(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         if len(args) > i:
-            args = (*args[:i], np.asarray(args[i], dtype=float),
-                    *args[i + 1:])
+            args = list(args)
+            where, key = args, i
         elif name in kwargs:
-            kwargs[name] = np.asarray(kwargs[name], dtype=float)
+            where, key = kwargs, name
+        else:  # fn raises its TypeError for the missing argument
+            return fn(*args, **kwargs)
+        x = np.asarray(where[key], dtype=float)
+        where[key] = np.atleast_1d(x)
         with np.errstate(divide="ignore", over="ignore"):
             out = fn(*args, **kwargs)
-        return float(out) if np.ndim(out) == 0 else out
+        if np.ndim(out) == 0:
+            return float(out)
+        return float(out[0]) if x.ndim == 0 else out
 
     return wrapper
 
@@ -238,19 +246,6 @@ def _select(cond, a, b, bits):
     return a
 
 
-def _power(a, p):
-    """``a ** p`` written into the array ``a``, formed as ``**`` forms it:
-    with numpy's fast paths for special exponents (0.5 and 2 among them)
-    on an array, and as a scalar where ``a`` is 0-d, since numpy takes a
-    scalar's power from the C library, which may differ from its array
-    loop in the last bit."""
-    if a.ndim:
-        a **= p
-    else:
-        a[()] = a[()] ** p
-    return a
-
-
 def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss, out=None,
                   scratch=None):
     """The value-function formula, unchecked; all arguments broadcast.
@@ -262,7 +257,8 @@ def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss, out=None,
     """
     tmp, bits, mask = (None, None, None) if scratch is None else scratch
     d = np.subtract(x, x0, out=out)
-    mag = _power(np.abs(d, out=tmp), alpha)
+    mag = np.abs(d, out=tmp)
+    mag **= alpha
     gains = np.greater_equal(d, 0.0, out=mask)
     pos = np.multiply(lambda_gain, mag, out=out)
     neg = np.multiply(-lambda_loss, mag, out=tmp)

@@ -95,14 +95,6 @@ def test_value_gain_and_loss_closed_forms():
     assert value(0.0, 4.0, VP) == pytest.approx(-4.0, abs=1e-15)
 
 
-def test_value_vectorized_matches_scalar():
-    xs = np.array([0.0, 2.0, 4.0, 9.0])
-    out = value(xs, 4.0, VP)
-    assert out.shape == xs.shape
-    for x, v in zip(xs, out):
-        assert v == value(float(x), 4.0, VP)
-
-
 def test_value_rejects_negative_or_nonfinite_metric():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
@@ -288,32 +280,44 @@ def test_weight_derivative_matches_finite_difference():
 
 # --- the elementwise call contract ----------------------------------------
 
-PD = PerceptualDistribution(ExponentialGain(1.3), WeightParams(1.1, 0.7))
+# off numpy's fast-path exponents (0.5 and 2 among them), where an array's
+# power loop and the C library's pow of a scalar may round differently
+VP_OFF = ValueParams(0.88, 1.0, 2.25)
+WP_OFF = WeightParams(0.9, 0.65)
+PD = PerceptualDistribution(ExponentialGain(1.3), WP_OFF)
 # every elementwise function: the call, its array argument's name, points
-# in its domain, and its other arguments by name in signature order
+# in its domain, the interval [lo, hi) of its seeded draw, and its other
+# arguments by name in signature order
 ELEMENTWISE = {
-    "value": (value, "x", [0.0, 4.0, 9.5], {"ref": 4.0, "params": VP}),
-    "weight": (weight, "p", [0.0, 0.3, 1.0], {"params": W_HALF}),
-    "weight_inverse": (weight_inverse, "q", [0.0, 0.3, 1.0],
-                       {"params": W_HALF}),
+    "value": (value, "x", [0.0, 2.0, 4.0, 9.0, 9.5], (0.0, 20.0),
+              {"ref": 4.0, "params": VP_OFF}),
+    "weight": (weight, "p", [0.0, 0.3, 1.0], (0.0, 1.0),
+               {"params": WP_OFF}),
+    "weight_inverse": (weight_inverse, "q", [0.0, 0.3, 1.0], (0.0, 1.0),
+                       {"params": WP_OFF}),
     "weight_derivative": (weight_derivative, "p", [0.1, 0.5, 0.9],
-                          {"params": W_HALF}),
-    "cdf": (PD.base.cdf, "g", [-1.0, 0.0, 2.0], {}),
-    "pdf": (PD.base.pdf, "g", [-1.0, 0.0, 2.0], {}),
-    "inverse_cdf": (PD.base.inverse_cdf, "u", [0.1, 0.5, 0.9], {}),
-    "inverse_survival": (PD.base.inverse_survival, "q", [0.1, 0.5, 1.0], {}),
-    "pcdf": (PD.pcdf, "s", [0.0, 1.0, 1000.0], {}),
-    "ppdf": (PD.ppdf, "s", [0.01, 1.0, 1000.0], {}),
+                          (0.0, 1.0), {"params": WP_OFF}),
+    "cdf": (PD.base.cdf, "g", [-1.0, 0.0, 2.0], (-1.0, 10.0), {}),
+    "pdf": (PD.base.pdf, "g", [-1.0, 0.0, 2.0], (-1.0, 10.0), {}),
+    "inverse_cdf": (PD.base.inverse_cdf, "u", [0.1, 0.5, 0.9], (0.0, 1.0),
+                    {}),
+    "inverse_survival": (PD.base.inverse_survival, "q", [0.1, 0.5, 1.0],
+                         (0.0, 1.0), {}),
+    "pcdf": (PD.pcdf, "s", [0.0, 1.0, 1000.0], (0.0, 20.0), {}),
+    "ppdf": (PD.ppdf, "s", [0.01, 1.0, 1000.0], (0.0, 20.0), {}),
     "perceptual_sample": (PD.perceptual_sample, "u", [1e-300, 0.5, 0.999],
-                          {}),
+                          (0.0, 1.0), {}),
     "map": (rate_metric(LinkBudget(10.0, PD.base), 2.0).map, "g",
-            [0.0, 1.0, 3.0], {}),
+            [0.0, 1.0, 3.0], (0.0, 10.0), {}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTWISE))
 def test_elementwise_call_forms(name):
-    fn, arg, points, params = ELEMENTWISE[name]
+    # a scalar gives the bits its value gets in an array, in every form
+    fn, arg, points, (lo, hi), params = ELEMENTWISE[name]
+    draw = np.random.default_rng(0).uniform(lo, hi, 1 << 12)
+    points = points + draw.tolist()
     scalars = [fn(x, **params) for x in points]
     assert all(isinstance(y, float) for y in scalars)
     got = fn(points, **params)
@@ -321,3 +325,5 @@ def test_elementwise_call_forms(name):
     assert fn(**{arg: points}, **params).tolist() == scalars
     assert [fn(**{arg: x}, **params) for x in points] == scalars
     assert [fn(x, *params.values()) for x in points] == scalars
+    with pytest.raises(TypeError):  # the argument is required
+        fn(**params)

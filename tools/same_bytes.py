@@ -32,13 +32,11 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 - the same ``run_scenario`` output of every 8th catalogue ``oracle``
   document and of fig8, each with an ``mc`` block of 1000 samples (one
   slice) and of 2**19 + 1 (past one batch), seed 0;
-- ``cross_check_csv`` of ``cross_check`` (or the repr of its error) on
-  the same documents with the 1000-sample ``mc`` block; fig8 is a ``pop``
-  scenario, so it gives the DomainError;
 - ``cli.main`` (document, exit code, stdout, stderr) of ``cross-check``
-  on each of those documents written to a temporary file, and on
-  tier-1's failing one, ``doc()`` at ``pt_over_n0`` 100 with 2 samples
-  and seed 4, which exits 3;
+  on the same documents with the 1000-sample ``mc`` block, each written
+  to a temporary file, and on tier-1's failing one, ``doc()`` at
+  ``pt_over_n0`` 100 with 2 samples and seed 4, which exits 3; fig8 is a
+  ``pop`` scenario, so it exits 2;
 - the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
   ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by ``doc()``:
   each fails at one grid point, with an invalid value on a PU axis or an
@@ -54,7 +52,7 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
-tolerance, ``mc`` at each sample count, cross-check, its CLI, errors,
+tolerance, ``mc`` at each sample count, the cross-check CLI, errors,
 ``pop`` axes, and channel), and the first few differences; exits 1 if any
 output differs, 0 if none does.
 """
@@ -91,9 +89,9 @@ ROOT = Path(__file__).resolve().parent.parent  # this script's checkout
 
 
 def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
-    """Every input by group name, as ("cli", argv), ("scenario",
-    "cross-check" or "cross-check file", scenario document) or ("gains",
-    [k_paths, scale, n]);
+    """Every input by group name, as ("cli", argv), ("scenario" or
+    "cross-check file", scenario document) or ("gains", [k_paths, scale,
+    n]);
     ``fig8`` is that preset's document, and the error and ``pop`` cases
     come from checkout ``root``'s ``tests/support.py``."""
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
@@ -108,12 +106,9 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(d, mc={"samples": n})) for d in mc_docs]
-    out["cross-check"] = [
-        ("cross-check", dict(d, mc={"samples": MC_SAMPLES[0]}))
-        for d in mc_docs]
     sys.path.insert(0, str(root / "tests"))
     from support import AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, doc, pop_doc
-    cli_docs = [d for _, d in out["cross-check"]] + [
+    cli_docs = [dict(d, mc={"samples": MC_SAMPLES[0]}) for d in mc_docs] + [
         doc(axis={"name": "pt_over_n0", "grid": [100.0]},
             mc={"samples": 2, "seed": 4})]
     out["cross-check CLI"] = [("cross-check file", d) for d in cli_docs]
@@ -151,8 +146,7 @@ def collect(todo: list) -> list:
     """The output of every job, run with the ``percept`` on the path."""
     from percept.channel import MultipathConfig, gain_samples
     from percept.errors import PerceptError, ToleranceNotMet
-    from percept.sweep import (cross_check, cross_check_csv, run_scenario,
-                               scenario_from_dict, sweep_csv)
+    from percept.sweep import run_scenario, scenario_from_dict, sweep_csv
 
     out = []
     for kind, arg in todo:
@@ -170,13 +164,6 @@ def collect(todo: list) -> list:
             k, scale, n = arg
             gains = gain_samples(MultipathConfig(k, scale, 0), n)
             out.append([arg, hashlib.sha256(gains.tobytes()).hexdigest()])
-            continue
-        if kind == "cross-check":
-            try:
-                text = cross_check_csv(cross_check(scenario_from_dict(arg)))
-            except PerceptError as exc:
-                text = repr(exc)
-            out.append([arg, text])
             continue
         try:
             rows = run_scenario(scenario_from_dict(arg))
