@@ -12,6 +12,11 @@ were captured again when each slice began to be reduced as it is drawn:
 its per-sample values are the same, but the sums group by slice, and 12
 of those 20 entries moved in their last bit. The one-slice (1000-sample)
 and ``mc_pop`` entries kept their bytes.
+The two ``pop`` entries at 2**19 + 1 samples (seeds 0 and 7) were
+captured again when a scalar argument began to run as a one-element
+array: ``mc_pop``'s ``weight(p_hat)`` now takes numpy's array power loop,
+not the C library's ``pow``, so each mean moved by 2 ulp and seed 0's
+standard error by 1.
 The ``gain_samples`` entries were captured again when the simulator began
 to form each path's phasor after a quarter-turn reduction: it reads the
 same uniforms from the same substreams, but exp(-j*2*pi*u) is now
