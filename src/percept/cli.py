@@ -199,4 +199,3 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 4
-
