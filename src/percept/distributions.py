@@ -43,6 +43,18 @@ def _log1mexp(x, out=None, scratch=None):
     return _select(cond, hi, lo, bits)
 
 
+def _exponent(x, theta):
+    """(-log F, t) at x = s/mu >= 0, so that w(F) = exp(-gamma*t).
+
+    -log F is :func:`_log1mexp`'s, precise after F rounds to 1; t is
+    (-log F)**theta, or exp(-theta*x) past x ~ 708, where -log F =
+    exp(-x) is subnormal or 0. ``theta`` broadcasts against ``x``.
+    """
+    neg_log_f = -_log1mexp(x)
+    return neg_log_f, np.where(neg_log_f < _TINY, np.exp(-theta * x),
+                               neg_log_f ** theta)
+
+
 @dataclass(frozen=True)
 class ExponentialGain:
     """Exponential law for the channel power gain, mean ``mu``.
@@ -91,26 +103,16 @@ class PerceptualDistribution:
     base: ExponentialGain
     weights: WeightParams
 
-    def _exponent(self, x):
-        """(-log F, t) at x = s/mu >= 0, so that w(F) = exp(-gamma*t).
-
-        -log F is :func:`_log1mexp`'s, precise after F rounds to 1; t is
-        (-log F)**theta, or exp(-theta*x) past x ~ 708, where -log F =
-        exp(-x) is subnormal or 0."""
-        neg_log_f = -_log1mexp(x)
-        theta = self.weights.theta
-        return neg_log_f, np.where(neg_log_f < _TINY, np.exp(-theta * x),
-                                   neg_log_f ** theta)
-
     @_elementwise
     def pcdf(self, s):
-        """Perceived CDF, w(F(s)), as :meth:`_exponent` gives it. A valid
+        """Perceived CDF, w(F(s)), as :func:`_exponent` gives it. A valid
         CDF spanning 0 to 1; NaN raises."""
         if np.any(np.isnan(s)):
             raise DomainError("pcdf argument must not be NaN")
         # s/mu = inf is the limit F = 1; log F = -inf on s <= 0, where the
         # perceived CDF is exp(-inf) = 0
-        _, t = self._exponent(np.maximum(s, 0.0) / self.base.mu)
+        _, t = _exponent(np.maximum(s, 0.0) / self.base.mu,
+                         self.weights.theta)
         return np.exp(-self.weights.gamma * t)
 
     @_elementwise
@@ -135,7 +137,7 @@ class PerceptualDistribution:
         if np.any(f_base <= 0.0):
             raise DomainError(
                 "ppdf: base CDF rounds to 0 here, only a limit exists")
-        neg_log_f, t = self._exponent(x)
+        neg_log_f, t = _exponent(x, gp.theta)
         head = gp.gamma * gp.theta * np.exp(-gp.gamma * t)
         # both branches are formed everywhere; the power of a subnormal
         # -log F may overflow, and its product be NaN, where it is not used

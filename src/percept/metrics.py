@@ -28,8 +28,13 @@ so they absorb both singularities and resolve the step when a piece ends
 on each (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005): with the
 breakpoints 0 < b1 < ... < bk drawn from s* and gamma, tanh-sinh on each
 [lo, hi] of 0, b1, ..., bk, s = lo + (hi - lo)/(1 + exp(-2y)), and exp-sinh
-on [bk, inf), s = bk + exp(y); y = (pi/2) sinh(tau). A breakpoint past
-s = 745, where exp(-s) underflows, is left out.
+on [bk, inf), s = bk + exp(y); y = (pi/2) sinh(tau). The kink is
+s* = gamma * t, with t = (-log F(g*))**theta formed by the perceived law's
+own exponent (distributions._exponent), which is exp(-theta*g*/mu) past
+g*/mu ~ 708. A breakpoint past s = 745, where exp(-s) underflows, is left
+out, and so is a kink below the smallest node of the piece it would split,
+where no node would see it: b/(1 + exp(pi sinh 4.5)) ~ 4.0e-62 b on
+[0, b], exp(-(pi/2) sinh 4.5) ~ 2e-31 on [0, inf).
 
 Every piece samples tau on one fixed window, at step h0 on level 0; each
 later level halves the step and adds only the odd nodes. A piece's
@@ -65,7 +70,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import ExponentialGain, PerceptualDistribution, _log1mexp
+from .distributions import (ExponentialGain, PerceptualDistribution,
+                            _exponent, _log1mexp)
 from .errors import (DomainError, PerceptError, ToleranceNotMet,
                      _check_count, _real)
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
@@ -83,6 +89,10 @@ _EPS = float(np.finfo(float).eps)
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps a budget for int64 counts
 # a breakpoint past this s is left out: exp(-s) underflows there
 _S_MAX = 745.0
+# and a kink below the smallest node, at tau = _TAU_LO, of the piece it
+# would split: b * _S_MIN on [0, b], _S_MIN_INF on [0, inf)
+_S_MIN_INF = math.exp(0.5 * math.pi * math.sinh(_TAU_LO))
+_S_MIN = 1.0 / (1.0 + math.exp(-math.pi * math.sinh(_TAU_LO)))
 # below this z, log(1 - exp(-z)) = log z - z/2 to within z**2/24
 _SMALL_Z = 1e-8
 # per-piece parameters: the piece [lo, hi] (hi = inf on the last piece),
@@ -176,22 +186,24 @@ def _pieces(points) -> tuple:
     """The pieces [0, b1], ..., [bk, inf) of every point, in point order.
 
     Returns the parameter table, one column per piece with rows _LO ...
-    _RHO, and each point's piece count. The breakpoints are the kink
-    s* = gamma * (-log F(g*))**theta and gamma, where each lies in
-    (0, 745]. log F(g*) of every point is taken in one array call, and
-    rows _MU ... _RHO are each point's row repeated once per piece; only
-    the ends are formed point by point. Called under :func:`pu_batch`'s
-    error state: g*/mu may overflow to inf, the limit log F = 0.
+    _RHO, and each point's piece count. The breakpoints are gamma and the
+    kink s* = gamma * t, each up to 745; t = (-log F(g*))**theta of every
+    point is :func:`~percept.distributions._exponent`'s, in one array
+    call. A kink below the smallest node of the piece it would split is
+    left out too. Rows _MU ... _RHO are each point's row repeated once per
+    piece; only the ends are formed point by point. Called under
+    :func:`pu_batch`'s error state: g*/mu may be 0, where t = inf, or
+    overflow to inf, the limit t = 0.
     """
     table = np.array(points, dtype=float)
-    log_f = _log1mexp(table[:, -1] / table[:, 0]).tolist()
+    _, t = _exponent(table[:, -1] / table[:, 0], table[:, 2])
     lo, hi, counts = [], [], []
-    for point, lf in zip(points, log_f):
-        gamma, theta, crossing = point[1], point[2], point[-1]
-        breaks = {gamma}
-        if 0.0 < crossing < math.inf:  # inf if F(g*) underflows to 0
-            breaks.add(gamma * (-lf) ** theta)
-        ends = [0.0, *sorted(s for s in breaks if 0.0 < s <= _S_MAX), math.inf]
+    for point, kink in zip(points, (table[:, 1] * t).tolist()):
+        gamma = point[1]
+        ends = [0.0, gamma, math.inf] if gamma <= _S_MAX else [0.0, math.inf]
+        least = _S_MIN_INF if ends[1] == math.inf else ends[1] * _S_MIN
+        if least <= kink <= _S_MAX:
+            ends = sorted({*ends, kink})
         lo += ends[:-1]
         hi += ends[1:]
         counts.append(len(ends) - 1)

@@ -253,6 +253,15 @@ def test_small_theta_in_strict_box(fn, tol):
     (1e300, 1.0, 2.0, 0.99, [0.0, 2.0, math.inf]),  # the kink past 745
     (10.0, 4.0, 1.0, 0.8,  # the kink past gamma
      [0.0, 1.0, (-math.log(-math.expm1(-0.4))) ** 0.8, math.inf]),
+    # g*/mu past 708, where -log F(g*) = exp(-g*/mu) is 0: s* =
+    # gamma * exp(-theta * g*/mu), kept down to the smallest node of the
+    # piece it splits, ~4.0e-62 * gamma on [0, gamma], ~2e-31 on [0, inf)
+    (1.0, 1506.0, 1.0, 0.01, [0.0, math.exp(-15.06), 1.0, math.inf]),
+    (1.0, 14000.0, 1.0, 0.01, [0.0, math.exp(-140.0), 1.0, math.inf]),
+    (1.0, 14300.0, 1.0, 0.01, [0.0, 1.0, math.inf]),
+    (1.0, 7500.0, 1000.0, 0.01, [0.0, 1000.0 * math.exp(-75.0), math.inf]),
+    (1.0, 8000.0, 1000.0, 0.01, [0.0, math.inf]),
+    (1.0, 700.0, 1.0, 0.99, [0.0, 1.0, math.inf]),  # -log F normal, s* tiny
 ])
 def test_pieces_end_at_gamma_and_the_kink_up_to_745(rho, ref, gamma, theta,
                                                     ends):
@@ -347,12 +356,18 @@ def test_pu_depends_on_power_and_mean_gain_through_their_product(
 # Points on which an earlier QUADPACK-based engine understated its error,
 # missed its tolerance, or raised a DomainError, with their 30-digit mpmath
 # references from bench/catalogue.json (lambda_gain = 1 throughout). The
-# last four, at theta = 1e-3 and 1e-4 and at gamma = 1e25, are points on
-# which an adaptive Gauss-Kronrod engine certified a wrong value; their
-# mpmath references split the integral at many points about gamma. The
-# last two, at gamma = 1e300, are points where s / gamma underflows at the
-# smallest exp-sinh node; their references split at 1e-40, 1e-10, 0.01, 1,
-# 4, 16, 64 and 256 and agree with the substitution q = exp(-s) to 1e-33.
+# four after them, at theta = 1e-3 and 1e-4 and at gamma = 1e25, are
+# points on which an adaptive Gauss-Kronrod engine certified a wrong value;
+# their mpmath references split the integral at many points about gamma.
+# The two after those, at gamma = 1e300, are points where s / gamma
+# underflows at the smallest exp-sinh node; their references split at
+# 1e-40, 1e-10, 0.01, 1, 4, 16, 64 and 256 and agree with the substitution
+# q = exp(-s) to 1e-33. The last, at g*/mu ~ 1506, is a point whose kink
+# s* = gamma * exp(-theta * g*/mu) ~ 2.098e-7 was lost while it was taken
+# from a -log F(g*) that is 0 there: the engine then certified a value
+# 1.37 times its abs_error off. Its 30-digit reference splits at s* and
+# gamma, and a second split, at s*/2, s*, 2s*, 1e-3, gamma/2, gamma*(1 -
+# 5 theta), gamma, gamma*(1 + 5 theta) and 2 gamma, agrees to 32 digits.
 # metric, rho, ref, alpha, lambda_loss, gamma, theta, mu, tol, reference
 HARD_POINTS = [
     ("pu_snr", 2.09046, 5.34596, 0.347988, 1.79406, 1.41174, 0.599264, 1.62999,
@@ -387,6 +402,8 @@ HARD_POINTS = [
      "293.964315295370589259660385283"),
     ("pu_rate", 100.0, 4.0, 0.5, 2.0, 1e300, 0.8, 1.0, 1e-08,
      "3.52123224724112857397186344567"),
+    ("pu_snr", 0.2724, 10.05, 0.587, 3.162, 0.7385, 0.01001, 0.0245, 1e-10,
+     "-11.9461560855037880037177310357"),
 ]
 
 # integrand evaluations of the fig5 and fig6 presets; the counts are

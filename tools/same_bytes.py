@@ -10,7 +10,7 @@ same inputs, read from CHANGE's ``bench/catalogue.json``, its
 numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
-  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of fourteen edge cases:
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of fifteen edge cases:
   ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
   1e-14``, ``pu-snr --budget 100``, ``pu-rate --tol 1e-2``, ``pop
   --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1), ``pcdf
@@ -18,11 +18,13 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
   ``ppdf 216 --mu 0.3 --theta 0.9`` and ``ppdf 746`` (the far tail of the
   perceived density, where -log F is subnormal or 0), the quadrature's
   two failing checks, ``pu-snr --lambda-loss 1e308`` (a perceived value
-  past the float range) and ``pu-snr --ptn0 1e300 --mu 1e10`` (an
-  infinite quantity), and the exits the rest never reach: ``value -1``
-  (2, a DomainError at a grid point), ``pu-snr --alpha 1.5`` (2, a
-  ConstraintViolation before the sweep) and ``sweep fig9`` (4, neither
-  a preset nor a file);
+  past the float range), ``pu-snr --ptn0 1e300 --mu 1e10`` (an
+  infinite quantity) and ``pu-snr --ptn0 0.2724 --ref 10.05 ... --mu
+  0.0245 --tol 1e-10`` (a kink that weighs at g*/mu ~ 1506, where
+  -log F(g*) underflows to 0), and the exits the rest never reach:
+  ``value -1`` (2, a DomainError at a grid point), ``pu-snr --alpha
+  1.5`` (2, a ConstraintViolation before the sweep) and ``sweep fig9``
+  (4, neither a preset nor a file);
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
   As the CSV rounds to 12 digits, each such output also holds the
@@ -77,7 +79,11 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"],
               ["ppdf", "216", "--mu", "0.3", "--theta", "0.9"],
               ["ppdf", "746"], ["pu-snr", "--lambda-loss", "1e308"],
-              ["pu-snr", "--ptn0", "1e300", "--mu", "1e10"], ["value", "-1"],
+              ["pu-snr", "--ptn0", "1e300", "--mu", "1e10"],
+              ["pu-snr", "--ptn0", "0.2724", "--ref", "10.05", "--alpha",
+               "0.587", "--lambda-loss", "3.162", "--gamma", "0.7385",
+               "--theta", "0.01001", "--mu", "0.0245", "--tol", "1e-10"],
+              ["value", "-1"],
               ["pu-snr", "--alpha", "1.5"], ["sweep", "fig9"]]
 TOLERANCES = (None, 1e-12, 1e-4)  # None: the scenario's own tolerance
 MC_SAMPLES = (1000, (1 << 19) + 1)
