@@ -38,17 +38,19 @@ _POINT_COMMANDS = (
 # each flag takes its field's type, float unless _NUMBER_KEYS says otherwise
 _FLAGS = {
     "value_params": (
-        ("alpha", 0.5, "diminishing-sensitivity exponent (default 0.5)"),
-        ("lambda_gain", 1.0, "gain-side scale (default 1)"),
-        ("lambda_loss", 2.0, "loss-side scale (default 2)")),
+        ("alpha", 0.5,
+         "diminishing-sensitivity exponent (default %(default)g)"),
+        ("lambda_gain", 1.0, "gain-side scale (default %(default)g)"),
+        ("lambda_loss", 2.0, "loss-side scale (default %(default)g)")),
     "weight_params": (
-        ("gamma", 1.0, "weighting distortion scale (default 1)"),
-        ("theta", 0.8, "weighting curvature in (0,1) (default 0.8)")),
-    "reference": (("ref", 4.0, "reference point (default 4)"),),
-    "mu": (("mu", 1.0, "average channel gain (default 1)"),),
+        ("gamma", 1.0, "weighting distortion scale (default %(default)g)"),
+        ("theta", 0.8, "weighting curvature in (0,1) (default %(default)g)")),
+    "reference": (("ref", 4.0, "reference point (default %(default)g)"),),
+    "mu": (("mu", 1.0, "average channel gain (default %(default)g)"),),
     "pt_over_n0": (("ptn0", 100.0,
-                    "transmit power to noise ratio (default 100)"),),
-    "epsilon": (("epsilon", 1.0, "rate threshold in bits/s/Hz (default 1)"),),
+                    "transmit power to noise ratio (default %(default)g)"),),
+    "epsilon": (("epsilon", 1.0,
+                 "rate threshold in bits/s/Hz (default %(default)g)"),),
     "tolerance": (("tol", DEFAULT_TOL, "absolute quadrature tolerance"),),
     "budget": (("budget", DEFAULT_BUDGET, "integrand evaluation budget"),),
 }
@@ -173,11 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate-channel",
         help="multipath gain samples vs the exponential limit law")
     p.add_argument("--k-paths", type=int, default=64, dest="k_paths",
-                   help="number of propagation paths (default 64)")
+                   help="number of propagation paths (default %(default)s)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="total amplitude scale; mean gain is scale**2")
     p.add_argument("--samples", type=int, default=100_000,
-                   help="number of channel draws (default 100000)")
+                   help="number of channel draws (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_simulate_channel)

@@ -3,9 +3,8 @@
 The channel power gain of a Rayleigh-faded link follows the exponential
 law on [0, inf). A perceptual distribution composes it with the Prelec
 weighting: the perceived CDF is w(F(s)) and the perceived density is its
-derivative,
-
-    ppdf(s) = gamma * theta * w(F(s)) * (-log F(s))**(theta-1) * f(s) / F(s).
+derivative, gamma*theta*w(F)*(-log F)**(theta-1)*f/F, formed with t =
+(-log F)**theta as gamma*theta*w(F)*t / (mu*(-log F)*expm1(s/mu)).
 """
 from __future__ import annotations
 
@@ -123,28 +122,27 @@ class PerceptualDistribution:
         only (integrable) limits exist and a DomainError is raised. The
         density is unbounded near the lower endpoint for theta < 1:
         overweighting of rare events piles perceived mass onto the far left
-        tail. Past s/mu ~ 708, where -log F = exp(-s/mu) is subnormal or 0,
-        (-log F)**(theta-1) * f/F is exp(-theta*s/mu)/mu; it is 0 where that
-        underflows or s/mu overflows. The one other refusal is where s/mu
-        underflows to 0, so that the base CDF rounds to 0, and where the
-        density itself overflows the float range.
+        tail. Its head gamma*theta*w(F)*t/mu, with (-log F, t) from
+        :func:`_exponent`, is divided by (-log F)*expm1(s/mu) up to s/mu ~
+        708; past it that rounds to 1, and the head is 0 where t underflows
+        or s/mu overflows. Also refused: s/mu = 0 (F rounds to 0) and a
+        density past the float range.
         """
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
         mu, gp = self.base.mu, self.weights
         x = s / mu  # s/mu = inf is the limit 0
-        f_base = -np.expm1(-x)
-        if np.any(f_base <= 0.0):
+        if np.any(x == 0.0):
             raise DomainError(
                 "ppdf: base CDF rounds to 0 here, only a limit exists")
         neg_log_f, t = _exponent(x, gp.theta)
-        head = gp.gamma * gp.theta * np.exp(-gp.gamma * t)
-        # both branches are formed everywhere; the power of a subnormal
-        # -log F may overflow, and its product be NaN, where it is not used
+        head = gp.gamma * gp.theta * np.exp(-gp.gamma * t) * t / mu
+        # -log F >= 1 below s/mu ~ 0.46: dividing by it first keeps a
+        # subnormal expm1(s/mu) out of the product, an unused 0*inf past 745
         with np.errstate(invalid="ignore"):
-            out = np.where(neg_log_f < _TINY, head * t / mu,
-                           head * np.maximum(neg_log_f, _TINY)
-                           ** (gp.theta - 1.0) * (np.exp(-x) / mu) / f_base)
+            out = np.where(neg_log_f < _TINY, head,
+                           head / np.maximum(neg_log_f, 1.0)
+                           / (np.minimum(neg_log_f, 1.0) * np.expm1(x)))
         if np.any(np.isinf(out)):
             raise DomainError("perceived density overflows the float range")
         return out

@@ -2,7 +2,9 @@
 
 Every run draws the same examples (``derandomize``), keeps no example
 database between runs, and sets no per-example deadline, so a slow host
-cannot fail a test on timing alone.
+cannot fail a test on timing alone. The report header names the file
+``percept`` was imported from: pyproject's ``pythonpath = ["src"]`` goes
+ahead of ``PYTHONPATH``, so a run tests the checkout it starts in.
 """
 import sys
 
@@ -14,3 +16,8 @@ sys.modules["scipy"] = None
 settings.register_profile("percept", deadline=None, derandomize=True,
                           database=None)
 settings.load_profile("percept")
+
+
+def pytest_report_header(config):
+    import percept
+    return f"percept: {percept.__file__}"

@@ -7,7 +7,8 @@ checkout that holds this script. Each checkout runs in its own Python
 subprocess with its own ``src/`` first on the path, and both take the
 same inputs, read from CHANGE's ``bench/catalogue.json``, its
 ``tests/support.py`` (imported with ``tests/`` on the path; it imports
-numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
+numpy and percept, not pytest) and, for the presets, its
+``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
   ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of fifteen edge cases:
@@ -50,13 +51,16 @@ numpy and percept, not pytest) and, for fig8, its ``sweep.PRESETS``:
 - the sha256 of ``gain_samples`` on both sides of the 16384-draw chunk
   boundary, at K = 1, 7 (scale 0.3) and 64, seed 0, and ``cli.main`` of
   ``simulate-channel --samples 20000 --seed 0`` at ``--k-paths`` 1, 7
-  and 64.
+  and 64;
+- the same ``run_scenario`` output of the documents of fig2 ... fig8, so
+  that a last-bit change the 12-digit CSV of their ``sweep`` rounds away
+  shows in the ``float.hex`` of their rows.
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
 tolerance, ``mc`` at each sample count, the cross-check CLI, errors,
-``pop`` axes, and channel), and the first few differences; exits 1 if any
-output differs, 0 if none does.
+``pop`` axes, channel, and preset rows), and the first few differences;
+exits 1 if any output differs, 0 if none does.
 """
 from __future__ import annotations
 
@@ -94,12 +98,12 @@ SHOW = 5  # differences printed in full
 ROOT = Path(__file__).resolve().parent.parent  # this script's checkout
 
 
-def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
+def jobs(catalogue: dict, presets: dict, root: Path = ROOT) -> dict:
     """Every input by group name, as ("cli", argv), ("scenario" or
     "cross-check file", scenario document) or ("gains", [k_paths, scale,
-    n]);
-    ``fig8`` is that preset's document, and the error and ``pop`` cases
+    n]); ``presets`` is ``sweep.PRESETS``, and the error and ``pop`` cases
     come from checkout ``root``'s ``tests/support.py``."""
+    figs = [presets[f"fig{k}"][1] for k in range(2, 9)]
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
            "edge cases": [("cli", argv) for argv in EDGE_ARGVS]}
@@ -108,7 +112,7 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
             ("scenario", e["doc"] if tol is None else dict(e["doc"],
                                                           tolerance=tol))
             for e in catalogue["quad"]]
-    mc_docs = [e["doc"] for e in catalogue["oracle"][::8]] + [fig8]
+    mc_docs = [e["doc"] for e in catalogue["oracle"][::8]] + [presets["fig8"][1]]
     for n in MC_SAMPLES:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(d, mc={"samples": n})) for d in mc_docs]
@@ -131,6 +135,7 @@ def jobs(catalogue: dict, fig8: dict, root: Path = ROOT) -> dict:
     out["channel"] = [("gains", list(draw)) for draw in CHANNEL_DRAWS] + [
         ("cli", ["simulate-channel", "--samples", "20000", "--seed", "0",
                  "--k-paths", str(k)]) for k in (1, 7, 64)]
+    out["preset rows"] = [("scenario", d) for d in figs]
     return out
 
 
@@ -217,7 +222,7 @@ def main(argv=None) -> int:
         (args.change / "bench" / "catalogue.json").read_text(encoding="utf-8"))
     sys.path.insert(0, str(args.change / "src"))
     from percept.sweep import PRESETS
-    groups = jobs(catalogue, PRESETS["fig8"][1], args.change)
+    groups = jobs(catalogue, PRESETS, args.change)
     todo = [job for group in groups.values() for job in group]
     before = run_checkout(args.parent, todo)
     after = run_checkout(args.change, todo)
