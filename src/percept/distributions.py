@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import WeightParams, _elementwise, _scratch, _select
+from .prospect import WeightParams, _elementwise, _scratch, _select, _slope
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -122,11 +122,11 @@ class PerceptualDistribution:
         only (integrable) limits exist and a DomainError is raised. The
         density is unbounded near the lower endpoint for theta < 1:
         overweighting of rare events piles perceived mass onto the far left
-        tail. Its head gamma*theta*w(F)*t/mu, with (-log F, t) from
-        :func:`_exponent`, is divided by (-log F)*expm1(s/mu) up to s/mu ~
-        708; past it that rounds to 1, and the head is 0 where t underflows
-        or s/mu overflows. Also refused: s/mu = 0 (F rounds to 0) and a
-        density past the float range.
+        tail. It is the Prelec slope of :func:`~percept.prospect._slope`,
+        with (-log F, t) from :func:`_exponent`, scale mu and b =
+        expm1(s/mu); past s/mu ~ 708 (-log F)*b rounds to 1, so both are 1
+        there. Also refused: s/mu = 0 (F rounds to 0) and a density past
+        the float range.
         """
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
@@ -136,16 +136,10 @@ class PerceptualDistribution:
             raise DomainError(
                 "ppdf: base CDF rounds to 0 here, only a limit exists")
         neg_log_f, t = _exponent(x, gp.theta)
-        head = gp.gamma * gp.theta * np.exp(-gp.gamma * t) * t / mu
-        # -log F >= 1 below s/mu ~ 0.46: dividing by it first keeps a
-        # subnormal expm1(s/mu) out of the product, an unused 0*inf past 745
-        with np.errstate(invalid="ignore"):
-            out = np.where(neg_log_f < _TINY, head,
-                           head / np.maximum(neg_log_f, 1.0)
-                           / (np.minimum(neg_log_f, 1.0) * np.expm1(x)))
-        if np.any(np.isinf(out)):
-            raise DomainError("perceived density overflows the float range")
-        return out
+        far = neg_log_f < _TINY
+        return _slope("perceived density", t, mu,
+                      np.where(far, 1.0, neg_log_f),
+                      np.where(far, 1.0, np.expm1(x)), gp)
 
     @_elementwise
     def perceptual_sample(self, u):

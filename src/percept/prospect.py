@@ -303,8 +303,28 @@ def weight_derivative(p, params: WeightParams):
     if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both
         raise DomainError("derivative defined on (0, 1) only")
     neg_log = -np.log(p)
-    out = (params.gamma * params.theta * weight(p, params)
-           * neg_log ** (params.theta - 1.0) / p)
+    return _slope("weighting derivative", neg_log ** params.theta, 1.0,
+                  neg_log, p, params)
+
+
+def _slope(name, t, scale, neg_log, b, params: WeightParams):
+    """The Prelec slope gamma*theta*w*t / (scale*neg_log*b), w = exp(-gamma*t).
+
+    dw/dp is the slope at t = (-log p)**theta, neg_log = -log p, b = p.
+    Dividing by neg_log first where it is >= 1 keeps a subnormal b out of
+    a rounded product. Where gamma*t > 700, w rounds to a subnormal or 0
+    before the product is formed, so the slope is taken in logs there. A
+    slope past the float range is refused as ``name``.
+    """
+    gamma, theta = params.gamma, params.theta
+    gt = gamma * t
+    out = (gamma * theta * np.exp(-gt) * t / scale / np.maximum(neg_log, 1.0)
+           / (np.minimum(neg_log, 1.0) * b))
+    far = gt > 700.0
+    if far.any():  # separate logs: gamma*t may overflow, -inf is the limit
+        log_c = np.log(gamma) + np.log(theta) - np.log(scale)
+        out[far] = np.exp(log_c + np.log(t[far]) - gt[far]
+                          - np.log(neg_log[far]) - np.log(b[far]))
     if np.any(np.isinf(out)):
-        raise DomainError("weighting derivative overflows the float range")
+        raise DomainError(f"{name} overflows the float range")
     return out

@@ -201,31 +201,41 @@ def test_ppdf_far_tail_against_mpmath(mu, gamma, theta):
 
 def test_ppdf_near_tail_against_mpmath():
     # 300 seeded points with s/mu log-uniform on [1e-12, 708], where -log F
-    # is normal, and four at the CLI defaults where s/mu is subnormal,
-    # against 50 digits at the float s/mu. -log F and t = (-log F)**theta
-    # each carry a rounding or two, so t is off by a few units of 2**-53,
-    # relative; w(F) = exp(-gamma*t) multiplies that by gamma*t, and the
-    # head and its quotient by (-log F) * expm1(s/mu) add a few roundings
-    # of their own: a relative error of at most 8 * (1 + gamma*t) * 2**-53
+    # is normal, 600 more on [1e-320, 1e-3], which reach gamma*t > 700,
+    # and four at the CLI defaults where s/mu is subnormal, against 50
+    # digits at the float s/mu; points whose density lies outside (1e-300,
+    # 1e300) are left out. -log F and t = (-log F)**theta each carry a
+    # rounding or two, so t is off by a few units of 2**-53, relative;
+    # w(F) = exp(-gamma*t) multiplies that by gamma*t, and the slope's
+    # products and quotients add a few roundings of their own. Where
+    # gamma*t > 700 the slope is exp of a sum of logs: each term rounds by
+    # 2**-53 times its magnitude, and the terms other than gamma*t are
+    # below about 750 there, so the sum adds a few gamma*t * 2**-53 more.
+    # Either way the relative error is at most 8 * (1 + gamma*t) * 2**-53
     rng = np.random.default_rng(20)
     points = [(x, 10.0 ** rng.uniform(-2.0, 2.0),
                10.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.05, 0.99))
-              for x in 10.0 ** rng.uniform(-12.0, np.log10(708.0), 300)]
+              for lo, hi, n in ((-12.0, np.log10(708.0), 300),
+                                (-320.0, -3.0, 600))
+              for x in 10.0 ** rng.uniform(lo, hi, n)]
     points += [(x, 1.0, 1.0, 0.8) for x in (1e-300, 1e-310, 1e-320, 1.5e-323)]
-    worst = 0.0
+    worst, far = 0.0, 0
     with mpmath.workdps(50):
         for x, mu, gamma, theta in points:
             s = x * mu
-            got = make_pd(mu, gamma, theta).ppdf(s)
             xf = mpmath.mpf(s / mu)
             neg_log_f = (-mpmath.log(-mpmath.expm1(-xf)) if xf < 1
                          else -mpmath.log1p(-mpmath.exp(-xf)))
             g, t = mpmath.mpf(gamma), neg_log_f ** mpmath.mpf(theta)
             want = (g * theta * mpmath.exp(-g * t) * t
                     / (mu * neg_log_f * mpmath.expm1(xf)))
+            if not 1e-300 < want < 1e300:
+                continue
+            got = make_pd(mu, gamma, theta).ppdf(s)
             ratio = abs(got - want) / (want * (1 + g * t) * 2.0**-53)
             worst = max(worst, float(ratio))
-    assert worst <= 8.0
+            far += g * t > 700
+    assert far >= 10 and worst <= 8.0
 
 
 def test_pcdf_boundaries():

@@ -208,7 +208,7 @@ def test_same_bytes_builds_every_input_group(monkeypatch):
     tool = load(ROOT / "tools" / "same_bytes.py", "same_bytes")
     groups = tool.jobs(CATALOGUE, PRESETS)
     assert {name: len(jobs) for name, jobs in groups.items()} == {
-        "cli entries": 168, "presets": 7, "edge cases": 15,
+        "cli entries": 168, "presets": 7, "edge cases": 16,
         "quad at own tol": 320, "quad at tol 1e-12": 320,
         "quad at tol 0.0001": 320, "mc at 1000 samples": 13,
         "mc at 524289 samples": 13, "cross-check CLI": 14, "errors": 26,

@@ -1,6 +1,7 @@
 """Value function, probability weighting, and their parameter validation."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -276,6 +277,42 @@ def test_weight_derivative_matches_finite_difference():
         h = 1e-7
         fd = (weight(p + h, wp) - weight(p - h, wp)) / (2 * h)
         assert weight_derivative(p, wp) == pytest.approx(fd, rel=1e-6)
+    # gamma*t overflows, or w underflows: the limit 0, with no warning
+    huge = WeightParams(1.7e308, 0.7)
+    got = weight_derivative([0.05, 0.3, INV_E, 0.8], huge)
+    assert got.tolist() == [0.0] * 4
+
+
+def test_weight_derivative_against_mpmath():
+    # 500 seeded p log-uniform on [1e-300, 1) and 500 uniform on [0.5,
+    # 1 - 1e-12], against 60 digits; points whose derivative lies outside
+    # (1e-300, 1e300) are left out. -log p and t = (-log p)**theta each
+    # carry a rounding or two, so t is off by a few units of 2**-53,
+    # relative; w = exp(-gamma*t) multiplies that by gamma*t, and the
+    # products and quotients of gamma*theta*w*t / ((-log p)*p) add a few
+    # roundings of their own. Where gamma*t > 700 it is exp of a sum of
+    # logs: each term rounds by 2**-53 times its magnitude, and the terms
+    # other than gamma*t are below about 700 there, so the sum adds a few
+    # gamma*t * 2**-53 more. Either way the relative error is at most
+    # 8 * (1 + gamma*t) * 2**-53
+    rng = np.random.default_rng(3)
+    ps = np.concatenate([10.0 ** rng.uniform(-300.0, 0.0, 500),
+                         rng.uniform(0.5, 1.0 - 1e-12, 500)])
+    worst, far = 0.0, 0
+    with mpmath.workdps(60):
+        for p in ps[ps < 1.0]:
+            gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+            theta = rng.uniform(0.05, 0.99)
+            g, neg_log = mpmath.mpf(gamma), -mpmath.log(p)
+            t = neg_log ** mpmath.mpf(theta)
+            want = g * theta * mpmath.exp(-g * t) * t / (neg_log * p)
+            if not 1e-300 < want < 1e300:
+                continue
+            got = weight_derivative(p, WeightParams(gamma, theta))
+            ratio = abs(got - want) / (want * (1 + g * t) * 2.0**-53)
+            worst = max(worst, float(ratio))
+            far += g * t > 700
+    assert far >= 5 and worst <= 8.0
 
 
 # --- the elementwise call contract ----------------------------------------

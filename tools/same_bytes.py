@@ -11,14 +11,15 @@ numpy and percept, not pytest) and, for the presets, its
 ``sweep.PRESETS``:
 
 - ``cli.main`` (argv, exit code, stdout, stderr) of every catalogue
-  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of fifteen edge cases:
+  ``cli`` entry, of ``sweep fig2`` ... ``fig8`` and of sixteen edge cases:
   ``pu-snr --ptn0 1e300``, ``pu-rate --ptn0 1e300``, ``pu-snr --tol
   1e-14``, ``pu-snr --budget 100``, ``pu-rate --tol 1e-2``, ``pop
   --ptn0 0.025 --theta 0.01`` (an outage that rounds to 1), ``pcdf
   300 --mu 0.3 --theta 0.01`` (a -log F that underflows to 0),
   ``ppdf 216 --mu 0.3 --theta 0.9`` and ``ppdf 746`` (the far tail of the
-  perceived density, where -log F is subnormal or 0), the quadrature's
-  two failing checks, ``pu-snr --lambda-loss 1e308`` (a perceived value
+  perceived density, where -log F is subnormal or 0), ``ppdf 1e-300
+  --gamma 3 --theta 0.9`` (a density whose weight w(F) underflows, taken
+  in logs), the quadrature's two failing checks, ``pu-snr --lambda-loss 1e308`` (a perceived value
   past the float range), ``pu-snr --ptn0 1e300 --mu 1e10`` (an
   infinite quantity) and ``pu-snr --ptn0 0.2724 --ref 10.05 ... --mu
   0.0245 --tol 1e-10`` (a kink that weighs at g*/mu ~ 1506, where
@@ -82,7 +83,9 @@ EDGE_ARGVS = [["pu-snr", "--ptn0", "1e300"], ["pu-rate", "--ptn0", "1e300"],
               ["pop", "--ptn0", "0.025", "--theta", "0.01"],
               ["pcdf", "300", "--mu", "0.3", "--theta", "0.01"],
               ["ppdf", "216", "--mu", "0.3", "--theta", "0.9"],
-              ["ppdf", "746"], ["pu-snr", "--lambda-loss", "1e308"],
+              ["ppdf", "746"],
+              ["ppdf", "1e-300", "--gamma", "3", "--theta", "0.9"],
+              ["pu-snr", "--lambda-loss", "1e308"],
               ["pu-snr", "--ptn0", "1e300", "--mu", "1e10"],
               ["pu-snr", "--ptn0", "0.2724", "--ref", "10.05", "--alpha",
                "0.587", "--lambda-loss", "3.162", "--gamma", "0.7385",
