@@ -19,14 +19,14 @@ numpy and percept, not pytest) and, for the presets, its
   ``ppdf 216 --mu 0.3 --theta 0.9`` and ``ppdf 746`` (the far tail of the
   perceived density, where -log F is subnormal or 0), ``ppdf 1e-300
   --gamma 3 --theta 0.9`` (a density whose weight w(F) underflows, taken
-  in logs), the quadrature's two failing checks, ``pu-snr --lambda-loss 1e308`` (a perceived value
-  past the float range), ``pu-snr --ptn0 1e300 --mu 1e10`` (an
-  infinite quantity) and ``pu-snr --ptn0 0.2724 --ref 10.05 ... --mu
-  0.0245 --tol 1e-10`` (a kink that weighs at g*/mu ~ 1506, where
-  -log F(g*) underflows to 0), and the exits the rest never reach:
-  ``value -1`` (2, a DomainError at a grid point), ``pu-snr --alpha
-  1.5`` (2, a ConstraintViolation before the sweep) and ``sweep fig9``
-  (4, neither a preset nor a file);
+  in logs), the quadrature's two failing checks, ``pu-snr --lambda-loss
+  1e308`` (a perceived value past the float range), ``pu-snr --ptn0
+  1e300 --mu 1e10`` (an infinite quantity) and ``pu-snr --ptn0 0.2724
+  --ref 10.05 ... --mu 0.0245 --tol 1e-10`` (a kink that weighs at
+  g*/mu ~ 1506, where -log F(g*) underflows to 0), and the exits the
+  rest never reach: ``value -1`` (2, a DomainError at a grid point),
+  ``pu-snr --alpha 1.5`` (2, a ConstraintViolation before the sweep)
+  and ``sweep fig9`` (4, neither a preset nor a file);
 - ``sweep_csv`` of ``run_scenario`` (or the repr of its error) for every
   catalogue ``quad`` scenario at its own tolerance, at 1e-12 and at 1e-4.
   As the CSV rounds to 12 digits, each such output also holds the
