@@ -17,7 +17,7 @@ from .metrics import (CompositeMetric, LinkBudget, OutageSpec, PuResult,
 from .montecarlo import McConfig, McEstimate, mc_pop, mc_pu
 from .prospect import (ReferencePoint, ValueParams, WeightParams,
                        as_reference, validate_value_params, value, weight,
-                       weight_derivative, weight_inverse)
+                       weight_inverse)
 from .sweep import (CrossCheckRow, Scenario, SweepRow, cross_check,
                     cross_check_csv, load_scenario, preset_scenario,
                     run_scenario, scenario_from_dict, sweep_csv)
@@ -28,7 +28,6 @@ __all__ = [
     "ConstraintViolation", "DomainError", "PerceptError", "ToleranceNotMet",
     "ValueParams", "WeightParams", "ReferencePoint", "as_reference",
     "validate_value_params", "value", "weight", "weight_inverse",
-    "weight_derivative",
     "ExponentialGain", "PerceptualDistribution",
     "LinkBudget", "OutageSpec", "CompositeMetric", "PuResult",
     "pu_snr", "pu_rate", "snr_metric", "rate_metric",

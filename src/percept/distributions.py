@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import WeightParams, _elementwise, _scratch, _select, _slope
+from .prospect import WeightParams, _elementwise, _scratch, _select
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -122,24 +122,37 @@ class PerceptualDistribution:
         only (integrable) limits exist and a DomainError is raised. The
         density is unbounded near the lower endpoint for theta < 1:
         overweighting of rare events piles perceived mass onto the far left
-        tail. It is the Prelec slope of :func:`~percept.prospect._slope`,
-        with (-log F, t) from :func:`_exponent`, scale mu and b =
-        expm1(s/mu); past s/mu ~ 708 (-log F)*b rounds to 1, so both are 1
+        tail. With (-log F, t) from :func:`_exponent` and b = expm1(s/mu)
+        it is gamma*theta*w*t / (mu*(-log F)*b), w = exp(-gamma*t), divided
+        by -log F first where that is >= 1, which keeps a subnormal b out
+        of a rounded product. Past s/mu ~ 708 (-log F)*b rounds to 1, so
+        both are 1 there. Where gamma*t > 700, w rounds to a subnormal or 0
+        before the product is formed, so the density is taken in logs
         there. Also refused: s/mu = 0 (F rounds to 0) and a density past
         the float range.
         """
         if not np.all((s > 0.0) & (s < np.inf)):  # NaN fails both
             raise DomainError("ppdf is defined strictly inside the support")
-        mu, gp = self.base.mu, self.weights
+        mu, gamma, theta = self.base.mu, self.weights.gamma, self.weights.theta
         x = s / mu  # s/mu = inf is the limit 0
         if np.any(x == 0.0):
             raise DomainError(
                 "ppdf: base CDF rounds to 0 here, only a limit exists")
-        neg_log_f, t = _exponent(x, gp.theta)
-        far = neg_log_f < _TINY
-        return _slope("perceived density", t, mu,
-                      np.where(far, 1.0, neg_log_f),
-                      np.where(far, 1.0, np.expm1(x)), gp)
+        neg_log_f, t = _exponent(x, theta)
+        tail = neg_log_f < _TINY
+        neg_log = np.where(tail, 1.0, neg_log_f)
+        b = np.where(tail, 1.0, np.expm1(x))
+        gt = gamma * t
+        out = (gamma * theta * np.exp(-gt) * t / mu / np.maximum(neg_log, 1.0)
+               / (np.minimum(neg_log, 1.0) * b))
+        far = gt > 700.0
+        if far.any():  # separate logs: gamma*t may overflow, -inf is the limit
+            log_c = np.log(gamma) + np.log(theta) - np.log(mu)
+            out[far] = np.exp(log_c + np.log(t[far]) - gt[far]
+                              - np.log(neg_log[far]) - np.log(b[far]))
+        if np.any(np.isinf(out)):
+            raise DomainError("perceived density overflows the float range")
+        return out
 
     @_elementwise
     def perceptual_sample(self, u):

@@ -31,7 +31,7 @@ from .distributions import PerceptualDistribution
 from .errors import DomainError, _check_count, _check_size
 from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
 from .prospect import (ValueParams, WeightParams, _check_value, _scratch,
-                       _value, weight, weight_derivative)
+                       _value, weight)
 
 RNG_ALGORITHM = "philox4x64"
 _BATCH = 1 << 19
@@ -202,12 +202,10 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
            config: McConfig) -> McEstimate:
     """Weighted empirical outage probability from plain channel draws.
 
-    The standard error of the empirical probability is propagated through
-    the weighting function by the delta method. At an empirical probability
-    of exactly 0 or 1, where that bar would be 0, the estimate is pinned to
-    the boundary and the bar is the distance to the weighted z = 1 Wilson
-    bound: w(1/(n+1)) at 0 and 1 - w(n/(n+1)) at 1. At zero power the
-    outage is certain and the bar is 0.
+    For k outages in n draws the estimate is w(k/n), and its bar is the
+    larger distance to w of the z = 1 Wilson bounds on k/n, as
+    :func:`_weighted_outage` forms them. At zero power the outage is
+    certain and the bar is 0.
     """
     rho = link.pt_over_n0
     if rho == 0.0:
@@ -228,12 +226,23 @@ def mc_pop(link: LinkBudget, spec: OutageSpec, weight_params: WeightParams,
 
     n = config.samples
     with np.errstate(over="ignore"):  # a gain past the float range: no outage
-        p_hat = sum(_map_substreams(batch, config.seed, n, _BATCH)) / n
-    mean = float(weight(p_hat, weight_params))
-    if 0.0 < p_hat < 1.0:
-        se_p = math.sqrt(p_hat * (1.0 - p_hat) / n)
-        std_error = float(weight_derivative(p_hat, weight_params)) * se_p
-    else:
-        bound = 1.0 / (n + 1) if p_hat == 0.0 else n / (n + 1)
-        std_error = abs(float(weight(bound, weight_params)) - mean)
-    return McEstimate(mean=mean, std_error=std_error, samples=n)
+        k = sum(_map_substreams(batch, config.seed, n, _BATCH))
+    mean, std_error = _weighted_outage(k, n, weight_params)
+    return McEstimate(mean=float(mean), std_error=float(std_error), samples=n)
+
+
+def _weighted_outage(k, n: int, weight_params: WeightParams):
+    """(w(k/n), bar) for ``k`` outages of ``n`` draws; ``k`` is an int or,
+    elementwise, an integer array.
+
+    The bar is the larger distance from w(k/n) to the weighted z = 1
+    Wilson bounds (k + 1/2 -+ sqrt(k*(n-k)/n + 1/4)) / (n + 1), formed
+    from the count: w is increasing, so no derivative is needed, and at k
+    = 0 or n, where the binomial bar is 0, it is w(1/(n+1)) or
+    1 - w(n/(n+1)).
+    """
+    root = np.sqrt(k * (n - k) / n + 0.25)
+    lo, mean, hi = weight(np.array([(k + 0.5 - root) / (n + 1), k / n,
+                                    (k + 0.5 + root) / (n + 1)]),
+                          weight_params)
+    return mean, np.maximum(hi - mean, mean - lo)

@@ -292,39 +292,3 @@ def weight_inverse(q, params: WeightParams):
     # -log(0) = inf, and a power past the float range, give the limit 0
     return np.exp(-((-np.log(q)) / params.gamma) ** (1.0 / params.theta))
 
-
-@_elementwise
-def weight_derivative(p, params: WeightParams):
-    """dw/dp, used for error propagation through the weighting function.
-
-    Valid on the open interval (0, 1); a derivative past the float range
-    is refused.
-    """
-    if not np.all((p > 0.0) & (p < 1.0)):  # NaN fails both
-        raise DomainError("derivative defined on (0, 1) only")
-    neg_log = -np.log(p)
-    return _slope("weighting derivative", neg_log ** params.theta, 1.0,
-                  neg_log, p, params)
-
-
-def _slope(name, t, scale, neg_log, b, params: WeightParams):
-    """The Prelec slope gamma*theta*w*t / (scale*neg_log*b), w = exp(-gamma*t).
-
-    dw/dp is the slope at t = (-log p)**theta, neg_log = -log p, b = p.
-    Dividing by neg_log first where it is >= 1 keeps a subnormal b out of
-    a rounded product. Where gamma*t > 700, w rounds to a subnormal or 0
-    before the product is formed, so the slope is taken in logs there. A
-    slope past the float range is refused as ``name``.
-    """
-    gamma, theta = params.gamma, params.theta
-    gt = gamma * t
-    out = (gamma * theta * np.exp(-gt) * t / scale / np.maximum(neg_log, 1.0)
-           / (np.minimum(neg_log, 1.0) * b))
-    far = gt > 700.0
-    if far.any():  # separate logs: gamma*t may overflow, -inf is the limit
-        log_c = np.log(gamma) + np.log(theta) - np.log(scale)
-        out[far] = np.exp(log_c + np.log(t[far]) - gt[far]
-                          - np.log(neg_log[far]) - np.log(b[far]))
-    if np.any(np.isinf(out)):
-        raise DomainError(f"{name} overflows the float range")
-    return out
