@@ -241,8 +241,8 @@ def test_pop_sweep_single_point():
 
 
 POP_MC_SNAPSHOT = ("axis,value,err,n_eval\n"
-                   "1,0.545932475313,0.00112669295607,100000\n"
-                   "10,0.174296849186,0.000821233053722,100000\n")
+                   "1,0.545932475313,0.00112681669973,100000\n"
+                   "10,0.174296849186,0.00082334372137,100000\n")
 
 
 def test_pop_mc_rows_estimate_the_closed_form():
@@ -262,8 +262,8 @@ def test_pop_mc_rows_estimate_the_closed_form():
     (1e308, 100, 0.0670572012211),
 ], ids=["two-samples", "huge-mu"])
 def test_pop_mc_bar_stays_positive_with_no_observed_outage(mu, samples, bar):
-    # p-hat = 0 at both points: the bar is the weighted z = 1 Wilson bound
-    # w(1/(n+1)), not the 0 of the delta method
+    # p-hat = 0 at both points: the bar is the distance to the upper
+    # weighted z = 1 Wilson bound, w(1/(n+1)), not 0
     d = {"schema": SCHEMA, "metric": "pop",
          "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0]},
          "weight_params": {"gamma": 1.0, "theta": 0.65}, "epsilon": 1.0,
