@@ -221,4 +221,4 @@ def test_same_bytes_builds_every_input_group(monkeypatch):
         "quad at own tol": 320, "quad at tol 1e-12": 320,
         "quad at tol 0.0001": 320, "mc at 1000 samples": 13,
         "mc at 524289 samples": 13, "cross-check CLI": 14, "errors": 26,
-        "pop axes": 18, "channel": 9, "preset rows": 7}
+        "pop axes": 18, "channel": 9, "preset rows": 7, "ppdf": 4}

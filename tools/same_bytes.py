@@ -55,12 +55,18 @@ numpy and percept, not pytest) and, for the presets, its
   and 64;
 - the same ``run_scenario`` output of the documents of fig2 ... fig8, so
   that a last-bit change the 12-digit CSV of their ``sweep`` rounds away
-  shows in the ``float.hex`` of their rows.
+  shows in the ``float.hex`` of their rows;
+- the sha256 of ``ppdf`` at four (mu, gamma, theta), each over 4096
+  seeded s/mu: 1e-320, 745, 2047 log-uniform on [1e-320, 1] and 2047
+  uniform on [1, 745], so that the near tail, the far tail past s/mu ~
+  708 and, at gamma 3 and 2, the points with gamma*t > 700 whose density
+  is taken in logs are all covered; each returns a number at every point.
 
 Prints the number of outputs and of differences, in all and per group
 of inputs (CLI entries, presets, edge cases, ``quad`` at each
 tolerance, ``mc`` at each sample count, the cross-check CLI, errors,
-``pop`` axes, channel, and preset rows), and the first few differences;
+``pop`` axes, channel, preset rows and ``ppdf``), and the first few
+differences;
 exits 1 if any output differs, 0 if none does.
 """
 from __future__ import annotations
@@ -97,15 +103,19 @@ MC_SAMPLES = (1000, (1 << 19) + 1)
 # (k_paths, amplitude_scale, n) of the gain_samples digests, seed 0
 CHANNEL_DRAWS = [(k, scale, n) for k, scale in ((1, 1.0), (7, 0.3), (64, 1.0))
                  for n in (1 << 14, (1 << 14) + 1)]
+# (mu, gamma, theta) of the ppdf digests; the seed is the index
+PPDF_PARAMS = [(1.0, 1.0, 0.65), (0.3, 3.0, 0.9), (2.5, 2.0, 0.95),
+               (1e-3, 0.9, 0.65)]
 SHOW = 5  # differences printed in full
 ROOT = Path(__file__).resolve().parent.parent  # this script's checkout
 
 
 def jobs(catalogue: dict, presets: dict, root: Path = ROOT) -> dict:
     """Every input by group name, as ("cli", argv), ("scenario" or
-    "cross-check file", scenario document) or ("gains", [k_paths, scale,
-    n]); ``presets`` is ``sweep.PRESETS``, and the error and ``pop`` cases
-    come from checkout ``root``'s ``tests/support.py``."""
+    "cross-check file", scenario document), ("gains", [k_paths, scale,
+    n]) or ("ppdf", [mu, gamma, theta, seed]); ``presets`` is
+    ``sweep.PRESETS``, and the error and ``pop`` cases come from
+    checkout ``root``'s ``tests/support.py``."""
     figs = [presets[f"fig{k}"][1] for k in range(2, 9)]
     out = {"cli entries": [("cli", e["argv"]) for e in catalogue["cli"]],
            "presets": [("cli", ["sweep", f"fig{k}"]) for k in range(2, 9)],
@@ -139,6 +149,8 @@ def jobs(catalogue: dict, presets: dict, root: Path = ROOT) -> dict:
         ("cli", ["simulate-channel", "--samples", "20000", "--seed", "0",
                  "--k-paths", str(k)]) for k in (1, 7, 64)]
     out["preset rows"] = [("scenario", d) for d in figs]
+    out["ppdf"] = [("ppdf", [*params, seed])
+                   for seed, params in enumerate(PPDF_PARAMS)]
     return out
 
 
@@ -158,8 +170,12 @@ def run_cli(argv: list) -> list:
 
 def collect(todo: list) -> list:
     """The output of every job, run with the ``percept`` on the path."""
+    import numpy as np
+
     from percept.channel import MultipathConfig, gain_samples
+    from percept.distributions import ExponentialGain, PerceptualDistribution
     from percept.errors import PerceptError, ToleranceNotMet
+    from percept.prospect import WeightParams
     from percept.sweep import run_scenario, scenario_from_dict, sweep_csv
 
     out = []
@@ -178,6 +194,17 @@ def collect(todo: list) -> list:
             k, scale, n = arg
             gains = gain_samples(MultipathConfig(k, scale, 0), n)
             out.append([arg, hashlib.sha256(gains.tobytes()).hexdigest()])
+            continue
+        if kind == "ppdf":
+            mu, gamma, theta, seed = arg
+            rng = np.random.default_rng(seed)
+            x = np.concatenate([[1e-320, 745.0],
+                                10.0 ** rng.uniform(-320.0, 0.0, 2047),
+                                rng.uniform(1.0, 745.0, 2047)])
+            pd = PerceptualDistribution(ExponentialGain(mu),
+                                        WeightParams(gamma, theta))
+            density = pd.ppdf(mu * x)
+            out.append([arg, hashlib.sha256(density.tobytes()).hexdigest()])
             continue
         try:
             rows = run_scenario(scenario_from_dict(arg))
