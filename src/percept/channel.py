@@ -13,7 +13,7 @@ accurate, and the phasor is (-j)**q * (cos r + j*sin r). The steps 4u and
 q - 4u are exact, and so is the product with (-j)**q, so r carries the
 only rounding before cos and sin.
 
-Draws come in chunks of 16384 coefficients, each from its own Philox
+Draws come in chunks of 16384 coefficients, each from its own PCG64DXSM
 substream, and the chunks run on up to one thread per CPU the process may
 use. A chunk draws its phases in consecutive row slices of about 2**14
 path draws into one set of scratch arrays, which keeps the working set in
@@ -96,6 +96,12 @@ def draw_channel(config: MultipathConfig, n: int) -> np.ndarray:
 
 
 def gain_samples(config: MultipathConfig, n: int) -> np.ndarray:
-    """n power gains G = |H|^2; the sample mean estimates the average gain."""
+    """n power gains G = |H|^2; the sample mean estimates the average gain.
+
+    |H|^2 is re**2 + im**2 in one float array: each step rounds once, so
+    the bits are the same on every numpy dispatch target.
+    """
     h = draw_channel(config, n)
-    return (h * h.conj()).real
+    g = np.square(h.real)
+    g += np.square(h.imag)
+    return g

@@ -6,8 +6,8 @@ the valued metric targets the same integral as the quadrature engine with no
 importance weights. Outage estimates use plain channel draws and weight the
 empirical probability afterwards.
 
-Sampling is batched; each batch owns a spawned substream of a counter-based
-Philox generator, so the merged estimate is reproducible bit for bit and
+Sampling is batched; each batch owns a spawned substream of a PCG64DXSM
+generator, so the merged estimate is reproducible bit for bit and
 independent of how batches are scheduled. Batches run on up to one thread
 per CPU the process may use (numpy releases the interpreter lock in its
 ufuncs and generator fills), and within a batch the elementwise work runs
@@ -33,7 +33,7 @@ from .metrics import CompositeMetric, LinkBudget, OutageSpec, rate_gain
 from .prospect import (ValueParams, WeightParams, _check_value, _scratch,
                        _value, weight)
 
-RNG_ALGORITHM = "philox4x64"
+RNG_ALGORITHM = "pcg64dxsm"
 _BATCH = 1 << 19
 _SLICE = 1 << 15  # elementwise work per step: a few arrays fit in L2
 
@@ -74,8 +74,8 @@ def _cpus() -> int:
 def _map_substreams(fn, seed: int, total: int, size: int) -> list:
     """[fn(i, rng, draws) for each block of ``size`` of ``total`` draws].
 
-    Block i (the last one holds the rest) draws from the Philox substream
-    of SeedSequence(seed, spawn_key=(i,)), which is child i of
+    Block i (the last one holds the rest) draws from the PCG64DXSM
+    substream of SeedSequence(seed, spawn_key=(i,)), which is child i of
     SeedSequence(seed), so its draws do not depend on ``total``; the
     generator is built when a thread takes the block. The blocks run on
     at most min(blocks, _cpus()) threads, the calling thread among them,
@@ -100,7 +100,7 @@ def _map_substreams(fn, seed: int, total: int, size: int) -> list:
             if i is None:
                 return
             try:
-                rng = np.random.Generator(np.random.Philox(
+                rng = np.random.Generator(np.random.PCG64DXSM(
                     np.random.SeedSequence(seed, spawn_key=(i,))))
                 results[i] = fn(i, rng, min(size, total - i * size))
             except Exception as exc:  # re-raised in the calling thread

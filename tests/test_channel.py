@@ -149,7 +149,7 @@ def test_coefficients_match_mpmath(monkeypatch, k):
     # reference to a few thousand phasors
     monkeypatch.setattr(channel, "_CHUNK", 32)
     seed, sizes = 11, (32, 9)  # all of chunk 0, part of chunk 1
-    u = np.concatenate([np.random.Generator(np.random.Philox(
+    u = np.concatenate([np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(seed, spawn_key=(i,)))).random((m, k))
         for i, m in enumerate(sizes)])
     with mpmath.workdps(40):

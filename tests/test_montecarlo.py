@@ -90,7 +90,7 @@ def test_pu_squared_deviations_past_the_float_range_are_scaled(samples):
 def test_estimate_carries_generator_name():
     est = mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP,
                 McConfig(samples=100))
-    assert est.generator == RNG_ALGORITHM == "philox4x64"
+    assert est.generator == RNG_ALGORITHM == "pcg64dxsm"
     assert est.samples == 100
 
 
@@ -193,7 +193,7 @@ def test_batched_merge_matches_single_pass_statistics():
     sizes = [_BATCH, _BATCH, n - 2 * _BATCH]
     chunks = []
     for ss, m in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
-        rng = np.random.Generator(np.random.Philox(ss))
+        rng = np.random.Generator(np.random.PCG64DXSM(ss))
         u = np.fmax(rng.random(m), _U_FLOOR)
         chunks.append(value(metric.map(pd.perceptual_sample(u)),
                             metric.ref, VP))

@@ -257,19 +257,22 @@ def test_pop_mc_rows_estimate_the_closed_form():
         assert abs(r.value - e.value) <= 5.0 * r.err
 
 
-@pytest.mark.parametrize("mu, samples, bar", [
-    (1.0, 2, 0.34540478614),
-    (1e308, 100, 0.0670572012211),
+@pytest.mark.parametrize("mu, samples, seed, bar", [
+    (1.0, 2, 9, 0.34540478614),
+    (1e308, 100, 0, 0.0670572012211),
 ], ids=["two-samples", "huge-mu"])
-def test_pop_mc_bar_stays_positive_with_no_observed_outage(mu, samples, bar):
-    # p-hat = 0 at both points: the bar is the distance to the upper
+def test_pop_mc_bar_stays_positive_with_no_observed_outage(mu, samples, seed,
+                                                           bar):
+    # p-hat = 0 at both points (seed 9 is the smallest that draws no outage
+    # in two samples at mu = 1): the bar is the distance to the upper
     # weighted z = 1 Wilson bound, w(1/(n+1)), not 0
     d = {"schema": SCHEMA, "metric": "pop",
          "axis": {"name": "pt_over_n0", "grid": [1.0, 10.0]},
          "weight_params": {"gamma": 1.0, "theta": 0.65}, "epsilon": 1.0,
          "mu": mu}
     exact = run_scenario(scenario_from_dict(d))
-    rows = run_scenario(scenario_from_dict(dict(d, mc={"samples": samples})))
+    rows = run_scenario(scenario_from_dict(
+        dict(d, mc={"samples": samples, "seed": seed})))
     for r, e in zip(rows, exact):
         assert r.value == 0.0
         assert r.err == pytest.approx(bar, rel=1e-10)
