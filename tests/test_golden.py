@@ -32,6 +32,16 @@ same uniforms from the same substreams, but exp(-j*2*pi*u) is now
 (-j)**q * exp(-j*2*pi*(u - q/4)) with q = rint(4u), so the coefficients
 moved by rounding and 19 of the 20 digests changed (the three K = 1 gains
 of seed 5 kept their bytes).
+All 38 ``mc`` entries and 19 of the 20 ``gain_samples`` entries were
+captured again when every substream moved from Philox4x64 to PCG64DXSM,
+with the same spawn keys, batches and chunks: each block draws other
+uniforms, so every estimate and coefficient changed. The three K = 1
+gains of seed 0 at n = 3 are 1.0 from either stream and kept their
+bytes. In the same change ``gain_samples`` began to form |H|^2 as
+re**2 + im**2 instead of the complex product h * conj(h), which rounded
+differently at numpy's x86-64-v2 target; the new digests are the same
+on the AVX-512, AVX2 and x86-64-v2 targets. The Philox uniforms below
+are test inputs to ``perceptual_sample``, not program draws, and stay.
 
 The quadrature goldens (``golden/quad.json``) hold the value, the error
 estimate (both as ``float.hex``) and the evaluation count of every PU point

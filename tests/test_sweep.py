@@ -241,8 +241,8 @@ def test_pop_sweep_single_point():
 
 
 POP_MC_SNAPSHOT = ("axis,value,err,n_eval\n"
-                   "1,0.545932475313,0.00112681669973,100000\n"
-                   "10,0.174296849186,0.00082334372137,100000\n")
+                   "1,0.547343369526,0.00112770542289,100000\n"
+                   "10,0.175342027194,0.000824127421379,100000\n")
 
 
 def test_pop_mc_rows_estimate_the_closed_form():
