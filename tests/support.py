@@ -8,11 +8,13 @@ module imports numpy and percept, not pytest.
 """
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import percept
 from percept import ExponentialGain, LinkBudget, ValueParams, WeightParams
 from percept.sweep import SCHEMA
 
@@ -134,6 +136,15 @@ def load(path, name):
     sys.modules[name] = mod  # dataclasses look their module up
     spec.loader.exec_module(mod)
     return mod
+
+
+def checkout_env():
+    """Environment whose PYTHONPATH puts the imported percept package first."""
+    env = dict(os.environ)
+    root = str(Path(percept.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 def exponential_cdf(mu=1.0):

@@ -22,7 +22,8 @@ from percept import MultipathConfig, gain_samples
 from percept.cli import main
 from percept.errors import PerceptError
 from percept.sweep import _AXES, SCHEMA
-from support import POP_HALF, ROOT, doc, exponential_cdf, sup_distance
+from support import (POP_HALF, ROOT, checkout_env, doc, exponential_cdf,
+                     sup_distance)
 
 
 def run(capsys, argv):
@@ -571,15 +572,6 @@ def test_simulate_channel_ks_statistic_is_the_sup_distance(capsys, k, scale,
 # --- entry points -----------------------------------------------------------------------
 
 PYPROJECT = ROOT / "pyproject.toml"
-
-
-def checkout_env():
-    """Environment whose PYTHONPATH puts the imported percept package first."""
-    env = dict(os.environ)
-    root = str(Path(percept.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [root, env.get("PYTHONPATH")]))
-    return env
 
 
 def assert_entry_runs(command, env=None):

@@ -77,6 +77,7 @@ at s/mu > 708 whose weight differs from 1 moved to the accurate value.
 import hashlib
 import json
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -90,7 +91,7 @@ from percept.cli import build_parser
 from percept.distributions import _log1mexp
 from percept.sweep import (PRESETS, preset_scenario, run_scenario,
                            scenario_from_dict)
-from support import CATALOGUE, ROOT, load
+from support import CATALOGUE, ROOT, checkout_env, load
 
 GOLDEN = ROOT / "tests" / "golden"
 STREAMS = json.loads((GOLDEN / "streams.json").read_text())
@@ -151,6 +152,61 @@ def test_gain_samples_are_pinned(key):
                              int(f["seed"]))
     digest = hashlib.sha256(gain_samples(config, int(f["n"])).tobytes())
     assert digest.hexdigest() == STREAMS["gain_samples"][key]
+
+
+# numpy's dispatch targets below the host's best, each with the dispatched
+# feature group it keeps; NPY_DISABLE_CPU_FEATURES turns off the others
+TARGETS = {"AVX2": ["X86_V3"], "x86-64-v2": []}
+GAIN_DIGESTS = """
+import hashlib, json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from percept import MultipathConfig, gain_samples
+print(json.dumps([f for f in __cpu_dispatch__ if __cpu_features__[f]]))
+for k, scale, seed, n in json.load(sys.stdin):
+    g = gain_samples(MultipathConfig(k, scale, seed), n)
+    print(hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+
+def _gain_digests(disabled):
+    """(dispatched feature groups, digest per gain_samples key) of a fresh
+    interpreter with ``disabled`` feature groups turned off."""
+    env = checkout_env()
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    configs = [[int(f["k_paths"]), float(f["scale"]), int(f["seed"]),
+                int(f["n"])]
+               for f in map(_fields, sorted(STREAMS["gain_samples"]))]
+    proc = subprocess.run([sys.executable, "-c", GAIN_DIGESTS],
+                          input=json.dumps(configs), capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    groups, *digests = proc.stdout.splitlines()
+    return json.loads(groups), digests
+
+
+@pytest.fixture(scope="module")
+def best_target_gain_digests():
+    """The digests on the best target numpy can dispatch to on this host."""
+    return _gain_digests([])[1]
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_gain_samples_do_not_depend_on_the_dispatch_target(
+        best_target_gain_digests, target):
+    # |H|**2 is re**2 + im**2, one rounding a step on every target; the
+    # complex product h * conj(h) rounded otherwise at x86-64-v2
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    keep = TARGETS[target]
+    missing = [f for f in ["X86_V2"] + keep
+               if not umath.__cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"numpy's {target} target needs {' '.join(missing)}, "
+                    "which this host lacks")
+    groups, digests = _gain_digests(
+        [f for f in umath.__cpu_dispatch__
+         if f not in keep and umath.__cpu_features__[f]])
+    assert groups == keep
+    assert digests == best_target_gain_digests
 
 
 @pytest.mark.parametrize("key", sorted(STREAMS["perceptual_sample"]))
