@@ -54,6 +54,13 @@ def doc(**over):
     return base
 
 
+# doc() fields of a cross-check whose two samples give an error bar too
+# optimistic for this seed's draws, so it exits 3; the seed is the
+# smallest that does so with PCG64DXSM substreams
+FAILING_CROSS_CHECK = {"axis": {"name": "pt_over_n0", "grid": [100.0]},
+                       "mc": {"samples": 2, "seed": 3}}
+
+
 def pop_doc(axis: str, grid: list, **over) -> dict:
     """Minimal valid pop scenario document along ``axis``."""
     return doc(metric="pop", axis={"name": axis, "grid": grid},

@@ -22,8 +22,8 @@ from percept import MultipathConfig, gain_samples
 from percept.cli import main
 from percept.errors import PerceptError
 from percept.sweep import _AXES, SCHEMA
-from support import (POP_HALF, ROOT, checkout_env, doc, exponential_cdf,
-                     sup_distance)
+from support import (FAILING_CROSS_CHECK, POP_HALF, ROOT, checkout_env, doc,
+                     exponential_cdf, sup_distance)
 
 
 def run(capsys, argv):
@@ -510,10 +510,7 @@ def test_cross_check_pass_exits_0(tmp_path, capsys):
 
 
 def test_cross_check_failure_exits_3(tmp_path, capsys):
-    # two samples give an error bar too optimistic for this seed's draws
-    path = scenario_file(tmp_path,
-                         axis={"name": "pt_over_n0", "grid": [100.0]},
-                         mc={"samples": 2, "seed": 3})
+    path = scenario_file(tmp_path, **FAILING_CROSS_CHECK)
     code, out, err = run(capsys, ["cross-check", path])
     assert code == 3
     assert out.splitlines()[1].endswith(",0")

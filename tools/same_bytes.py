@@ -38,9 +38,9 @@ numpy and percept, not pytest) and, for the presets, its
   slice) and of 2**19 + 1 (past one batch), seed 0;
 - ``cli.main`` (document, exit code, stdout, stderr) of ``cross-check``
   on the same documents with the 1000-sample ``mc`` block, each written
-  to a temporary file, and on tier-1's failing one, ``doc()`` at
-  ``pt_over_n0`` 100 with 2 samples and seed 4, which exits 3; fig8 is a
-  ``pop`` scenario, so it exits 2;
+  to a temporary file, and on tier-1's failing one,
+  ``doc(**FAILING_CROSS_CHECK)`` (2 samples at ``pt_over_n0`` 100),
+  which exits 3; fig8 is a ``pop`` scenario, so it exits 2;
 - the repr of the error ``run_scenario`` raises on the ``pu_snr`` and
   ``pu_rate`` documents of tier-1's ``AXIS_ERRORS``, built by ``doc()``:
   each fails at one grid point, with an invalid value on a PU axis or an
@@ -130,10 +130,10 @@ def jobs(catalogue: dict, presets: dict, root: Path = ROOT) -> dict:
         out[f"mc at {n} samples"] = [
             ("scenario", dict(d, mc={"samples": n})) for d in mc_docs]
     sys.path.insert(0, str(root / "tests"))
-    from support import AXIS_ERRORS, POP_AXES, POP_AXIS_ERRORS, doc, pop_doc
+    from support import (AXIS_ERRORS, FAILING_CROSS_CHECK, POP_AXES,
+                         POP_AXIS_ERRORS, doc, pop_doc)
     cli_docs = [dict(d, mc={"samples": MC_SAMPLES[0]}) for d in mc_docs] + [
-        doc(axis={"name": "pt_over_n0", "grid": [100.0]},
-            mc={"samples": 2, "seed": 4})]
+        doc(**FAILING_CROSS_CHECK)]
     out["cross-check CLI"] = [("cross-check file", d) for d in cli_docs]
     out["errors"] = [
         ("scenario", doc(metric=metric, axis={"name": axis, "grid": grid},
