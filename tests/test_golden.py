@@ -191,8 +191,7 @@ def best_target_gain_digests():
 
 
 @pytest.mark.parametrize("target", sorted(TARGETS))
-def test_gain_samples_do_not_depend_on_the_dispatch_target(
-        best_target_gain_digests, target):
+def test_gain_samples_do_not_depend_on_the_dispatch_target(request, target):
     # |H|**2 is re**2 + im**2, one rounding a step on every target; the
     # complex product h * conj(h) rounded otherwise at x86-64-v2
     umath = pytest.importorskip("numpy._core._multiarray_umath")
@@ -206,7 +205,8 @@ def test_gain_samples_do_not_depend_on_the_dispatch_target(
         [f for f in umath.__cpu_dispatch__
          if f not in keep and umath.__cpu_features__[f]])
     assert groups == keep
-    assert digests == best_target_gain_digests
+    # taken after the skips, so a host that lacks both targets runs none
+    assert digests == request.getfixturevalue("best_target_gain_digests")
 
 
 @pytest.mark.parametrize("key", sorted(STREAMS["perceptual_sample"]))
