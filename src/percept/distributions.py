@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import WeightParams, _elementwise, _scratch, _select
+from .prospect import WeightParams, _elementwise, _scratch
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -24,22 +24,23 @@ def _log1mexp(x, out=None, scratch=None):
 
     log(-expm1(-x)) up to x = log 2 and log1p(-exp(-x)) above (Maechler
     2012), so neither tail loses precision before exp(-x) underflows.
-    Given ``out`` (not ``x``) and a :func:`~percept.prospect._scratch` set
-    of x's shape, both branches are formed in them and the result picked
-    into ``out`` by :func:`~percept.prospect._select`, as the sampler's
-    random draws need; without them np.where picks it, which is fast on
-    sorted arguments.
+    Both branches are formed, the high one in ``out`` (not ``x``) and the
+    low one in the float of a :func:`~percept.prospect._scratch` set of
+    x's shape, and the low one is copied over the high one where x <= log
+    2. Without ``scratch`` both are allocated, for a 0-d x too. The sampler's
+    ordered draws and the quadrature's rows each make that mask one run,
+    on which a masked copy is fast.
     """
-    tmp, bits, above = (None, None, None) if scratch is None else scratch
-    with np.errstate(divide="ignore"):
-        hi = np.log1p(np.negative(np.exp(np.negative(x, out=out), out=out),
-                                  out=out), out=out)
-        lo = np.log(np.negative(np.expm1(np.negative(x, out=tmp), out=tmp),
-                                out=tmp), out=tmp)
-    cond = np.greater(x, _LOG2, out=above)
     if scratch is None:
-        return np.where(cond, hi, lo)
-    return _select(cond, hi, lo, bits)
+        out, scratch = np.empty(np.shape(x)), _scratch(np.shape(x))
+    tmp, low = scratch
+    with np.errstate(divide="ignore"):
+        np.log1p(np.negative(np.exp(np.negative(x, out=out), out=out),
+                             out=out), out=out)
+        np.log(np.negative(np.expm1(np.negative(x, out=tmp), out=tmp),
+                           out=tmp), out=tmp)
+    np.copyto(out, tmp, where=np.less_equal(x, _LOG2, out=low))
+    return out
 
 
 def _exponent(x, theta):
@@ -180,7 +181,7 @@ class PerceptualDistribution:
         z **= 1.0 / theta
         log_q = _log1mexp(z, out, scratch)
         np.minimum(log_q, -5e-324, out=log_q)
-        tmp, _, under = scratch
+        tmp, under = scratch
         if np.equal(z, 0.0, out=under).any():  # log z from u, there only
             t = np.log(u, out=tmp, where=under)
             np.log(np.negative(t, out=t, where=under), out=t, where=under)

@@ -1,10 +1,10 @@
 """Monte Carlo estimators used as the independent oracle for the quadrature.
 
-Perceptual-utility estimates draw gains directly from the perceived law by
-inverse-transform sampling (X = Finv(winv(U))), so the plain sample mean of
-the valued metric targets the same integral as the quadrature engine with no
-importance weights. Outage estimates use plain channel draws and weight the
-empirical probability afterwards.
+Perceptual-utility estimates draw gains from the perceived law by
+inverse-transform sampling, X = Finv(winv(U)) with U stratified, so the
+sample mean of the valued metric targets the quadrature engine's integral
+with no importance weights. Outage estimates use plain channel draws and
+weight the empirical probability afterwards.
 
 Sampling is batched; each batch owns a spawned substream of a PCG64DXSM
 generator, so the merged estimate is reproducible bit for bit and
@@ -37,8 +37,10 @@ RNG_ALGORITHM = "pcg64dxsm"
 _BATCH = 1 << 19
 _SLICE = 1 << 15  # elementwise work per step: a few arrays fit in L2
 
-# smallest positive double; keeps -log(u) finite if a uniform draw hits 0.0
+# the smallest positive double and the largest below 1; a draw (j + U)/N
+# is 0.0 at j = U = 0 and can round to 1.0 at j = N - 1
 _U_FLOOR = 5e-324
+_U_CAP = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,11 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
           value_params: ValueParams, config: McConfig) -> McEstimate:
     """Sample-mean estimate of the perceptual utility of ``metric``.
 
+    Draw j of N is (j + U)/N, one per stratum in order, with U from the
+    block's substream, clamped into [_U_FLOOR, _U_CAP]. The standard error
+    is plain sampling's sigma/sqrt(N), which a stratified mean's never
+    exceeds in expectation.
+
     Each slice of draws is valued as :func:`value` values it, so a bad
     quantity or an overflowing value raises its DomainError, and its (n,
     mean, M2/4**k, k) is merged into the batch's in draw order, from the
@@ -161,7 +168,7 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
     exponent of the slice's largest |value|, so the squared deviations
     cannot overflow and a finite mean has a finite standard error; a mean
     that overflows the float range raises. Each batch allocates one
-    slice-sized scratch set, which every slice writes into.
+    slice-sized scratch set, stratum indices included, for every slice.
     """
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")
@@ -170,12 +177,17 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
         """(m, mean, M2/4**k, k) of one batch, merged slice by slice."""
         size = min(_SLICE, m)
         floats, scratch = np.empty((3, size)), _scratch(size)
+        strata = np.arange(i * _BATCH, i * _BATCH + size, dtype=float)
         acc = None
         for lo in range(0, m, _SLICE):
             n = min(_SLICE, m - lo)
             u, z, vals = floats[:, :n]
             # consecutive draws read the same stream as one draw of m
-            np.fmax(rng.random(out=u), _U_FLOOR, out=u)
+            rng.random(out=u)
+            u += strata[:n]
+            u /= config.samples
+            np.clip(u, _U_FLOOR, _U_CAP, out=u)
+            strata += _SLICE
             _slice_values(u, metric, pd, value_params, vals, z,
                           [a[:n] for a in scratch])
             k = math.frexp(max(-float(vals.min()), float(vals.max())))[1]

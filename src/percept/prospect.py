@@ -199,10 +199,10 @@ def _value(x, x0, params: ValueParams, out, scratch):
     """:func:`value` of an array ``x`` written into ``out``, which may be
     ``x``, with a :func:`_scratch` set of its shape; checked as ``value``
     checks, under the caller's error state."""
-    _check_quantity(x, scratch[2])
+    _check_quantity(x, scratch[1])
     _value_kernel(x, x0, params.alpha, params.lambda_gain, params.lambda_loss,
                   out, scratch)
-    _check_value(out, scratch[2])
+    _check_value(out, scratch[1])
     return out
 
 
@@ -223,48 +223,31 @@ def _check_value(v, mask=None) -> None:
 
 
 def _scratch(shape) -> tuple:
-    """A float64, an int64 and a bool array of ``shape``: the scratch set
-    of the in-place kernels."""
-    return np.empty(shape), np.empty(shape, np.int64), np.empty(shape, bool)
-
-
-def _select(cond, a, b, bits):
-    """np.where(cond, a, b) for float64 arrays, written into ``a``.
-
-    Branch-free on the int64 views: a ^= b; a &= -cond; a ^= b, with
-    ``bits`` an int64 array of cond's shape for -cond. The picked element's
-    bits are copied whole, so NaN, signed zeros and infinities come out as
-    np.where gives them. np.where branches per element, so a random mask
-    costs it several times what a constant one does.
-    """
-    np.copyto(bits, cond)
-    np.negative(bits, out=bits)
-    a_bits, b_bits = a.view(np.int64), b.view(np.int64)
-    np.bitwise_xor(a_bits, b_bits, out=a_bits)
-    np.bitwise_and(a_bits, bits, out=a_bits)
-    np.bitwise_xor(a_bits, b_bits, out=a_bits)
-    return a
+    """A float64 and a bool array of ``shape``: the scratch set of the
+    in-place kernels."""
+    return np.empty(shape), np.empty(shape, bool)
 
 
 def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss, out=None,
                   scratch=None):
-    """The value-function formula, unchecked; all arguments broadcast.
+    """The value-function formula, unchecked; x and x0 broadcast, and the
+    rest against them.
 
-    Given ``out`` (which may be ``x``) and a :func:`_scratch` set of its
-    shape, the value is formed in them and picked by :func:`_select`, as
-    the sampler's random signs need. Without them it is picked by np.where,
-    which is fast on the quadrature's nodes, whose signs come in runs.
+    Both sides are formed, the gain side in ``out`` (which may be ``x``)
+    and the loss side in the float of a :func:`_scratch` set of its shape,
+    and the loss side is copied over the gain side where x < x0. Either is
+    allocated when not given. The sampler's ordered draws and the
+    quadrature's rows each make that mask one run, on which a masked copy
+    is fast.
     """
-    tmp, bits, mask = (None, None, None) if scratch is None else scratch
     d = np.subtract(x, x0, out=out)
+    tmp, loss = _scratch(d.shape) if scratch is None else scratch
     mag = np.abs(d, out=tmp)
     mag **= alpha
-    gains = np.greater_equal(d, 0.0, out=mask)
-    pos = np.multiply(lambda_gain, mag, out=out)
-    neg = np.multiply(-lambda_loss, mag, out=tmp)
-    if scratch is None:
-        return np.where(gains, pos, neg)
-    return _select(gains, pos, neg, bits)
+    np.less(d, 0.0, out=loss)
+    out = np.multiply(lambda_gain, mag, out=d)
+    np.copyto(out, np.multiply(-lambda_loss, mag, out=tmp), where=loss)
+    return out
 
 
 @_elementwise

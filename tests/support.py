@@ -56,9 +56,10 @@ def doc(**over):
 
 # doc() fields of a cross-check whose two samples give an error bar too
 # optimistic for this seed's draws, so it exits 3; the seed is the
-# smallest that does so with PCG64DXSM substreams
+# smallest that does so with stratified PCG64DXSM draws, and the only one
+# below 3000
 FAILING_CROSS_CHECK = {"axis": {"name": "pt_over_n0", "grid": [100.0]},
-                       "mc": {"samples": 2, "seed": 3}}
+                       "mc": {"samples": 2, "seed": 2598}}
 
 
 def pop_doc(axis: str, grid: list, **over) -> dict:

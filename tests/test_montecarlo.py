@@ -15,9 +15,9 @@ from percept import (CompositeMetric, DomainError, ExponentialGain, McConfig,
                      mc_pop, mc_pu, outage_probability, pu_snr, rate_metric,
                      snr_metric, value, weight)
 from percept import montecarlo
-from percept.montecarlo import (_BATCH, _SLICE, _U_FLOOR, RNG_ALGORITHM,
-                                _map_substreams, _slice_values,
-                                _weighted_outage)
+from percept.montecarlo import (_BATCH, _SLICE, _U_CAP, _U_FLOOR,
+                                RNG_ALGORITHM, _map_substreams,
+                                _slice_values, _weighted_outage)
 from percept.prospect import _scratch, _value_kernel
 from support import EXP_CDF_1, POP_HALF, VP, VP_ID, WP, WP_ID, link
 
@@ -183,7 +183,8 @@ def test_different_seeds_differ():
 
 def test_batched_merge_matches_single_pass_statistics():
     # three substreams (two full batches plus a remainder): replay the same
-    # draws in one flat array and compare the pooled mean and error exactly
+    # stratified draws (j + U)/n in one flat array and compare the pooled
+    # mean and error exactly
     n = 2 * _BATCH + 151_424
     seed = 9
     metric = snr_metric(link(10.0), 4.0)
@@ -192,9 +193,11 @@ def test_batched_merge_matches_single_pass_statistics():
 
     sizes = [_BATCH, _BATCH, n - 2 * _BATCH]
     chunks = []
-    for ss, m in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+    for i, (ss, m) in enumerate(zip(
+            np.random.SeedSequence(seed).spawn(len(sizes)), sizes)):
         rng = np.random.Generator(np.random.PCG64DXSM(ss))
-        u = np.fmax(rng.random(m), _U_FLOOR)
+        j = np.arange(i * _BATCH, i * _BATCH + m)
+        u = np.clip((j + rng.random(m)) / n, _U_FLOOR, _U_CAP)
         chunks.append(value(metric.map(pd.perceptual_sample(u)),
                             metric.ref, VP))
     flat = np.concatenate(chunks)
@@ -202,6 +205,36 @@ def test_batched_merge_matches_single_pass_statistics():
     assert est.mean == pytest.approx(float(flat.mean()), rel=1e-12)
     assert est.std_error == pytest.approx(
         float(flat.std(ddof=1)) / math.sqrt(n), rel=1e-12)
+
+
+def test_stratified_draws_are_clamped_into_the_unit_interval(monkeypatch):
+    # draw j of N is (j + U)/N: U = 0 at j = 0 gives 0.0, and U = 1 - 2**-53
+    # at j = N - 1 rounds to 1.0; the floor and the cap keep both inside
+    # (0, 1), and every other draw sits at its stratum's midpoint
+    class Stub:
+        def random(self, out):
+            out[:] = 0.5
+            out[0], out[-1] = 0.0, 1.0 - 2.0**-53
+            return out
+
+    spread, values, seen = _map_substreams, _slice_values, []
+
+    def stub_spread(fn, *args):
+        return spread(lambda i, rng, m: fn(i, Stub(), m), *args)
+
+    def spy(u, *args):
+        seen.append(u.copy())
+        return values(u, *args)
+
+    monkeypatch.setattr(montecarlo, "_map_substreams", stub_spread)
+    monkeypatch.setattr(montecarlo, "_slice_values", spy)
+    n = 1000
+    est = mc_pu(snr_metric(link(10.0), 4.0), make_pd(), VP, McConfig(n))
+    u, = seen
+    assert u[0] == _U_FLOOR == 5e-324
+    assert u[-1] == _U_CAP == np.nextafter(1.0, 0.0)
+    assert u[1:-1].tobytes() == ((np.arange(1, n - 1) + 0.5) / n).tobytes()
+    assert math.isfinite(est.mean) and est.samples == n
 
 
 @pytest.mark.parametrize("theta", [1.0, 0.5, 0.65, 0.01])
