@@ -42,6 +42,13 @@ re**2 + im**2 instead of the complex product h * conj(h), which rounded
 differently at numpy's x86-64-v2 target; the new digests are the same
 on the AVX-512, AVX2 and x86-64-v2 targets. The Philox uniforms below
 are test inputs to ``perceptual_sample``, not program draws, and stay.
+The 28 ``mc_pu`` entries were captured again when ``mc_pu`` began to
+draw sample j of N as (j + U)/N, one uniform per stratum in order, from
+the same substreams in the same order: every mean moved toward the
+quadrature's value, and every standard error, still the plain-sampling
+sigma/sqrt(N), moved with it. The 10 ``pop`` entries draw no uniform
+and kept their bytes, as did ``gain_samples``, ``perceptual_sample``,
+``pcdf`` and ``log_cdf``.
 
 The quadrature goldens (``golden/quad.json``) hold the value, the error
 estimate (both as ``float.hex``) and the evaluation count of every PU point
