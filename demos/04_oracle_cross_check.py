@@ -3,8 +3,10 @@
 The quadrature engine integrates the valued metric against the perceived
 density after a substitution that removes the endpoint singularity. The
 Monte Carlo oracle never touches that machinery: it samples gains from
-the perceived law by inverse transform and averages. Agreement within
-three standard errors is the acceptance test for both.
+the perceived law by inverse transform, one uniform per stratum, and
+averages. Agreement within three standard errors is the acceptance test
+for both. The standard error is plain sampling's, which overstates a
+stratified mean's error, so the sigma column reads far below 1.
 """
 from percept import (ExponentialGain, LinkBudget, McConfig,
                      PerceptualDistribution, ToleranceNotMet, ValueParams,

@@ -268,7 +268,7 @@ def test_slice_values_match_the_public_composition(make_metric, alpha, theta):
         assert got is out
         assert out.tobytes() == want.tobytes(), n
         assert u.tobytes() == draws[:n].tobytes()
-        # the quadrature's form of the kernel, picked by np.where
+        # the quadrature's form of the kernel, which allocates its buffers
         assert want.tobytes() == _value_kernel(
             omega, ref, alpha, 0.5, 2.0).tobytes()
         if n == 1:
@@ -407,8 +407,9 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
 
 
 def test_mc_pu_peak_memory(monkeypatch):
-    # two workers, each with one batch's scratch set: four float arrays, one
-    # int64 and one bool array of one slice, 41 bytes a sample
+    # two workers, each with one batch's scratch set: five float arrays (one
+    # of them the stratum indices) and one bool array of one slice, 41
+    # bytes a sample
     use_cpus(monkeypatch, 2)
     args = (snr_metric(link(10.0), 4.0), make_pd(), VP, McConfig(10**6))
     mc_pu(*args)
