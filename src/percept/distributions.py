@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _real
-from .prospect import WeightParams, _elementwise, _scratch
+from .prospect import WeightParams, _elementwise, _scratch, _split
 
 _LOG2 = float(np.log(2.0))
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -24,22 +24,33 @@ def _log1mexp(x, out=None, scratch=None):
 
     log(-expm1(-x)) up to x = log 2 and log1p(-exp(-x)) above (Maechler
     2012), so neither tail loses precision before exp(-x) underflows.
-    Both branches are formed, the high one in ``out`` (not ``x``) and the
-    low one in the float of a :func:`~percept.prospect._scratch` set of
-    x's shape, and the low one is copied over the high one where x <= log
-    2. Without ``scratch`` both are allocated, for a 0-d x too. The sampler's
-    ordered draws and the quadrature's rows each make that mask one run,
-    on which a masked copy is fast.
+    The result is written into ``out`` (not ``x``), with a
+    :func:`~percept.prospect._scratch` set of x's shape as scratch; without
+    ``scratch`` both are allocated, for a 0-d x too. Where the mask x <=
+    log 2 is one run of a 1-D x, as on the sampler's ordered draws, each
+    branch is formed only on its own slice of ``out``
+    (:func:`~percept.prospect._split`). Otherwise, as on the quadrature's
+    2-D rows and on unordered arrays, both are formed, the high one in
+    ``out`` and the low one in the scratch float, and the low one is
+    copied over the high one where x <= log 2.
     """
     if scratch is None:
         out, scratch = np.empty(np.shape(x)), _scratch(np.shape(x))
     tmp, low = scratch
+    np.less_equal(x, _LOG2, out=low)
+    split = _split(low)
+    if split is None:
+        x_lo, lo, x_hi, hi = x, tmp, x, out
+    else:
+        s_lo, s_hi = split
+        x_lo, lo, x_hi, hi = x[s_lo], out[s_lo], x[s_hi], out[s_hi]
     with np.errstate(divide="ignore"):
-        np.log1p(np.negative(np.exp(np.negative(x, out=out), out=out),
-                             out=out), out=out)
-        np.log(np.negative(np.expm1(np.negative(x, out=tmp), out=tmp),
-                           out=tmp), out=tmp)
-    np.copyto(out, tmp, where=np.less_equal(x, _LOG2, out=low))
+        np.log1p(np.negative(np.exp(np.negative(x_hi, out=hi), out=hi),
+                             out=hi), out=hi)
+        np.log(np.negative(np.expm1(np.negative(x_lo, out=lo), out=lo),
+                           out=lo), out=lo)
+    if split is None:
+        np.copyto(out, tmp, where=low)
     return out
 
 

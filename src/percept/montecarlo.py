@@ -169,6 +169,10 @@ def mc_pu(metric: CompositeMetric, pd: PerceptualDistribution,
     cannot overflow and a finite mean has a finite standard error; a mean
     that overflows the float range raises. Each batch allocates one
     slice-sized scratch set, stratum indices included, for every slice.
+    The draws increase along a slice, so for a nondecreasing metric each
+    kernel pick is one run, and each branch is formed only on its own part
+    of the slice (:func:`~percept.prospect._split`); any other order takes
+    the masked copy, with the same bits.
     """
     if config.samples < 2:
         raise DomainError("perceptual-utility estimation needs >= 2 samples")

@@ -228,26 +228,57 @@ def _scratch(shape) -> tuple:
     return np.empty(shape), np.empty(shape, bool)
 
 
+def _split(mask):
+    """(slice where ``mask`` holds, slice where it does not), or None.
+
+    A 1-D mask that holds on one run at either end, everywhere or nowhere
+    splits at its count c, so a kernel that forms each branch on its own
+    slice picks what a masked copy picks. Such a run starts at 0 if the
+    mask holds there, and at size - c if not; counting c there proves it.
+    The index comes from the mask, not from a search of the values, as
+    numpy's SIMD ``log`` and ``pow`` need not be monotone to the last ulp.
+    Any other 1-D mask, and any mask of another number of dimensions (at
+    once), gives None.
+    """
+    if mask.ndim != 1:
+        return None
+    n, c = mask.size, np.count_nonzero(mask)
+    lo = 0 if c == 0 or mask[0] else n - c
+    if np.count_nonzero(mask[lo:lo + c]) != c:
+        return None
+    return slice(lo, lo + c), slice(c, n) if lo == 0 else slice(0, lo)
+
+
 def _value_kernel(x, x0, alpha, lambda_gain, lambda_loss, out=None,
                   scratch=None):
     """The value-function formula, unchecked; x and x0 broadcast, and the
     rest against them.
 
-    Both sides are formed, the gain side in ``out`` (which may be ``x``)
-    and the loss side in the float of a :func:`_scratch` set of its shape,
-    and the loss side is copied over the gain side where x < x0. Either is
-    allocated when not given. The sampler's ordered draws and the
-    quadrature's rows each make that mask one run, on which a masked copy
-    is fast.
+    The result is written into ``out`` (which may be ``x``), with a
+    :func:`_scratch` set of its shape as scratch; either is allocated when
+    not given. Where the loss mask x < x0 is one run of a 1-D array, as
+    on the sampler's ordered draws, each side is formed in place on its
+    own slice (:func:`_split`). Otherwise, as on the quadrature's 2-D
+    rows and unordered arrays, both sides are formed, the gain side in
+    ``out`` and the loss side in the scratch float, and the loss side is
+    copied over the gain side where x < x0.
     """
     d = np.subtract(x, x0, out=out)
     tmp, loss = _scratch(d.shape) if scratch is None else scratch
-    mag = np.abs(d, out=tmp)
-    mag **= alpha
     np.less(d, 0.0, out=loss)
-    out = np.multiply(lambda_gain, mag, out=d)
-    np.copyto(out, np.multiply(-lambda_loss, mag, out=tmp), where=loss)
-    return out
+    split = _split(loss)
+    if split is None:
+        mag = np.abs(d, out=tmp)
+        mag **= alpha
+        np.multiply(lambda_gain, mag, out=d)
+        np.copyto(d, np.multiply(-lambda_loss, mag, out=tmp), where=loss)
+    else:
+        for side, scale in zip(split, (-lambda_loss, lambda_gain)):
+            mag = d[side]
+            np.abs(mag, out=mag)
+            mag **= alpha
+            np.multiply(scale, mag, out=mag)
+    return d
 
 
 @_elementwise

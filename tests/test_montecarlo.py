@@ -277,6 +277,29 @@ def test_slice_values_match_the_public_composition(make_metric, alpha, theta):
         assert np.any((-np.log(draws) / 1.1) ** 100.0 == 0.0)
 
 
+@pytest.mark.parametrize("of, loss_runs", [
+    (lambda x: 30.0 / (1.0 + x), [False, True]),
+    (lambda x: np.abs(x - 3.0), [False, True, False])],
+    ids=["decreasing", "non-monotone"])
+def test_slice_values_take_any_order_of_the_metric(of, loss_runs):
+    # CompositeMetric documents ``of`` as nondecreasing, but a caller's
+    # may not be: on ordered draws a decreasing one puts the losses on a
+    # suffix (one split), and a V-shaped one in the middle (a masked copy)
+    metric = CompositeMetric(of, 10.0, ReferencePoint(2.0), 0.0)
+    pd = make_pd()
+    u = np.clip((np.arange(_SLICE) + np.random.default_rng(9).random(_SLICE))
+                / _SLICE, _U_FLOOR, _U_CAP)
+    loss = metric.map(pd.perceptual_sample(u)) < 2.0
+    assert loss[np.diff(loss, prepend=~loss[:1])].tolist() == loss_runs
+    floats, scratch = np.empty((2, _SLICE)), _scratch(_SLICE)
+    got = _slice_values(u.copy(), metric, pd, VP, *floats, scratch)
+    order = np.random.default_rng(10).permutation(_SLICE)
+    want = np.empty(_SLICE)
+    want[order] = value(metric.map(pd.perceptual_sample(u[order])),
+                        metric.ref, VP)
+    assert got.tobytes() == want.tobytes()
+
+
 # --- block scheduling ---------------------------------------------------------
 
 def test_cpus_without_an_affinity_call_counts_the_cpus(monkeypatch):

@@ -10,6 +10,9 @@ from percept import (ConstraintViolation, DomainError, ExponentialGain,
                      LinkBudget, PerceptualDistribution, ReferencePoint,
                      ValueParams, WeightParams, rate_metric,
                      validate_value_params, value, weight, weight_inverse)
+from percept import distributions, prospect
+from percept.distributions import _log1mexp
+from percept.prospect import _split, _value_kernel
 from support import INV_E, VP
 
 W_HALF = WeightParams(gamma=1.0, theta=0.5)
@@ -276,3 +279,80 @@ def test_elementwise_call_forms(name):
     assert [fn(x, *params.values()) for x in points] == scalars
     with pytest.raises(TypeError):  # the argument is required
         fn(**params)
+
+
+# --- branch picks: one split or one masked copy ----------------------------
+
+# each kernel's branch test (x <= log 2, x < x0) holds on the left half
+LOG2 = math.log(2.0)
+X0 = 1.5
+HALVES = {
+    "log1mexp": np.concatenate([
+        [0.0], np.geomspace(1e-300, LOG2, 299),
+        [np.nextafter(LOG2, 1.0)], np.geomspace(0.7, 800.0, 298), [np.inf]]),
+    "value": np.concatenate([
+        [-0.0], np.geomspace(1e-300, 1.4, 298), [np.nextafter(X0, 0.0)],
+        [X0], np.geomspace(1.6, 1e30, 299)]),
+}
+KERNELS = {
+    "log1mexp": (_log1mexp, lambda x: x <= LOG2),
+    "value": (lambda x: _value_kernel(x, X0, 0.88, 1.0, 2.25),
+              lambda x: x < X0),
+}
+
+
+def test_split_takes_one_run_at_either_end():
+    def split(bits):
+        return _split(np.array(bits, bool))
+
+    assert split([]) == (slice(0, 0), slice(0, 0))
+    assert split([True]) == (slice(0, 1), slice(1, 1))
+    assert split([False]) == (slice(0, 0), slice(0, 1))
+    assert split([True, True, False]) == (slice(0, 2), slice(2, 3))
+    assert split([False, True, True]) == (slice(1, 3), slice(0, 1))
+    assert split([False, False]) == (slice(0, 0), slice(0, 2))
+    for several in ([True, False, True], [False, True, False],
+                    [True, False, True, False]):
+        assert split(several) is None
+    assert _split(np.ones((2, 3), bool)) is None
+    assert _split(np.True_) is None
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_split_branches_have_the_bits_of_the_masked_copy(monkeypatch, name):
+    # each array's bits against the same values in a seeded shuffle with
+    # the rest of the grid, whose mask has many runs, un-shuffled
+    fn, branch = KERNELS[name]
+    grid = HALVES[name]
+    splits = []
+
+    def spy(mask):
+        splits.append(_split(mask))
+        return splits[-1]
+
+    monkeypatch.setattr(prospect, "_split", spy)
+    monkeypatch.setattr(distributions, "_split", spy)
+
+    def masked_copy(x):
+        full = np.concatenate([x.ravel(), grid])
+        order = np.random.default_rng(11).permutation(full.size)
+        out = np.empty(full.size)
+        splits.clear()
+        out[order] = fn(full[order])
+        assert splits == [None]
+        return out[:x.size].reshape(x.shape)
+
+    half = grid.size // 2
+    assert branch(grid[:half]).all() and not branch(grid[half:]).any()
+    one_run = [grid, grid[::-1], grid[:half], grid[half:], grid[:1],
+               grid[-1:], grid[:0], grid[half - 1:half + 1]]
+    several = [np.concatenate([grid[:half], grid[half:], grid[:half]]),
+               np.concatenate([grid[half:], grid[:half], grid[half:]]),
+               grid.reshape(2, half)]
+    cases = [(x, True) for x in one_run] + [(x, False) for x in several]
+    for x, one in cases:
+        want = masked_copy(x)
+        splits.clear()
+        got = fn(x.copy())  # contiguous, as the shuffle is
+        assert got.tobytes() == want.tobytes()
+        assert len(splits) == 1 and (splits[0] is not None) == one
